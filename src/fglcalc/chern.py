@@ -195,7 +195,7 @@ class ChernPolynomial:
         if not isinstance(data, dict) or "dim_bound" not in data or "terms" not in data:
             raise ValidationError("chern JSON needs 'dim_bound' and 'terms'")
         bound = data["dim_bound"]
-        if not isinstance(bound, int) or bound < 0:
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise ValidationError(f"bad dim_bound {bound!r}")
         if not isinstance(data["terms"], list):
             raise ValidationError("'terms' must be a list")
@@ -204,7 +204,9 @@ class ChernPolynomial:
             if not isinstance(entry, dict) or "c_exponents" not in entry or "coeff" not in entry:
                 raise ValidationError("chern term needs 'c_exponents' and 'coeff'")
             exps = entry["c_exponents"]
-            if not isinstance(exps, list) or not all(isinstance(e, int) and e >= 0 for e in exps):
+            if not isinstance(exps, list) or not all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
+            ):
                 raise ValidationError(f"bad c_exponents {exps!r}")
             if nvars is None:
                 nvars = len(exps)
@@ -264,11 +266,12 @@ def evaluate_at_chern(series: TruncatedSeries, dim_bound: int) -> ChernPolynomia
         raise OrderError(
             f"series order {series.order} is below the dimension bound {dim_bound}"
         )
-    nvars = len(series.variables)
-    terms = {
-        exps: poly for exps, poly in series._terms.items() if sum(exps) <= dim_bound
-    }
-    return ChernPolynomial(nvars, dim_bound, series.backend, terms)
+    # series terms are already clean: nonnegative exponents, nonzero
+    # coefficients over the series backend
+    return ChernPolynomial._raw(
+        len(series.variables), dim_bound, series.backend,
+        series.truncate(dim_bound)._terms,
+    )
 
 
 def chern_substitute(series: TruncatedSeries, values) -> ChernPolynomial:

@@ -6,12 +6,14 @@ Subcommand groups mirror the library layers:
   snc     divclass, prodclass, normalform, check-properties
   cycles  dpr, blowup-tower, relgen
 
-Inputs are JSON, given as a file path, an inline JSON object, or "-" for
-stdin.  Output is canonical JSON on stdout (or --output), one trailing
-newline, byte-identical across runs for identical inputs.  Exit codes:
-0 success, 1 unreadable or malformed JSON input, 2 validation failure with
-a machine-readable report on stdout.  The truncation order defaults to the
-FGL_ORDER environment variable, then 8.
+Inputs are JSON, given as a file path, inline JSON (anything starting with
+"{" or "["), or "-" for stdin; the top level must be an object.  Output is
+canonical JSON on stdout (or --output), one trailing newline,
+byte-identical across runs for identical inputs.  Exit codes: 0 success,
+1 unreadable or malformed JSON input, 2 validation failure with a
+machine-readable report on stdout.  The truncation order defaults to the
+FGL_ORDER environment variable, then 8.  Every multiplicity (n, and the
+entries of multiplicities, D and E) must satisfy |n| <= MAX_MULTIPLICITY.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .snc import (
 )
 
 BACKEND_CHOICES = ("free", "log", "additive", "mult")
+MAX_MULTIPLICITY = 1024  # largest |n| accepted for n, multiplicities, D and E
 
 
 def _default_order() -> int:
@@ -79,7 +82,7 @@ def _read_input(args) -> dict:
     raw = args.input
     if raw == "-":
         text = sys.stdin.read()
-    elif raw.lstrip().startswith("{"):
+    elif raw.lstrip()[:1] in ("{", "["):
         text = raw
     else:
         with open(raw, "r", encoding="utf-8") as fh:
@@ -88,6 +91,14 @@ def _read_input(args) -> dict:
     if not isinstance(data, dict):
         raise ValidationError("top-level input must be a JSON object")
     return data
+
+
+def _check_multiplicity(key, n):
+    # [n]u costs |n| - 1 law substitutions, so n is capped at the boundary
+    if abs(n) > MAX_MULTIPLICITY:
+        raise ValidationError(
+            f"{key!r}: |{n}| exceeds the multiplicity limit {MAX_MULTIPLICITY}"
+        )
 
 
 def _int_vector(data, key, expected=None):
@@ -100,6 +111,8 @@ def _int_vector(data, key, expected=None):
         raise ValidationError(f"{key!r} must be a list of integers")
     if expected is not None and len(value) != expected:
         raise ValidationError(f"{key!r} must have {expected} entries, got {len(value)}")
+    for n in value:
+        _check_multiplicity(key, n)
     return tuple(value)
 
 
@@ -115,6 +128,7 @@ def _cmd_fgl_nseries(args):
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError("'n' must be an integer")
+    _check_multiplicity("n", n)
     return _make_law(args).n_series(n).to_json()
 
 
@@ -255,7 +269,7 @@ def _add_common(parser, with_input=True):
     if with_input:
         parser.add_argument(
             "input",
-            help="JSON input: a file path, an inline object, or - for stdin",
+            help="JSON input: a file path, inline JSON, or - for stdin",
         )
 
 

@@ -219,6 +219,23 @@ def _coerce_scalar(value):
     raise ValidationError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _json_coefficient(value):
+    """An exact rational from JSON: an integer, or a string like "-3/4"."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValidationError(f"bad coefficient {value!r}") from exc
+    raise ValidationError(
+        f"bad coefficient {value!r}: use an integer or a string like \"-3/4\""
+    )
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -446,15 +463,12 @@ class GradedPolynomial:
         for entry in data:
             if not isinstance(entry, dict) or "coeff" not in entry or "monomial" not in entry:
                 raise ValidationError("polynomial term needs 'coeff' and 'monomial'")
-            try:
-                coeff = Fraction(entry["coeff"])
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ValidationError(f"bad coefficient {entry['coeff']!r}") from exc
+            coeff = _json_coefficient(entry["coeff"])
             mono: dict = {}
             if not isinstance(entry["monomial"], dict):
                 raise ValidationError("'monomial' must be an object")
             for name, e in entry["monomial"].items():
-                if not isinstance(e, int) or e < 1:
+                if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                     raise ValidationError(f"bad exponent {e!r} for {name!r}")
                 g = generator_from_name(name)
                 mono[g] = mono.get(g, 0) + e

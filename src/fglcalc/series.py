@@ -204,6 +204,18 @@ class TruncatedSeries:
                 out[exps] = q
         return TruncatedSeries._raw(self.variables, self.order, self.backend, out)
 
+    def truncate(self, order: int) -> TruncatedSeries:
+        """The same series cut to total degree <= order, at that order.
+
+        Only lowering is exact: terms above self.order are unknown.
+        """
+        if not 0 <= order <= self.order:
+            raise OrderError(f"cannot truncate order {self.order} to {order}")
+        return TruncatedSeries._raw(
+            self.variables, order, self.backend,
+            {e: p for e, p in self._terms.items() if sum(e) <= order},
+        )
+
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValidationError("series powers take integer exponents >= 0")
@@ -284,7 +296,7 @@ class TruncatedSeries:
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise ValidationError("'variables' must be a list of names")
         order = data["order"]
-        if not isinstance(order, int):
+        if not isinstance(order, int) or isinstance(order, bool):
             raise ValidationError("'order' must be an integer")
         grouped: dict = {}
         if not isinstance(data["terms"], list):
@@ -293,7 +305,9 @@ class TruncatedSeries:
             if not isinstance(entry, dict) or "exponents" not in entry:
                 raise ValidationError("series term needs an 'exponents' vector")
             exps = entry["exponents"]
-            if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
+            if not isinstance(exps, list) or not all(
+                isinstance(e, int) and not isinstance(e, bool) for e in exps
+            ):
                 raise ValidationError(f"bad exponents {exps!r}")
             grouped.setdefault(tuple(exps), []).append(
                 {"coeff": entry.get("coeff"), "monomial": entry.get("monomial")}
@@ -398,7 +412,13 @@ class FormalGroupLaw:
         return self._inverse
 
     def n_series(self, n: int, variable: str = "u") -> TruncatedSeries:
-        """[n]u: the n-fold formal sum of u (inverse-based for n < 0)."""
+        """[n]u: the n-fold formal sum of u (inverse-based for n < 0).
+
+        [n]u is the left fold F(...F(F(u, u), u)..., u), and [-n]u the same
+        fold of chi(u).  The fold order matters: the free law is not
+        associative, so a regrouping such as F([2]u, [2]u) differs from
+        [4]u there.
+        """
         key = (n, variable)
         cached = self._n_series.get(key)
         if cached is not None:

@@ -264,12 +264,23 @@ def divisor_class(config: SncConfiguration, multiplicities, law: FormalGroupLaw)
     return FaceClassVector(config, entries)
 
 
+def _times_symbols(terms, common):
+    """Terms multiplied by prod_{i in common} u_i: a shift of the exponents."""
+    return {
+        tuple(e + 1 if i in common else e for i, e in enumerate(exps, start=1)): poly
+        for exps, poly in terms.items()
+    }
+
+
 def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLaw) -> FaceClassVector:
     """Class of the intersection product of two divisor sums.
 
     Sums, over pairs of supports (J from the first divisor, I from the
     second) whose union K is a face, the evaluation of
-    F_J * F_I * prod_{i in J and I} u_i at the dimension of D_K.
+    F_J * F_I * prod_{i in J and I} u_i at the dimension of D_K.  Only the
+    terms of F_J * F_I up to degree dim D_K - |J and I| survive, so both
+    factors are cut there before multiplying; every degree is nonnegative,
+    so the cut commutes with the product.
     """
     require_valid(config)
     ns = _check_multiplicities(config, n_mults, "first multiplicities")
@@ -277,7 +288,6 @@ def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLa
     _check_law(config, law)
     parts_n = law.decomposed_combination(ns)
     parts_p = law.decomposed_combination(ps)
-    variables = tuple(f"u{i}" for i in range(1, config.r + 1))
     entries: dict = {}
     for J, part_n in parts_n.items():
         if not J:
@@ -288,14 +298,18 @@ def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLa
             K = J | I
             if K not in config.faces:
                 continue
-            series = part_n * part_p
+            dim = config.face_dim(K)
             common = J & I
+            top = dim - len(common)
+            if top < 0:
+                continue  # every term lies above the face dimension
+            series = part_n.truncate(top) * part_p.truncate(top)
             if common:
-                exps = tuple(1 if i in common else 0 for i in range(1, config.r + 1))
-                series = series * TruncatedSeries(
-                    variables, law.order, law.backend, {exps: 1}
+                series = TruncatedSeries._raw(
+                    series.variables, dim, series.backend,
+                    _times_symbols(series._terms, common),
                 )
-            cp = evaluate_at_chern(series, config.face_dim(K))
+            cp = evaluate_at_chern(series, dim)
             if K in entries:
                 cp = entries[K] + cp
             entries[K] = cp
@@ -307,7 +321,8 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
 
     Each entry at a face I is multiplied by every support part F_J of the
     divisor's law combination (times the symbols shared between J and I) and
-    deposited on the union face, truncated to its dimension.
+    deposited on the union face, truncated to its dimension.  As in
+    product_class, both factors are cut before multiplying.
     """
     config = vector.config
     require_valid(config)
@@ -324,12 +339,21 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
             if K not in config.faces:
                 continue
             bound = config.face_dim(K)
-            factor = evaluate_at_chern(part_n, bound)
-            # re-truncate the entry to the deeper face's bound
-            beta_cut = ChernPolynomial(r, bound, beta.backend, dict(beta._terms))
+            common = J & I
+            top = bound - len(common)
+            if top < 0:
+                continue  # every term lies above the face dimension
+            factor = evaluate_at_chern(part_n, top)
+            # re-truncate the entry to what the deeper face keeps
+            beta_cut = ChernPolynomial._raw(
+                r, top, beta.backend,
+                {e: p for e, p in beta._terms.items() if sum(e) <= top},
+            )
             term = factor * beta_cut
-            for i in (J & I):
-                term = term * ChernPolynomial.symbol(i, r, bound, beta.backend)
+            if common:
+                term = ChernPolynomial._raw(
+                    r, bound, term.backend, _times_symbols(term._terms, common)
+                )
             if K in entries:
                 term = entries[K] + term
             entries[K] = term

@@ -1,14 +1,19 @@
 """Independent oracles for the test suite.
 
-Everything here recomputes expected values from first principles with its
-own dense representation (tuples of m-exponents over Fraction), sharing no
-code with the package under test.  The defining equation of the log-backend
-law is l(F(u, v)) = l(u) + l(v) with l(t) = t + m1 t^2 + m2 t^3 + ...;
-solving it degree by degree needs no series reversion, so agreement with
-the package's reversion-based table is meaningful evidence.
+The log-backend oracles recompute expected values from first principles
+with their own dense representation (tuples of m-exponents over Fraction),
+sharing no code with the package under test.  The defining equation of the
+log-backend law is l(F(u, v)) = l(u) + l(v) with l(t) = t + m1 t^2 + m2 t^3
++ ...; solving it degree by degree needs no series reversion, so agreement
+with the package's reversion-based table is meaningful evidence.
+
+product_class_full_order is different: it is the straightforward algorithm
+that a faster one in the package replaced, kept as a reference for it.
 """
 
 from fractions import Fraction
+
+from fglcalc import ChernPolynomial, FaceClassVector, TruncatedSeries
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
 # tuples are right-padded with zeros as needed
@@ -164,3 +169,68 @@ def graded_to_dense(poly):
         key = tuple(exps)
         out[key] = out.get(key, Fraction(0)) + Fraction(coeff)
     return normalize(out)
+
+
+# -- the full-order intersection product ------------------------------------
+
+def product_class_full_order(config, n_mults, p_mults, law):
+    """fglcalc.snc.product_class without any early truncation.
+
+    Multiplies whole support parts at law.order, multiplies by the shared
+    variables as a series, and only then cuts at the face dimension.
+    """
+    parts_n = law.decomposed_combination(tuple(n_mults))
+    parts_p = law.decomposed_combination(tuple(p_mults))
+    r = config.r
+    variables = tuple(f"u{i}" for i in range(1, r + 1))
+    entries = {}
+    for J, part_n in parts_n.items():
+        if not J:
+            continue
+        for I, part_p in parts_p.items():
+            if not I:
+                continue
+            K = J | I
+            if K not in config.faces:
+                continue
+            series = part_n * part_p
+            common = J & I
+            if common:
+                exps = tuple(1 if i in common else 0 for i in range(1, r + 1))
+                series = series * TruncatedSeries(
+                    variables, law.order, law.backend, {exps: 1}
+                )
+            # the constructor drops every term above the bound
+            cp = ChernPolynomial(r, config.face_dim(K), law.backend, dict(series._terms))
+            if K in entries:
+                cp = entries[K] + cp
+            entries[K] = cp
+    return FaceClassVector(config, entries)
+
+
+def apply_divisor_operator_full_bound(vector, multiplicities, law):
+    """fglcalc.snc.apply_divisor_operator multiplying at the face bound.
+
+    Multiplies each factor at the full dimension of the target face, then
+    by one chern symbol per shared index.
+    """
+    config = vector.config
+    parts_n = law.decomposed_combination(tuple(multiplicities))
+    r = config.r
+    entries = {}
+    for I, beta in vector.items():
+        for J, part_n in parts_n.items():
+            if not J:
+                continue
+            K = J | I
+            if K not in config.faces:
+                continue
+            bound = config.face_dim(K)
+            factor = ChernPolynomial(r, bound, law.backend, dict(part_n._terms))
+            term = factor * ChernPolynomial(r, bound, law.backend, dict(beta._terms))
+            for i in J & I:
+                term = term * ChernPolynomial.symbol(i, r, bound, law.backend)
+            if K in entries:
+                term = entries[K] + term
+            entries[K] = term
+    return FaceClassVector(config, entries)

@@ -220,3 +220,15 @@ def test_json_rejects_garbage():
         ChernPolynomial.from_json(
             {"dim_bound": 1, "terms": [{"c_exponents": [-1], "coeff": []}]}, FREE
         )
+
+
+def test_json_rejects_bool_c_exponents():
+    with pytest.raises(ValidationError):
+        ChernPolynomial.from_json(
+            {"dim_bound": 1, "terms": [{"c_exponents": [True, 0], "coeff": []}]}, FREE
+        )
+
+
+def test_json_rejects_bool_dim_bound():
+    with pytest.raises(ValidationError):
+        ChernPolynomial.from_json({"dim_bound": True, "terms": []}, FREE, nvars=1)

@@ -172,6 +172,45 @@ def test_validation_error_exits_2():
     assert "violations" not in report
 
 
+def test_inline_json_array_exits_2():
+    rc, out, err = run_cli(["fgl", "nseries", "[1,2]"])
+    assert rc == 2
+    assert err == ""
+    assert json.loads(out)["detail"] == "top-level input must be a JSON object"
+
+
+def test_float_coefficient_exits_2():
+    data = json.load(open(_data("snc_classes.json")))
+    data["classes"][0]["class"]["terms"][0]["coeff"][0]["coeff"] = 0.1
+    rc, out, _ = run_cli(["snc", "normalform", "--order", "3", json.dumps(data)])
+    assert rc == 2
+    assert json.loads(out)["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["fgl", "nseries"], {"n": 1025}),
+    (["fgl", "nseries"], {"n": -100000}),
+    (["fgl", "multilinear"], {"multiplicities": [1, 1025]}),
+    (["fgl", "decompose"], {"multiplicities": [-1025]}),
+    (["snc", "divclass"], {"D": [1, 2000]}),
+    (["snc", "prodclass"], {"D": [1, 1], "E": [-1025, 0]}),
+    (["snc", "check-properties"], {"D": [100000, 1], "E": [0, 1]}),
+], ids=["n", "negative-n", "multilinear", "decompose", "D", "E", "check"])
+def test_multiplicity_over_the_limit_exits_2(argv, payload):
+    # rejected while reading the input, before any law is built
+    base = json.load(open(_data("snc_pair.json"))) if argv[0] == "snc" else {}
+    rc, out, _ = run_cli(argv + ["--order", "3", json.dumps({**base, **payload})])
+    assert rc == 2
+    assert "multiplicity limit 1024" in json.loads(out)["detail"]
+
+
+def test_multiplicity_at_the_limit_is_accepted():
+    # order 1 keeps [1024]u to a thousand tiny substitutions
+    rc, out, _ = run_cli(["fgl", "nseries", "--order", "1", '{"n": -1024}'])
+    assert rc == 0
+    assert json.loads(out)["terms"][0]["coeff"] == "-1024"
+
+
 def test_wrong_multiplicity_arity_exits_2():
     rc, out, _ = run_cli(
         ["snc", "divclass", "--order", "3",

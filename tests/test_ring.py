@@ -192,6 +192,33 @@ def test_json_rejects_garbage():
         GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": 0}}], FREE)
 
 
+@pytest.mark.parametrize(
+    "coeff", [0.1, "1e400", "0.5", True, " 1", "+1", "1/0", None],
+    ids=["float", "exponent-string", "decimal-string", "bool", "padded", "plus", "zero-denominator", "null"],
+)
+def test_json_rejects_inexact_coefficient(coeff):
+    with pytest.raises(ValidationError):
+        GradedPolynomial.from_json([{"coeff": coeff, "monomial": {}}], FREE)
+
+
+def test_json_accepts_integers_and_rational_strings():
+    data = [
+        {"coeff": 3, "monomial": {}},
+        {"coeff": "-3/4", "monomial": {"A(1,1)": 1}},
+        {"coeff": "4/2", "monomial": {"A(1,2)": 1}},
+    ]
+    assert GradedPolynomial.from_json(data, FREE) == (
+        3
+        - Fraction(3, 4) * GradedPolynomial.generator(a_gen(1, 1), FREE)
+        + 2 * GradedPolynomial.generator(a_gen(1, 2), FREE)
+    )
+
+
+def test_json_rejects_bool_monomial_exponent():
+    with pytest.raises(ValidationError):
+        GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": True}}], FREE)
+
+
 # -- law coefficients -------------------------------------------------------
 
 def test_symmetry_on_all_backends():

@@ -95,6 +95,33 @@ def test_mul_respects_truncation():
     assert (u ** 3).coefficient((3,)) == 1
 
 
+def test_truncate_cuts_terms_and_order():
+    rng = random.Random(61)
+    for _ in range(20):
+        s = _random_series(rng, ("u", "v"), 5)
+        for order in range(6):
+            cut = s.truncate(order)
+            assert cut.order == order
+            assert cut == TruncatedSeries(("u", "v"), order, FREE, s._terms)
+
+
+def test_truncate_commutes_with_multiplication():
+    rng = random.Random(67)
+    for _ in range(20):
+        s = _random_series(rng, ("u", "v"), 5)
+        t = _random_series(rng, ("u", "v"), 5)
+        for order in range(6):
+            assert (s * t).truncate(order) == s.truncate(order) * t.truncate(order)
+
+
+def test_truncate_cannot_raise_the_order():
+    s = TruncatedSeries.variable("u", ("u",), 3, FREE)
+    with pytest.raises(OrderError):
+        s.truncate(4)
+    with pytest.raises(OrderError):
+        s.truncate(-1)
+
+
 def test_binary_ops_require_matching_shape():
     a = TruncatedSeries.variable("u", ("u",), 3, FREE)
     b = TruncatedSeries.variable("u", ("u",), 4, FREE)
@@ -292,6 +319,15 @@ def test_n_series_additivity_log():
             assert lhs == rhs, (n, m)
 
 
+def test_n_series_is_the_left_fold_not_a_regrouping_on_free():
+    # the free law is not associative: [4]u = F(F(F(u, u), u), u), and the
+    # regrouped F([2]u, [2]u) already differs at order 4
+    law = FormalGroupLaw(FREE, order=4)
+    u = TruncatedSeries.variable("u", ("u",), 4, FREE)
+    assert law.n_series(4) == law.sum(law.sum(law.sum(u, u), u), u)
+    assert law.sum(law.n_series(2), law.n_series(2)) != law.n_series(4)
+
+
 def test_n_series_additive_backend():
     law = FormalGroupLaw(ADDITIVE, order=6)
     u = TruncatedSeries.variable("u", ("u",), 6, ADDITIVE)
@@ -442,3 +478,17 @@ def test_series_json_rejects_garbage():
             {"variables": ["u"], "order": 3, "terms": [{"coeff": "1", "monomial": {}}]},
             FREE,
         )
+
+
+@pytest.mark.parametrize(
+    "field,value", [("exponents", [True]), ("order", True)], ids=["exponents", "order"]
+)
+def test_series_json_rejects_bools(field, value):
+    data = {"variables": ["u"], "order": 3,
+            "terms": [{"exponents": [1], "coeff": "1", "monomial": {}}]}
+    if field == "exponents":
+        data["terms"][0]["exponents"] = value
+    else:
+        data["order"] = value
+    with pytest.raises(ValidationError):
+        TruncatedSeries.from_json(data, FREE)

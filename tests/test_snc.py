@@ -33,6 +33,8 @@ from fglcalc import (
     validate_config,
 )
 
+import oracles
+
 
 def _components(r):
     return tuple(SncComponent(f"D{i}") for i in range(1, r + 1))
@@ -279,6 +281,52 @@ def test_check_properties_reports():
     assert res == {"symmetry": True, "restriction": True, "operator": True}
     res = check_properties(cfg, (2, 0, 0), (0, 1, 2), law)
     assert res["restriction"] is None  # first divisor not reduced
+
+
+def _random_downward_closed(rng, ambient, r):
+    """Random face family on r components with every face of size <= ambient."""
+    faces = {frozenset({i}) for i in range(1, r + 1)}
+    for size in range(2, min(r, ambient) + 1):
+        for c in itertools.combinations(range(1, r + 1), size):
+            face = frozenset(c)
+            if all(face - {i} in faces for i in face) and rng.random() < 0.6:
+                faces.add(face)
+    return _config(ambient, r, faces)
+
+
+def _overlapping_mults(rng, r):
+    """Two multiplicity vectors sharing at least one index of support."""
+    while True:
+        ns = _random_mults(rng, r, -3, 3)
+        ps = _random_mults(rng, r, -3, 3)
+        if any(n and p for n, p in zip(ns, ps)):
+            return ns, ps
+
+
+def test_product_class_matches_full_order_oracle():
+    rng = random.Random(2024)
+    for ambient in range(2, 6):
+        order = ambient + rng.randrange(0, 2)
+        for backend in (FREE, log_backend(order - 1), ADDITIVE, MULTIPLICATIVE):
+            law = FormalGroupLaw(backend, order=order)
+            for r in range(2, 6):
+                cfg = _random_downward_closed(rng, ambient, r)
+                ns, ps = _overlapping_mults(rng, r)
+                expected = oracles.product_class_full_order(cfg, ns, ps, law)
+                assert product_class(cfg, ns, ps, law) == expected, (backend, ambient, r)
+                vector = divisor_class(cfg, ps, law)
+                assert apply_divisor_operator(vector, ns, law) == (
+                    oracles.apply_divisor_operator_full_bound(vector, ns, law)
+                )
+
+
+def test_product_class_matches_oracle_five_components_free():
+    cfg = _full_config(5, 5)
+    law = FormalGroupLaw(FREE, order=5)
+    ns, ps = (1, 2, -1, 0, 1), (2, -1, 1, 1, 0)
+    expected = oracles.product_class_full_order(cfg, ns, ps, law)
+    assert not expected.is_zero()
+    assert product_class(cfg, ns, ps, law) == expected
 
 
 # -- operator and vector mechanics ------------------------------------------
