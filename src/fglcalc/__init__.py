@@ -59,8 +59,6 @@ from .ring import (
 from .series import (
     FormalGroupLaw,
     TruncatedSeries,
-    fgl_sum,
-    formal_inverse,
     recompose,
     support_decompose,
 )

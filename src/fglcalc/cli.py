@@ -12,8 +12,9 @@ canonical JSON on stdout (or --output), one trailing newline,
 byte-identical across runs for identical inputs.  Exit codes: 0 success,
 1 unreadable or malformed JSON input, 2 validation failure with a
 machine-readable report on stdout.  The truncation order defaults to the
-FGL_ORDER environment variable, then 8.  Every multiplicity (n, and the
-entries of multiplicities, D and E) must satisfy |n| <= MAX_MULTIPLICITY.
+FGL_ORDER environment variable, then 8, and may not exceed MAX_ORDER.
+Every multiplicity (n, and the entries of multiplicities, D and E) must
+satisfy |n| <= MAX_MULTIPLICITY.
 """
 
 from __future__ import annotations
@@ -49,16 +50,25 @@ from .snc import (
 
 BACKEND_CHOICES = ("free", "log", "additive", "mult")
 MAX_MULTIPLICITY = 1024  # largest |n| accepted for n, multiplicities, D and E
+MAX_ORDER = 16  # largest truncation order accepted from --order or FGL_ORDER
 
 
-def _default_order() -> int:
-    raw = os.environ.get("FGL_ORDER")
-    if raw is None:
-        return 8
-    try:
-        return int(raw)
-    except ValueError:
-        raise OrderError(f"FGL_ORDER must be an integer, got {raw!r}") from None
+def _order(args) -> int:
+    # the free law's cost grows steeply with the order, so it is capped
+    # at the boundary
+    if args.order is not None:
+        order, source = args.order, "--order"
+    else:
+        raw = os.environ.get("FGL_ORDER")
+        if raw is None:
+            return 8
+        try:
+            order, source = int(raw), "FGL_ORDER"
+        except ValueError:
+            raise OrderError(f"FGL_ORDER must be an integer, got {raw!r}") from None
+    if order > MAX_ORDER:
+        raise OrderError(f"{source} {order} exceeds the order limit {MAX_ORDER}")
+    return order
 
 
 def _make_backend(name: str, order: int) -> CoefficientBackend:
@@ -74,7 +84,7 @@ def _make_backend(name: str, order: int) -> CoefficientBackend:
 
 
 def _make_law(args) -> FormalGroupLaw:
-    order = args.order if args.order is not None else _default_order()
+    order = _order(args)
     return FormalGroupLaw(_make_backend(args.backend, order), order)
 
 
@@ -242,8 +252,7 @@ def _cmd_cycles_relgen(args):
     elif kind == "sect":
         gen = relation_generator(kind, SectWitness.from_json(wdata))
     else:
-        order = args.order if args.order is not None else _default_order()
-        backend = _make_backend(args.backend, order)
+        backend = _make_backend(args.backend, _order(args))
         gen = relation_generator(kind, TensorWitness.from_json(wdata), backend)
     return gen.to_json()
 
@@ -256,7 +265,7 @@ def _add_common(parser, with_input=True):
         "--order",
         type=int,
         default=None,
-        help="truncation order (default: FGL_ORDER env var, then 8)",
+        help=f"truncation order, at most {MAX_ORDER} (default: FGL_ORDER env var, then 8)",
     )
     parser.add_argument(
         "--backend",

@@ -12,9 +12,16 @@ provides that ring in four flavors, selected by a CoefficientBackend tag:
   additive  a_{i,j} = 0 for all i, j
   mult      a_{1,1} = b (degree 1), all other a_{i,j} = 0
 
-Polynomials are sparse dicts keyed by monomials, a monomial being a sorted
-tuple of (Generator, exponent) pairs.  Coefficients are exact rationals
-(int or fractions.Fraction); floats are rejected.
+Polynomials are sparse dicts keyed by monomials.  Each generator owns a
+field index, fixed for the life of the process, and a monomial is one
+Kronecker-packed int holding the exponent e of generator g at bit
+FIELD_BITS * g.index; the empty monomial is 0.  Multiplying monomials is
+then adding their keys.  Exponents stay below 2**(FIELD_BITS - 1), so a
+product of two monomials never carries into a neighbouring field; input
+that exceeds the bound and products that would reach it raise
+ValidationError.  Monomials are decoded to sorted tuples of (Generator,
+exponent) pairs only to sort, render or grade them.  Coefficients are exact
+rationals (int or fractions.Fraction); floats are rejected.
 """
 
 from __future__ import annotations
@@ -34,13 +41,37 @@ INHOMOGENEOUS = "inhomogeneous"
 # ---------------------------------------------------------------------------
 # generators
 
+FIELD_BITS = 32                            # width of one exponent field
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# process-wide field registry: (kind, i, j) -> index, and index -> generator
+_FIELD_INDEX: dict = {}
+_FIELD_GENERATORS: list = []
+_top_bits = 0  # the top bit of every registered field
+
+
+def _field_index(gen) -> int:
+    global _top_bits
+    key = (gen.kind, gen.i, gen.j)
+    index = _FIELD_INDEX.get(key)
+    if index is None:
+        index = _FIELD_INDEX[key] = len(_FIELD_GENERATORS)
+        _FIELD_GENERATORS.append(gen)
+        _top_bits |= 1 << (FIELD_BITS * index + FIELD_BITS - 1)
+    return index
+
+
 class Generator:
     """An interned named generator with a fixed grading degree.
+
+    Its index is the exponent field it owns in packed monomials; every
+    Generator with the same (kind, i, j) gets the same index.
 
     Sort order for canonical output: A(i,j) by (i+j, i), then b, then m(i).
     """
 
-    __slots__ = ("kind", "i", "j", "degree", "sort_key", "name", "_hash")
+    __slots__ = ("kind", "i", "j", "degree", "sort_key", "name", "index")
 
     def __init__(self, kind: str, i: int = 0, j: int = 0):
         self.kind = kind
@@ -60,15 +91,15 @@ class Generator:
             self.name = f"m({i})"
         else:
             raise ValidationError(f"unknown generator kind {kind!r}")
-        self._hash = hash((kind, i, j))
+        self.index = _field_index(self)
 
     def __eq__(self, other):
         if not isinstance(other, Generator):
             return NotImplemented
-        return self.kind == other.kind and self.i == other.i and self.j == other.j
+        return self.index == other.index
 
     def __hash__(self):
-        return self._hash
+        return self.index
 
     def __repr__(self):
         return self.name
@@ -160,50 +191,57 @@ def _require_same_backend(x: CoefficientBackend, y: CoefficientBackend):
 
 
 # ---------------------------------------------------------------------------
-# monomials: sorted tuples of (Generator, exponent)
+# monomials: Kronecker-packed exponent fields, 0 for the empty monomial
 
-_EMPTY_MONO: tuple = ()
+def _encode(pairs) -> int:
+    """Pack (Generator, exponent) pairs; repeated generators add up."""
+    fields: dict = {}
+    for gen, e in pairs:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValidationError(f"bad exponent {e!r} for {gen.name}")
+        fields[gen] = fields.get(gen, 0) + e
+    mono = 0
+    for gen, e in fields.items():
+        if e > MAX_EXPONENT:
+            raise ValidationError(
+                f"exponent {e} of {gen.name} exceeds the limit {MAX_EXPONENT}"
+            )
+        mono |= e << (FIELD_BITS * gen.index)
+    return mono
 
 
-@lru_cache(maxsize=1 << 16)
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        g1, e1 = m1[i]
-        g2, e2 = m2[j]
-        if g1 is g2 or g1 == g2:
-            out.append((g1, e1 + e2))
-            i += 1
-            j += 1
-        elif g1.sort_key < g2.sort_key:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _decode(mono) -> tuple:
+    """The sorted (Generator, exponent) pairs of a packed monomial."""
+    pairs = []
+    while mono:
+        index = ((mono & -mono).bit_length() - 1) // FIELD_BITS
+        shift = FIELD_BITS * index
+        e = (mono >> shift) & _FIELD_MASK
+        pairs.append((_FIELD_GENERATORS[index], e))
+        mono -= e << shift
+    pairs.sort(key=lambda ge: ge[0].sort_key)
+    return tuple(pairs)
+
+
+def _check_products(m1, right):
+    # raise if m1 + m2 reaches a field's top bit for some m2 in right
+    for m2 in right:
+        if (m1 + m2) & _top_bits:
+            raise ValidationError(f"a product exponent exceeds the limit {MAX_EXPONENT}")
 
 
 def _mono_degree(mono) -> int:
-    return sum(g.degree * e for g, e in mono)
+    return sum(g.degree * e for g, e in _decode(mono))
 
 
-def _mono_sort_key(mono):
+def _mono_sort_key(pairs):
     # graded, then lexicographic in the generator order
-    return (_mono_degree(mono), tuple((g.sort_key, -e) for g, e in mono))
+    return (sum(g.degree * e for g, e in pairs), tuple((g.sort_key, -e) for g, e in pairs))
 
 
-def _mono_text(mono) -> str:
+def _mono_text(pairs) -> str:
     parts = []
-    for g, e in mono:
+    for g, e in pairs:
         parts.append(g.name if e == 1 else f"{g.name}^{e}")
     return "*".join(parts)
 
@@ -236,22 +274,33 @@ def _json_coefficient(value):
     )
 
 
+def _add_term(terms: dict, mono: int, coeff):
+    # add an exact coeff at mono, dropping the term if it cancels
+    acc = terms.get(mono, 0) + coeff
+    if acc:
+        terms[mono] = _coerce_scalar(acc)
+    else:
+        terms.pop(mono, None)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
 class GradedPolynomial:
-    """Sparse polynomial over interned generators, tagged with its backend."""
+    """Sparse polynomial over interned generators, tagged with its backend.
+
+    The constructor takes a dict from monomials, given as tuples of
+    (Generator, exponent) pairs, to coefficients.
+    """
 
     __slots__ = ("backend", "_terms")
 
     def __init__(self, backend: CoefficientBackend, terms=None):
         self.backend = backend
-        clean = {}
+        clean: dict = {}
         if terms:
-            for mono, coeff in terms.items():
-                coeff = _coerce_scalar(coeff)
-                if coeff:
-                    clean[mono] = coeff
+            for pairs, coeff in terms.items():
+                _add_term(clean, _encode(pairs), _coerce_scalar(coeff))
         self._terms = clean
 
     @classmethod
@@ -268,16 +317,16 @@ class GradedPolynomial:
 
     @classmethod
     def one(cls, backend) -> GradedPolynomial:
-        return cls._raw(backend, {_EMPTY_MONO: 1})
+        return cls._raw(backend, {0: 1})
 
     @classmethod
     def constant(cls, value, backend) -> GradedPolynomial:
         value = _coerce_scalar(value)
-        return cls._raw(backend, {_EMPTY_MONO: value} if value else {})
+        return cls._raw(backend, {0: value} if value else {})
 
     @classmethod
     def generator(cls, gen: Generator, backend) -> GradedPolynomial:
-        return cls._raw(backend, {((gen, 1),): 1})
+        return cls._raw(backend, {1 << (FIELD_BITS * gen.index): 1})
 
     # -- queries ----------------------------------------------------------
 
@@ -288,7 +337,7 @@ class GradedPolynomial:
         return bool(self._terms)
 
     def constant_term(self):
-        return self._terms.get(_EMPTY_MONO, 0)
+        return self._terms.get(0, 0)
 
     def graded_degree(self):
         """Common degree of all terms, ANY_DEGREE for 0, else INHOMOGENEOUS."""
@@ -306,8 +355,13 @@ class GradedPolynomial:
         return len(self._terms)
 
     def sorted_terms(self):
-        """Terms as (monomial, coefficient) in canonical graded-lex order."""
-        return sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        """Terms as (monomial, coefficient) in canonical graded-lex order.
+
+        Each monomial is a sorted tuple of (Generator, exponent) pairs.
+        """
+        terms = [(_decode(m), c) for m, c in self._terms.items()]
+        terms.sort(key=lambda kv: _mono_sort_key(kv[0]))
+        return terms
 
     # -- arithmetic -------------------------------------------------------
 
@@ -315,7 +369,7 @@ class GradedPolynomial:
         if isinstance(other, GradedPolynomial):
             return self.backend == other.backend and self._terms == other._terms
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._terms == ({_EMPTY_MONO: _coerce_scalar(other)} if other else {})
+            return self._terms == ({0: _coerce_scalar(other)} if other else {})
         return NotImplemented
 
     __hash__ = None
@@ -370,9 +424,18 @@ class GradedPolynomial:
     def _multiply_into(self, other, acc: dict):
         # accumulate self*other into a mono -> coeff dict without allocating
         # intermediate polynomials; callers strip zeros when finalizing
+        right = other._terms
+        # fieldwise, bound >= every key of right, and m1 + bound does not
+        # carry; if no field of m1 + bound reaches its top bit, no product
+        # in the row m1 does
+        bound = 0
+        for m2 in right:
+            bound |= m2
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
+            if (m1 + bound) & _top_bits:
+                _check_products(m1, right)
+            for m2, c2 in right.items():
+                mono = m1 + m2
                 acc[mono] = acc.get(mono, 0) + c1 * c2
 
     @classmethod
@@ -423,7 +486,7 @@ class GradedPolynomial:
         terms: dict = {}
         for sign, body in pieces:
             coeff = Fraction(-1 if sign == "-" else 1)
-            mono: dict = {}
+            pairs = []
             for factor in body.strip().split("*"):
                 factor = factor.strip()
                 if not factor:
@@ -438,21 +501,15 @@ class GradedPolynomial:
                     e = int(exp)
                 else:
                     gname, e = factor, 1
-                g = generator_from_name(gname.strip())
-                mono[g] = mono.get(g, 0) + e
-            key = tuple(sorted(mono.items(), key=lambda ge: ge[0].sort_key))
-            acc = terms.get(key, 0) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return cls(backend, terms)
+                pairs.append((generator_from_name(gname.strip()), e))
+            _add_term(terms, _encode(tuple(pairs)), coeff)
+        return cls._raw(backend, terms)
 
     def to_json(self) -> list:
         """JSON form: list of {"coeff": str, "monomial": {name: exp}} terms."""
         out = []
-        for mono, coeff in self.sorted_terms():
-            out.append({"coeff": str(coeff), "monomial": {g.name: e for g, e in mono}})
+        for pairs, coeff in self.sorted_terms():
+            out.append({"coeff": str(coeff), "monomial": {g.name: e for g, e in pairs}})
         return out
 
     @classmethod
@@ -464,21 +521,15 @@ class GradedPolynomial:
             if not isinstance(entry, dict) or "coeff" not in entry or "monomial" not in entry:
                 raise ValidationError("polynomial term needs 'coeff' and 'monomial'")
             coeff = _json_coefficient(entry["coeff"])
-            mono: dict = {}
+            pairs = []
             if not isinstance(entry["monomial"], dict):
                 raise ValidationError("'monomial' must be an object")
             for name, e in entry["monomial"].items():
                 if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                     raise ValidationError(f"bad exponent {e!r} for {name!r}")
-                g = generator_from_name(name)
-                mono[g] = mono.get(g, 0) + e
-            key = tuple(sorted(mono.items(), key=lambda ge: ge[0].sort_key))
-            acc = terms.get(key, 0) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return cls(backend, terms)
+                pairs.append((generator_from_name(name), e))
+            _add_term(terms, _encode(tuple(pairs)), coeff)
+        return cls._raw(backend, terms)
 
     def __str__(self):
         return self.to_text()

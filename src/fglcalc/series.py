@@ -393,22 +393,46 @@ class FormalGroupLaw:
         return self.series.substitute({"u": s, "v": t})
 
     def inverse(self) -> TruncatedSeries:
-        """The series chi(u) with F(u, chi(u)) = 0, solved order by order."""
+        """The series chi(u) with F(u, chi(u)) = 0, solved coefficient by coefficient.
+
+        F(u, chi) = 0 reads chi = -u - sum a_ij u^i chi^j, so with c_k the
+        coefficient of u^k in chi, c_1 = -1 and
+
+            c_k = -sum_{i, j >= 1, i + j <= k} a_ij [u^(k-i)] chi^j,
+
+        where [u^d] chi^j needs only c_1 .. c_(d-j+1), all below c_k.  The
+        solution is unique, so this holds on every backend.
+        """
         if self._inverse is not None:
             return self._inverse
-        u_var = ("u",)
-        chi: dict = {(1,): GradedPolynomial.constant(-1, self.backend)}
-        f = self.series
+        backend = self.backend
+        zero = GradedPolynomial.zero(backend)
+        a_terms = [(i, j, a) for (i, j), a in self.series._terms.items() if i and j]
+        c = [zero, GradedPolynomial.constant(-1, backend)]
+        # powers[j][d] = [u^d] chi^j for j >= 2 and j <= d < len(c); every
+        # lower slot is zero, since chi has no constant term
+        powers: dict = {}
+
+        def power_coefficient(j: int, d: int) -> GradedPolynomial:
+            if j == 1:
+                return c[d]
+            row = powers.setdefault(j, {})
+            p = row.get(d)
+            if p is None:
+                acc: dict = {}
+                for t in range(1, d - j + 2):
+                    c[t]._multiply_into(power_coefficient(j - 1, d - t), acc)
+                p = row[d] = GradedPolynomial._from_accumulator(backend, acc)
+            return p
+
         for k in range(2, self.order + 1):
-            partial = TruncatedSeries._raw(u_var, self.order, self.backend, dict(chi))
-            u = TruncatedSeries.variable("u", u_var, self.order, self.backend)
-            residual = f.substitute({"u": u, "v": partial})
-            # the v-derivative of F at v=0 is 1, so the u^k residual is
-            # exactly the needed correction with opposite sign
-            bad = residual.coefficient((k,))
-            if not bad.is_zero():
-                chi[(k,)] = -bad
-        self._inverse = TruncatedSeries._raw(u_var, self.order, self.backend, chi)
+            acc: dict = {}
+            for i, j, a in a_terms:
+                if i + j <= k:
+                    a._multiply_into(power_coefficient(j, k - i), acc)
+            c.append(-GradedPolynomial._from_accumulator(backend, acc))
+        chi = {(k,): p for k, p in enumerate(c) if p}
+        self._inverse = TruncatedSeries._raw(("u",), self.order, backend, chi)
         return self._inverse
 
     def n_series(self, n: int, variable: str = "u") -> TruncatedSeries:
@@ -492,16 +516,6 @@ class FormalGroupLaw:
             cached = support_decompose(self.linear_combination(ns, variables))
             self._decomposed[key] = cached
         return cached
-
-
-def fgl_sum(law: FormalGroupLaw, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    """Function form of FormalGroupLaw.sum."""
-    return law.sum(s, t)
-
-
-def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
-    """Function form of FormalGroupLaw.inverse."""
-    return law.inverse()
 
 
 def support_decompose(series: TruncatedSeries) -> dict:

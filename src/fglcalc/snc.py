@@ -36,16 +36,17 @@ class SncComponent:
             raise ValidationError("component name must be a nonempty string")
 
 
+def _face(face) -> frozenset:
+    if not isinstance(face, (list, tuple, set, frozenset)):
+        raise ValidationError(f"face {face!r} is not a list of component indices")
+    for i in face:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValidationError(f"face index {i!r} is not an integer")
+    return frozenset(face)
+
+
 def _normalize_faces(faces):
-    out = set()
-    for face in faces:
-        members = []
-        for i in face:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise ValidationError(f"face index {i!r} is not an integer")
-            members.append(i)
-        out.add(frozenset(members))
-    return frozenset(out)
+    return frozenset(_face(face) for face in faces)
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ class FaceClassVector:
         for item in data["entries"]:
             if not isinstance(item, dict) or "face" not in item or "class" not in item:
                 raise ValidationError("each entry needs 'face' and 'class'")
-            face = frozenset(item["face"])
+            face = _face(item["face"])
             cp = ChernPolynomial.from_json(item["class"], backend, nvars=config.r)
             if face in entries:
                 cp = entries[face] + cp

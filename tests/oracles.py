@@ -7,13 +7,18 @@ log-backend law is l(F(u, v)) = l(u) + l(v) with l(t) = t + m1 t^2 + m2 t^3
 + ...; solving it degree by degree needs no series reversion, so agreement
 with the package's reversion-based table is meaningful evidence.
 
-product_class_full_order is different: it is the straightforward algorithm
-that a faster one in the package replaced, kept as a reference for it.
+The rest are different: each is the straightforward algorithm that a
+faster one in the package replaced, kept as a reference for it.
+tuple_mono_mul and tuple_poly_mul multiply monomials as sorted tuples of
+(Generator, exponent) pairs, the representation that packed int keys
+replaced; inverse_by_substitution solves F(u, chi(u)) = 0 with one full
+substitution per order; product_class_full_order and
+apply_divisor_operator_full_bound multiply before truncating.
 """
 
 from fractions import Fraction
 
-from fglcalc import ChernPolynomial, FaceClassVector, TruncatedSeries
+from fglcalc import ChernPolynomial, FaceClassVector, GradedPolynomial, TruncatedSeries
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
 # tuples are right-padded with zeros as needed
@@ -234,3 +239,72 @@ def apply_divisor_operator_full_bound(vector, multiplicities, law):
                 term = entries[K] + term
             entries[K] = term
     return FaceClassVector(config, entries)
+
+
+# -- tuple monomials ---------------------------------------------------------
+
+def tuple_mono_mul(m1, m2):
+    """Merge two sorted (Generator, exponent) tuples, adding shared exponents."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        g1, e1 = m1[i]
+        g2, e2 = m2[j]
+        if g1.sort_key == g2.sort_key:
+            out.append((g1, e1 + e2))
+            i += 1
+            j += 1
+        elif g1.sort_key < g2.sort_key:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def tuple_terms(poly):
+    """A package polynomial as a dict from tuple monomials to coefficients."""
+    return dict(poly.sorted_terms())
+
+
+def tuple_poly_mul(p, q):
+    """Product of two tuple-monomial term dicts, zero terms dropped."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple_mono_mul(m1, m2)
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_poly_add(p, q):
+    """Sum of two tuple-monomial term dicts, zero terms dropped."""
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+# -- the formal inverse by repeated substitution ------------------------------
+
+def inverse_by_substitution(law):
+    """fglcalc.FormalGroupLaw.inverse solved with one substitution per order.
+
+    Substitutes the inverse known so far into F and reads off the lowest
+    wrong coefficient of the residual.
+    """
+    u_var = ("u",)
+    chi = {(1,): GradedPolynomial.constant(-1, law.backend)}
+    u = TruncatedSeries.variable("u", u_var, law.order, law.backend)
+    for k in range(2, law.order + 1):
+        partial = TruncatedSeries(u_var, law.order, law.backend, chi)
+        residual = law.series.substitute({"u": u, "v": partial})
+        # the v-derivative of F at v=0 is 1, so the u^k residual is
+        # exactly the needed correction with opposite sign
+        bad = residual.coefficient((k,))
+        if not bad.is_zero():
+            chi[(k,)] = -bad
+    return TruncatedSeries(u_var, law.order, law.backend, chi)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fglcalc.cli import main
+from fglcalc.cli import MAX_ORDER, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data")
@@ -247,3 +247,37 @@ def test_garbage_env_order_is_a_validation_error(monkeypatch):
     rc, out, _ = run_cli(["fgl", "inverse", "--backend", "free"])
     assert rc == 2
     assert json.loads(out)["error"] == "validation"
+
+
+def test_face_that_is_not_a_list_exits_2():
+    config = {"ambient_dim": 2, "components": [{"name": "D1"}], "faces": [5], "D": [1]}
+    rc, out, _ = run_cli(["snc", "divclass", "--order", "3", json.dumps(config)])
+    assert rc == 2
+    assert "face 5 is not a list" in json.loads(out)["detail"]
+
+
+def test_class_entry_face_that_is_not_a_list_exits_2():
+    data = {
+        "ambient_dim": 2,
+        "components": [{"name": "D1"}],
+        "faces": [[1]],
+        "classes": [{"face": 5, "class": {"dim_bound": 1, "terms": []}}],
+    }
+    rc, out, _ = run_cli(["snc", "normalform", "--order", "3", json.dumps(data)])
+    assert rc == 2
+    assert "face 5 is not a list" in json.loads(out)["detail"]
+
+
+def test_order_over_the_limit_exits_2():
+    rc, out, _ = run_cli(["fgl", "inverse", "--order", str(MAX_ORDER + 1), "--backend", "free"])
+    assert rc == 2
+    assert f"--order {MAX_ORDER + 1} exceeds the order limit {MAX_ORDER}" in json.loads(out)["detail"]
+    rc, _, _ = run_cli(["fgl", "inverse", "--order", str(MAX_ORDER), "--backend", "additive"])
+    assert rc == 0
+
+
+def test_env_order_over_the_limit_exits_2(monkeypatch):
+    monkeypatch.setenv("FGL_ORDER", "100000")
+    rc, out, _ = run_cli(["fgl", "inverse", "--backend", "free"])
+    assert rc == 2
+    assert f"FGL_ORDER 100000 exceeds the order limit {MAX_ORDER}" in json.loads(out)["detail"]

@@ -1,9 +1,12 @@
 """Coefficient ring: generators, graded polynomials, law coefficients."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fglcalc import (
     ADDITIVE,
@@ -13,6 +16,7 @@ from fglcalc import (
     MULTIPLICATIVE,
     BackendMismatchError,
     CoefficientBackend,
+    Generator,
     GradedPolynomial,
     OrderError,
     ValidationError,
@@ -23,6 +27,7 @@ from fglcalc import (
     log_backend,
     m_gen,
 )
+from fglcalc.ring import MAX_EXPONENT
 
 import oracles
 
@@ -286,3 +291,107 @@ def test_backend_constructor_validation():
         CoefficientBackend("free", 3)
     with pytest.raises(OrderError):
         log_backend(0)
+
+
+# -- packed monomials against the tuple-merge oracle ------------------------
+
+_generators = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(0, 3)).map(lambda ij: a_gen(ij[0], ij[0] + ij[1])),
+    st.just(b_gen()),
+    st.integers(1, 6).map(m_gen),
+)
+_coefficients = st.fractions(max_denominator=5).filter(lambda c: abs(c) <= 20)
+_tuple_monomials = st.dictionaries(_generators, st.integers(1, 4), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items(), key=lambda ge: ge[0].sort_key))
+)
+_tuple_polynomials = st.dictionaries(_tuple_monomials, _coefficients, max_size=6)
+
+
+def _poly(terms):
+    return GradedPolynomial(FREE, terms)
+
+
+def _tuple_terms(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+@settings(deadline=None)
+@given(_tuple_polynomials, _tuple_polynomials)
+def test_packed_product_and_sum_match_tuple_oracle(p, q):
+    p_terms, q_terms = _tuple_terms(p), _tuple_terms(q)
+    assert oracles.tuple_terms(_poly(p) * _poly(q)) == oracles.tuple_poly_mul(p_terms, q_terms)
+    assert oracles.tuple_terms(_poly(p) + _poly(q)) == oracles.tuple_poly_add(p_terms, q_terms)
+
+
+_fresh_indices = itertools.count(1000)
+
+
+@settings(deadline=None)
+@given(_tuple_polynomials, _tuple_polynomials, st.integers(1, 4))
+def test_generator_interned_after_polynomials_exist(p, q, e):
+    before, other = _poly(p), _poly(q)
+    fresh = m_gen(next(_fresh_indices))  # takes a field no existing key uses
+    late = GradedPolynomial(FREE, {((fresh, e),): 3}) + other
+    expected = oracles.tuple_poly_mul(_tuple_terms(p), oracles.tuple_terms(late))
+    assert oracles.tuple_terms(before * late) == expected
+    assert oracles.tuple_terms(late * late * before) == oracles.tuple_poly_mul(
+        oracles.tuple_poly_mul(oracles.tuple_terms(late), oracles.tuple_terms(late)),
+        _tuple_terms(p),
+    )
+    # the overflow guard covers the new field too
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        GradedPolynomial(FREE, {((fresh, MAX_EXPONENT),): 1}) * late
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 6))
+def test_directly_built_generator_keys_like_the_interned_one(i, d, k):
+    direct_a, direct_m = Generator("A", i, i + d), Generator("m", k)
+    assert direct_a == a_gen(i, i + d) and hash(direct_a) == hash(a_gen(i, i + d))
+    assert direct_a.index == a_gen(i, i + d).index
+    assert Generator("b") == b_gen()
+    assert GradedPolynomial.generator(direct_a, FREE) == GradedPolynomial.generator(a_gen(i, i + d), FREE)
+    mixed = GradedPolynomial(FREE, {((direct_a, 1), (m_gen(k), 2)): 1})
+    assert mixed == GradedPolynomial(FREE, {((a_gen(i, i + d), 1), (direct_m, 2)): 1})
+    assert mixed == (
+        GradedPolynomial.generator(a_gen(i, i + d), FREE)
+        * GradedPolynomial.generator(direct_m, FREE)
+        * GradedPolynomial.generator(m_gen(k), FREE)
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, MAX_EXPONENT),
+    st.integers(1, MAX_EXPONENT),
+    st.sampled_from([a_gen(1, 1), a_gen(2, 3), b_gen(), m_gen(2)]),
+)
+@example(MAX_EXPONENT, 1, a_gen(1, 1))
+@example(MAX_EXPONENT - 1, 1, m_gen(2))
+def test_overflow_guard_raises_instead_of_wrapping(e1, e2, g):
+    # a neighbouring field on each side, so a wrap would show there
+    left = GradedPolynomial(FREE, {((a_gen(1, 2), 1), (g, e1), (m_gen(3), 1)): 1})
+    right = GradedPolynomial(FREE, {((g, e2),): 1, ((m_gen(1), 1),): 1})
+    if e1 + e2 > MAX_EXPONENT:
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            left * right
+    else:
+        terms = oracles.tuple_terms(left * right)
+        assert terms == oracles.tuple_poly_mul(oracles.tuple_terms(left), oracles.tuple_terms(right))
+        assert max(dict(m).get(g, 0) for m in terms) == e1 + e2
+
+
+def test_exponent_over_the_limit_is_rejected_at_every_boundary():
+    big = MAX_EXPONENT + 1
+    with pytest.raises(ValidationError):
+        GradedPolynomial(FREE, {((a_gen(1, 1), big),): 1})
+    with pytest.raises(ValidationError):
+        GradedPolynomial(FREE, {((a_gen(1, 1), MAX_EXPONENT), (a_gen(1, 1), 1)): 1})
+    with pytest.raises(ValidationError):
+        GradedPolynomial.from_text(f"A(1,1)^{big}", FREE)
+    with pytest.raises(ValidationError):
+        GradedPolynomial.from_text(f"A(1,1)^{MAX_EXPONENT}*A(1,1)", FREE)
+    with pytest.raises(ValidationError):
+        GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": big}}], FREE)
+    top = GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": MAX_EXPONENT}}], FREE)
+    assert top.to_json() == [{"coeff": "1", "monomial": {"A(1,1)": MAX_EXPONENT}}]

@@ -18,8 +18,6 @@ from fglcalc import (
     ValidationError,
     a_gen,
     b_gen,
-    fgl_sum,
-    formal_inverse,
     log_backend,
     recompose,
     support_decompose,
@@ -277,6 +275,23 @@ def test_inverse_log_matches_independent_oracle():
         assert oracles.graded_to_dense(chi.coefficient((k,))) == expected.get(k, {})
 
 
+@pytest.mark.parametrize("kind", ["free", "log", "additive", "mult"])
+def test_inverse_matches_substitution_oracle(kind):
+    for order in range(1, 11):
+        backend = {
+            "free": FREE,
+            "log": log_backend(max(order - 1, 1)),
+            "additive": ADDITIVE,
+            "mult": MULTIPLICATIVE,
+        }[kind]
+        law = FormalGroupLaw(backend, order)
+        expected = oracles.inverse_by_substitution(law)
+        assert law.inverse() == expected
+        assert law.inverse().to_json() == expected.to_json()
+        # [-3]u folds chi, so it inherits any error in chi
+        assert law.n_series(-3) == law.sum(law.sum(expected, expected), expected)
+
+
 def test_inverse_homogeneity():
     law = FormalGroupLaw(FREE, order=6)
     for (k,), poly in law.inverse().items():
@@ -286,8 +301,8 @@ def test_inverse_homogeneity():
 def test_function_forms():
     law = FormalGroupLaw(FREE, order=4)
     u = TruncatedSeries.variable("u", ("u",), 4, FREE)
-    assert formal_inverse(law) == law.inverse()
-    assert fgl_sum(law, u, law.inverse()).is_zero()
+    assert law.inverse() is law.inverse()
+    assert law.sum(u, law.inverse()).is_zero()
 
 
 # -- n-series ---------------------------------------------------------------
