@@ -14,7 +14,9 @@ byte-identical across runs for identical inputs.  Exit codes: 0 success,
 machine-readable report on stdout.  The truncation order defaults to the
 FGL_ORDER environment variable, then 8, and may not exceed MAX_ORDER.
 Every multiplicity (n, and the entries of multiplicities, D and E) must
-satisfy |n| <= MAX_MULTIPLICITY.
+satisfy |n| <= MAX_MULTIPLICITY, an s.n.c. configuration may have at most
+MAX_COMPONENTS components, and an fgl relation generator may leave at most
+MAX_ORDER dimensions for the law's terms.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .snc import (
 BACKEND_CHOICES = ("free", "log", "additive", "mult")
 MAX_MULTIPLICITY = 1024  # largest |n| accepted for n, multiplicities, D and E
 MAX_ORDER = 16  # largest truncation order accepted from --order or FGL_ORDER
+MAX_COMPONENTS = 6  # most components accepted in an snc configuration
 
 
 def _order(args) -> int:
@@ -173,8 +176,12 @@ def _cmd_fgl_decompose(args):
 
 def _snc_setup(args, data):
     config = SncConfiguration.from_json(data)
-    law = _make_law(args)
-    return config, law
+    # check_properties grows exponentially with the component count
+    if config.r > MAX_COMPONENTS:
+        raise ValidationError(
+            f"{config.r} components exceed the component limit {MAX_COMPONENTS}"
+        )
+    return config, _make_law(args)
 
 
 def _cmd_snc_divclass(args):
@@ -194,8 +201,7 @@ def _cmd_snc_prodclass(args):
 
 def _cmd_snc_normalform(args):
     data = _read_input(args)
-    config = SncConfiguration.from_json(data)
-    law = _make_law(args)
+    config, law = _snc_setup(args, data)
     if "classes" not in data:
         raise ValidationError("normalform needs 'classes'")
     vector = FaceClassVector.from_json(config, {"entries": data["classes"]}, law.backend)
@@ -252,8 +258,17 @@ def _cmd_cycles_relgen(args):
     elif kind == "sect":
         gen = relation_generator(kind, SectWitness.from_json(wdata))
     else:
+        witness = TensorWitness.from_json(wdata)
+        # the law's terms fill room = source dim - bundle count, with
+        # quadratically many terms of length room; cap it like an order
+        room = witness.source.dim - len(witness.bundles)
+        if room > MAX_ORDER:
+            raise ValidationError(
+                f"fgl witness leaves {room} dimensions for the law, "
+                f"above the order limit {MAX_ORDER}"
+            )
         backend = _make_backend(args.backend, _order(args))
-        gen = relation_generator(kind, TensorWitness.from_json(wdata), backend)
+        gen = relation_generator(kind, witness, backend)
     return gen.to_json()
 
 

@@ -4,6 +4,13 @@ A TruncatedSeries holds terms of total degree <= order in named variables,
 with GradedPolynomial coefficients; everything beyond the order is discarded
 on construction, so arithmetic is exact modulo (u_1, ..., u_r)^{order+1}.
 
+Composition (substitute) runs in one pass over coefficient buckets: the
+terms are grouped by their exponents in every variable but the first, each
+group's sum of first-variable powers is accumulated Horner-style and cut at
+the degree its rest factor leaves, and the group is then multiplied by that
+rest factor straight into the result.  No series is scaled or added on the
+way.
+
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
 multi-variable combinations F^{(n_1, ..., n_r)}.  Results are cached on the
@@ -12,7 +19,7 @@ instance; the iterated sums fold left to right.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, itemgetter, mul
 
 from .errors import (
     BackendMismatchError,
@@ -30,6 +37,54 @@ def _zero_exps(r: int):
         return _ZERO_EXP_CACHE[r]
     except KeyError:
         return _ZERO_EXP_CACHE.setdefault(r, (0,) * r)
+
+
+def _by_degree(terms: dict) -> list:
+    """(degree, exponents, coefficient) triples of a term dict, lowest degree first."""
+    return sorted(((sum(e), e, p) for e, p in terms.items()), key=itemgetter(0))
+
+
+def _accumulate_product(left, right: list, order: int, acc: dict):
+    """Add left * right, cut above total degree order, into acc.
+
+    left yields (degree, exponents, coefficient) triples in any order; right
+    is a _by_degree list, so each row stops at its first term past the
+    order.  acc maps exponents to {monomial: coefficient} buckets.
+    """
+    for d1, e1, p1 in left:
+        room = order - d1
+        for d2, e2, p2 in right:
+            if d2 > room:
+                break
+            key = tuple(map(add, e1, e2))
+            bucket = acc.get(key)
+            if bucket is None:
+                bucket = acc[key] = {}
+            p1._multiply_into(p2, bucket)
+
+
+def _collect(backend, acc: dict) -> dict:
+    """Finalize _accumulate_product buckets into a term dict, zeros dropped."""
+    out = {}
+    for exps, bucket in acc.items():
+        poly = GradedPolynomial._from_accumulator(backend, bucket)
+        if poly:
+            out[exps] = poly
+    return out
+
+
+def _product(left: list, right: list, cut: int, variables, backend) -> list:
+    """Product of two _by_degree lists, cut at degree cut, as a _by_degree list.
+
+    It goes through TruncatedSeries.__mul__, so the powers that composition
+    builds show up as series products when that method is profiled.
+    """
+    cut = max(cut, 0)
+    left, right = (
+        TruncatedSeries._raw(variables, cut, backend, {e: p for d, e, p in terms if d <= cut})
+        for terms in (left, right)
+    )
+    return _by_degree((left * right)._terms)
 
 
 class TruncatedSeries:
@@ -171,26 +226,14 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        order = self.order
-        left = sorted(self._terms.items(), key=lambda kv: sum(kv[0]))
-        right = sorted(other._terms.items(), key=lambda kv: sum(kv[0]))
         acc: dict = {}
-        for e1, p1 in left:
-            d1 = sum(e1)
-            for e2, p2 in right:
-                if d1 + sum(e2) > order:
-                    break  # right is degree-sorted, the rest only grows
-                key = tuple(a + b for a, b in zip(e1, e2))
-                bucket = acc.get(key)
-                if bucket is None:
-                    bucket = acc[key] = {}
-                p1._multiply_into(p2, bucket)
-        out = {}
-        for key, bucket in acc.items():
-            poly = GradedPolynomial._from_accumulator(self.backend, bucket)
-            if not poly.is_zero():
-                out[key] = poly
-        return TruncatedSeries._raw(self.variables, self.order, self.backend, out)
+        _accumulate_product(
+            ((sum(e), e, p) for e, p in self._terms.items()),
+            _by_degree(other._terms), self.order, acc,
+        )
+        return TruncatedSeries._raw(
+            self.variables, self.order, self.backend, _collect(self.backend, acc)
+        )
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar or a GradedPolynomial."""
@@ -233,6 +276,13 @@ class TruncatedSeries:
         this series, and the same backend; the result lives in their
         variables.  Truncation at the shared order is exact because every
         assigned series has no constant term.
+
+        With images s_0, s_1, ... the terms group by their rest exponents
+        (e_1, e_2, ...): each group is (sum_e0 c_e0 s_0^e0) * R with the rest
+        factor R = s_1^e_1 s_2^e_2 ...  R has no term below its lowest
+        degree d, so the inner sum is accumulated only up to degree
+        order - d, and every power of an image only up to the highest degree
+        any group reads from it.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
@@ -254,25 +304,69 @@ class TruncatedSeries:
 
         target_vars = images[0].variables
         order = self.order
-        one = TruncatedSeries.one(target_vars, order, self.backend)
-        powers = [[one, s] for s in images]
+        backend = self.backend
+        one = [(0, _zero_exps(len(target_vars)), GradedPolynomial.one(backend))]
+        powers = [[one, _by_degree(s._terms)] for s in images]
+        # lowest degree of each image; a zero image never gets below the order
+        low = [p[1][0][0] if p[1] else order + 1 for p in powers]
 
-        def power(i: int, e: int) -> TruncatedSeries:
+        columns: dict = {}
+        for exps, poly in self._terms.items():
+            columns.setdefault(exps[1:], []).append((exps[0], poly))
+        # need[i][e]: the degree up to which some column uses images[i]**e
+        need = [{} for _ in images]
+        for rest, column in columns.items():
+            rest_low = sum(map(mul, rest, low[1:]))
+            inner_low = min(e0 for e0, _ in column) * low[0]
+            for e0, _ in column:
+                need[0][e0] = max(need[0].get(e0, -1), order - rest_low)
+            for i, e in enumerate(rest, 1):
+                if e:
+                    room = order - inner_low - rest_low + e * low[i]
+                    need[i][e] = max(need[i].get(e, -1), room)
+
+        def power(i: int, e: int) -> list:
+            # images[i]**e as a _by_degree list, cut above the degree any
+            # column reads; the cut never rises with e, so each power is
+            # exact as far as the next one needs it
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(cache[-1] * cache[1])
+                k = len(cache)
+                cut = max(d for f, d in need[i].items() if f >= k)
+                cache.append(_product(cache[-1], cache[1], cut, target_vars, backend))
             return cache[e]
 
-        total = TruncatedSeries.zero(target_vars, order, self.backend)
-        for exps, poly in sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            factor = None
-            for i, e in enumerate(exps):
+        acc: dict = {}
+        for rest, column in columns.items():
+            rest_factor = None
+            for i, e in enumerate(rest, 1):
                 if e:
-                    factor = power(i, e) if factor is None else factor * power(i, e)
-            if factor is None:
-                factor = one
-            total = total + factor.scale(poly)
-        return total
+                    p = power(i, e)
+                    rest_factor = p if rest_factor is None else _product(
+                        rest_factor, p, order, target_vars, backend
+                    )
+            if rest_factor is None:
+                inner, room = acc, order
+            elif rest_factor:
+                inner, room = {}, order - rest_factor[0][0]
+            else:
+                continue  # the rest factor vanishes below the order
+            for e0, poly in column:
+                if e0 * low[0] > room:
+                    continue
+                for d, exps, q in power(0, e0):
+                    if d > room:
+                        break
+                    bucket = inner.get(exps)
+                    if bucket is None:
+                        bucket = inner[exps] = {}
+                    poly._multiply_into(q, bucket)
+            if rest_factor is not None:
+                _accumulate_product(
+                    ((sum(e), e, p) for e, p in _collect(backend, inner).items()),
+                    rest_factor, order, acc,
+                )
+        return TruncatedSeries._raw(target_vars, order, backend, _collect(backend, acc))
 
     # -- serialization ----------------------------------------------------
 

@@ -13,7 +13,10 @@ tuple_mono_mul and tuple_poly_mul multiply monomials as sorted tuples of
 (Generator, exponent) pairs, the representation that packed int keys
 replaced; inverse_by_substitution solves F(u, chi(u)) = 0 with one full
 substitution per order; product_class_full_order and
-apply_divisor_operator_full_bound multiply before truncating.
+apply_divisor_operator_full_bound multiply before truncating;
+substitute_by_terms composes series one term at a time.  normal_form_in_order
+absorbs stray symbols in a chosen order, to check that the package's fixed
+order does not matter.
 """
 
 from fractions import Fraction
@@ -308,3 +311,60 @@ def inverse_by_substitution(law):
         if not bad.is_zero():
             chi[(k,)] = -bad
     return TruncatedSeries(u_var, law.order, law.backend, chi)
+
+
+# -- composition one term at a time --------------------------------------------
+
+def substitute_by_terms(series, assignment):
+    """fglcalc.TruncatedSeries.substitute as a sum of full-order term products.
+
+    Each term c * x0^e0 * x1^e1 * ... of series becomes the series product
+    of the assigned powers, scaled by c and added to the total.  The
+    argument checks are left to the package method.
+    """
+    images = [assignment[v] for v in series.variables]
+    target_vars, order, backend = images[0].variables, series.order, series.backend
+    one = TruncatedSeries.one(target_vars, order, backend)
+    powers = [[one, s] for s in images]
+
+    def power(i, e):
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(cache[-1] * cache[1])
+        return cache[e]
+
+    total = TruncatedSeries.zero(target_vars, order, backend)
+    for exps, poly in sorted(series._terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        factor = None
+        for i, e in enumerate(exps):
+            if e:
+                factor = power(i, e) if factor is None else factor * power(i, e)
+        if factor is None:
+            factor = one
+        total = total + factor.scale(poly)
+    return total
+
+
+# -- the normal form in any absorption order -----------------------------------
+
+def normal_form_in_order(vector, rank):
+    """fglcalc.normal_form, absorbing the stray index of highest rank[j] first."""
+    config, r = vector.config, vector.config.r
+    acc = {}
+    for start, cp in vector.items():
+        for exps, poly in cp._terms.items():
+            face, exps = start, list(exps)
+            stray = [j for j in range(1, r + 1) if exps[j - 1] and j not in face]
+            while stray and face in config.faces:
+                j = max(stray, key=rank.__getitem__)
+                stray.remove(j)
+                face, exps[j - 1] = face | {j}, exps[j - 1] - 1
+            if face not in config.faces or sum(exps) > config.face_dim(face):
+                continue  # absorbed into a missing face, or truncated away
+            bucket = acc.setdefault(face, {})
+            key = tuple(exps)
+            bucket[key] = bucket[key] + poly if key in bucket else poly
+    return FaceClassVector(config, {
+        face: ChernPolynomial(r, config.face_dim(face), next(iter(terms.values())).backend, terms)
+        for face, terms in acc.items()
+    })

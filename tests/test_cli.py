@@ -6,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fglcalc.cli import MAX_ORDER, main
+from fglcalc.cli import MAX_COMPONENTS, MAX_ORDER, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data")
@@ -281,3 +284,111 @@ def test_env_order_over_the_limit_exits_2(monkeypatch):
     rc, out, _ = run_cli(["fgl", "inverse", "--backend", "free"])
     assert rc == 2
     assert f"FGL_ORDER 100000 exceeds the order limit {MAX_ORDER}" in json.loads(out)["detail"]
+
+
+def _fgl_witness(dim, bundles=()):
+    return {"kind": "fgl", "witness": {
+        "source": {"name": "Y", "dim": dim}, "target": {"name": "X", "dim": dim},
+        "bundles": list(bundles), "left": "L", "right": "M", "tensor": "LM",
+    }}
+
+
+def test_relgen_fgl_room_over_the_limit_exits_2_at_once():
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["cycles", "relgen", "--backend", "free", json.dumps(_fgl_witness(1000000))])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert f"above the order limit {MAX_ORDER}" in json.loads(out)["detail"]
+
+
+def test_relgen_fgl_room_at_the_limit_is_accepted():
+    # bundles already on the source use up dimensions, so they widen the limit
+    rc, out, _ = run_cli(["cycles", "relgen", "--backend", "free",
+                          json.dumps(_fgl_witness(MAX_ORDER + 2, ["A", "B"]))])
+    assert rc == 0
+    assert json.loads(out)["terms"]
+
+
+def _components(r):
+    return {
+        "ambient_dim": 2,
+        "components": [{"name": f"D{i}"} for i in range(1, r + 1)],
+        "faces": [[i] for i in range(1, r + 1)],
+        "D": [1] * r,
+        "E": [0] * (r - 1) + [1],
+        "classes": [],
+    }
+
+
+@pytest.mark.parametrize("command", ["divclass", "prodclass", "normalform", "check-properties"])
+def test_component_count_over_the_limit_exits_2(command):
+    rc, out, _ = run_cli(["snc", command, "--order", "3", json.dumps(_components(MAX_COMPONENTS + 1))])
+    assert rc == 2
+    assert f"exceed the component limit {MAX_COMPONENTS}" in json.loads(out)["detail"]
+    rc, _, _ = run_cli(["snc", command, "--order", "3", json.dumps(_components(MAX_COMPONENTS))])
+    assert rc == 0
+
+
+# -- fuzz: mutated inputs end in exit 0, 1 or 2 --------------------------------
+
+def _input_runs():
+    runs = [(argv[:-1], argv[-1]) for _, argv in GOLDEN_RUNS if argv[-1].startswith(DATA)]
+    runs.append((["snc", "divclass", "--order", "3"], _data("snc_invalid.json")))
+    runs.append((["cycles", "relgen", "--backend", "log", "--order", "4"], _data("relgen_fgl.json")))
+    docs = []
+    for argv, path in runs:
+        with open(path, encoding="utf-8") as fh:
+            docs.append((argv, json.load(fh)))
+    # a series document for decompose
+    docs.append((["fgl", "decompose", "--order", "3", "--backend", "free"],
+                 json.loads(_golden("multilinear_free_o3.json"))))
+    return docs
+
+
+_FUZZ_RUNS = _input_runs()
+_HUGE = [10**30, -10**30, 2**63, 2**31, -(2**31) - 1, 10**6]
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(_HUGE),
+    st.floats(allow_nan=False, width=32), st.text(max_size=4), st.just([]), st.just({}),
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate(doc, data):
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["drop", "swap", "huge", "nest"]))
+    if not path:
+        return {"x": doc} if op == "nest" else doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = data.draw(_LEAVES)
+    elif op == "huge":
+        parent[key] = data.draw(st.sampled_from(_HUGE))
+    else:
+        parent[key] = data.draw(st.sampled_from([[parent[key]], {"x": parent[key]}]))
+    return doc
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(range(len(_FUZZ_RUNS))), st.integers(1, 3), st.data())
+def test_mutated_inputs_exit_0_1_or_2(which, rounds, data):
+    argv, doc = _FUZZ_RUNS[which]
+    doc = json.loads(json.dumps(doc))  # a private copy to mutate
+    for _ in range(rounds):
+        doc = _mutate(doc, data)
+    rc, _, _ = run_cli(argv + ["-"], stdin_text=json.dumps(doc))
+    assert rc in (0, 1, 2)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fglcalc import (
     ADDITIVE,
@@ -18,6 +20,7 @@ from fglcalc import (
     ValidationError,
     a_gen,
     b_gen,
+    lazard_coefficient,
     log_backend,
     recompose,
     support_decompose,
@@ -507,3 +510,142 @@ def test_series_json_rejects_bools(field, value):
         data["order"] = value
     with pytest.raises(ValidationError):
         TruncatedSeries.from_json(data, FREE)
+
+
+# -- Hypothesis: substitution against the term-by-term oracle ---------------
+
+_BACKENDS = {
+    "free": FREE,
+    "log": log_backend(8),
+    "additive": ADDITIVE,
+    "mult": MULTIPLICATIVE,
+}
+
+
+def _coefficient_pool(backend):
+    # scalars plus the backend's own law coefficients (none on additive)
+    pool = [GradedPolynomial.constant(c, backend) for c in (1, -1, 2, Fraction(-1, 2))]
+    for i, j in ((1, 1), (1, 2), (2, 2), (1, 3)):
+        a = lazard_coefficient(i, j, backend)
+        if not a.is_zero():
+            pool.append(a)
+    return pool
+
+
+@st.composite
+def _coefficients(draw, backend):
+    pool = _coefficient_pool(backend)
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    poly = factors[0]
+    for f in factors[1:]:
+        poly = poly * f
+    if draw(st.booleans()):
+        poly = poly + draw(st.sampled_from(pool))
+    return poly
+
+
+@st.composite
+def _series(draw, variables, order, backend, low=0, max_terms=6):
+    # sparse: a few random exponent vectors of degree low..order, none
+    # when low > order
+    r = len(variables)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms)) if low <= order else 0):
+        degree = draw(st.integers(low, order))
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=r - 1, max_size=r - 1)))
+        exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        terms[exps] = draw(_coefficients(backend))
+    return TruncatedSeries(variables, order, backend, terms)
+
+
+@st.composite
+def _substitutions(draw):
+    """(series, assignment): series in 1-3 variables, images in 1-3 others."""
+    backend = _BACKENDS[draw(st.sampled_from(sorted(_BACKENDS)))]
+    order = draw(st.integers(1, 7))
+    source = ("u", "v", "w")[: draw(st.integers(1, 3))]
+    target = draw(st.sampled_from([("u",), ("u", "v"), ("x",), ("x", "y"), ("y", "x", "z")]))
+    series = draw(_series(source, order, backend, max_terms=8))
+    assignment = {}
+    for name in source:
+        low = draw(st.integers(1, order + 1))  # lowest degree; order + 1 is zero
+        assignment[name] = draw(_series(target, order, backend, low=low, max_terms=4))
+    return series, assignment
+
+
+@given(_substitutions())
+def test_substitute_matches_term_by_term_oracle(case):
+    series, assignment = case
+    fast = series.substitute(assignment)
+    slow = oracles.substitute_by_terms(series, assignment)
+    assert fast == slow
+    assert fast.to_json() == slow.to_json()
+
+
+def test_substitute_cuts_at_the_images_lowest_degree():
+    # u*v + u^3 with u -> x^2 and v -> x + x^2: the rest factor v starts at
+    # degree 1, the image of u at 2, so the cut inside each column matters
+    f = TruncatedSeries(("u", "v"), 6, FREE, {(1, 1): _a(1, 1), (3, 0): 2, (2, 1): 1})
+    x2 = TruncatedSeries(("x",), 6, FREE, {(2,): 1})
+    x_x2 = TruncatedSeries(("x",), 6, FREE, {(1,): 1, (2,): _a(1, 2)})
+    env = {"u": x2, "v": x_x2}
+    assert f.substitute(env) == oracles.substitute_by_terms(f, env)
+    assert f.substitute(env).coefficient((6,)) == 2 + _a(1, 2)
+
+
+class _OracleSumLaw(FormalGroupLaw):
+    """The same law, with every formal sum composed term by term."""
+
+    def sum(self, s, t):
+        return oracles.substitute_by_terms(self.series, {"u": s, "v": t})
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_derived_series_match_the_oracle_law(kind):
+    backend = _BACKENDS[kind]
+    for order in (1, 3, 5):
+        law, slow = FormalGroupLaw(backend, order), _OracleSumLaw(backend, order)
+        for n in (-4, -2, -1, 2, 3, 5):
+            assert law.n_series(n) == slow.n_series(n)
+        for ns in ((1, 1), (2, -1, 3), (0, -2, 1)):
+            fast, ref = law.linear_combination(ns), slow.linear_combination(ns)
+            assert fast == ref
+            assert fast.to_json() == ref.to_json()
+        s, t = law.n_series(2), law.inverse()
+        assert law.sum(s, t) == slow.sum(s, t)
+
+
+# -- Hypothesis: group-law properties -----------------------------------------
+
+@given(
+    st.sampled_from(["log", "additive", "mult"]),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_associativity_on_random_series(kind, order, data):
+    backend = _BACKENDS[kind]
+    law = FormalGroupLaw(backend, order)
+    names = ("x", "y")
+    s, t, w = (data.draw(_series(names, order, backend, low=1, max_terms=4)) for _ in range(3))
+    assert law.sum(law.sum(s, t), w) == law.sum(s, law.sum(t, w))
+
+
+_LOG_LAW = FormalGroupLaw(log_backend(8), 6)
+
+
+@given(st.integers(-4, 4), st.integers(-4, 4))
+def test_n_series_is_additive_on_log(m, n):
+    law = _LOG_LAW
+    assert law.n_series(m + n) == law.sum(law.n_series(m), law.n_series(n))
+
+
+@given(
+    st.sampled_from(sorted(_BACKENDS)),
+    st.integers(0, 6),
+    st.sampled_from([("u1",), ("u1", "u2"), ("u1", "u2", "u3")]),
+    st.data(),
+)
+def test_recompose_inverts_support_decompose(kind, order, variables, data):
+    backend = _BACKENDS[kind]
+    s = data.draw(_series(variables, order, backend, max_terms=8))
+    assert recompose(support_decompose(s), variables, order, backend) == s

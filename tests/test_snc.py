@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fglcalc import (
     ADDITIVE,
@@ -392,6 +394,27 @@ def test_normal_form_is_idempotent():
         )
         once = normal_form(vec)
         assert normal_form(once) == once
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_normal_form_is_confluent(seed, data):
+    # any absorption order gives the package's result
+    rng = random.Random(seed)
+    cfg = _random_config(rng, max_r=4)
+    coeffs = [GradedPolynomial.constant(c, FREE) for c in (1, -1, 2)]
+    coeffs.append(GradedPolynomial.generator(a_gen(1, 1), FREE))
+    entries = {}
+    for face in data.draw(st.lists(st.sampled_from(sorted(cfg.faces, key=sorted)), max_size=4)):
+        bound = cfg.face_dim(face)
+        terms = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            exps = tuple(data.draw(st.integers(0, 2)) for _ in range(cfg.r))
+            terms[exps] = data.draw(st.sampled_from(coeffs))
+        entries[face] = ChernPolynomial(cfg.r, bound, FREE, terms)
+    vec = FaceClassVector(cfg, entries)
+    order = data.draw(st.permutations(range(1, cfg.r + 1)))
+    rank = {j: i for i, j in enumerate(order)}
+    assert normal_form(vec) == oracles.normal_form_in_order(vec, rank)
 
 
 def test_normal_form_leaves_clean_vectors_alone():
