@@ -163,7 +163,7 @@ def _cmd_fgl_decompose(args):
         ns = _int_vector(data, "multiplicities")
         if not ns:
             raise ValidationError("'multiplicities' must be nonempty")
-        parts = _make_law(args).decomposed_combination(ns)
+        parts = support_decompose(_make_law(args).linear_combination(ns))
     else:
         raise ValidationError("decompose needs a series or 'multiplicities'")
     return {

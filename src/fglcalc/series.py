@@ -467,7 +467,8 @@ class FormalGroupLaw:
         self._inverse: TruncatedSeries | None = None
         self._n_series: dict = {}
         self._linear: dict = {}
-        self._decomposed: dict = {}
+        self._lower: dict = {}  # this law at lower orders, for fglcalc.snc
+        self._face_combinations: dict = {}  # fglcalc.snc's, by (ns, faces, ambient_dim)
 
     @property
     def series(self) -> TruncatedSeries:
@@ -561,6 +562,15 @@ class FormalGroupLaw:
         self._n_series[key] = result
         return result
 
+    def _embedded_n_series(self, n: int, index: int, variables) -> TruncatedSeries:
+        """[n]u written in the variable variables[index] of a series in variables."""
+        terms = {}
+        for (e,), poly in self.n_series(n)._terms.items():
+            exps = [0] * len(variables)
+            exps[index] = e
+            terms[tuple(exps)] = poly
+        return TruncatedSeries._raw(variables, self.order, self.backend, terms)
+
     def linear_combination(self, multiplicities, variables=None) -> TruncatedSeries:
         """F^{(n_1, ..., n_r)}: the formal sum of [n_i]u_i, folded left to right.
 
@@ -583,33 +593,11 @@ class FormalGroupLaw:
         if cached is not None:
             return cached
 
-        def embed(univariate: TruncatedSeries, index: int) -> TruncatedSeries:
-            terms = {}
-            for (e,), poly in univariate._terms.items():
-                exps = [0] * len(variables)
-                exps[index] = e
-                terms[tuple(exps)] = poly
-            return TruncatedSeries._raw(variables, self.order, self.backend, terms)
-
-        result = embed(self.n_series(ns[0]), 0)
+        result = self._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
-            result = self.sum(result, embed(self.n_series(ns[idx]), idx))
+            result = self.sum(result, self._embedded_n_series(ns[idx], idx, variables))
         self._linear[key] = result
         return result
-
-    def decomposed_combination(self, multiplicities, variables=None):
-        """support_decompose(linear_combination(...)), cached per vector."""
-        ns = tuple(multiplicities)
-        if variables is None:
-            variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
-        else:
-            variables = tuple(variables)
-        key = (ns, variables)
-        cached = self._decomposed.get(key)
-        if cached is None:
-            cached = support_decompose(self.linear_combination(ns, variables))
-            self._decomposed[key] = cached
-        return cached
 
 
 def support_decompose(series: TruncatedSeries) -> dict:

@@ -12,6 +12,13 @@ such vectors from multiplicity data and a formal group law; normal_form
 rewrites stray c_j factors into deeper faces (a section moves a hyperplane
 class into the zero locus) until every entry only involves decisions its
 face can see.
+
+A term of support J and total degree D reaches the face J in c-degree
+D - |J|, so only face supports and degrees up to ambient_dim matter.  Faces
+are downward closed, so the other terms span an ideal (the Stanley-Reisner
+ideal, plus the higher degrees) that products and substitution preserve:
+F^{(n)} is folded at order ambient_dim with non-face terms dropped after
+every step, and a product of two divisors is one product of those.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from .chern import ChernPolynomial, evaluate_at_chern
 from .errors import ConfigurationError, OrderError, ValidationError
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
-from .series import FormalGroupLaw, TruncatedSeries
+from .series import FormalGroupLaw, TruncatedSeries, support_decompose
 
 
 @dataclass(frozen=True)
@@ -247,22 +254,52 @@ class FaceClassVector:
 # ---------------------------------------------------------------------------
 # class construction
 
+def _on_faces(series: TruncatedSeries, faces) -> TruncatedSeries:
+    """series modulo the Stanley-Reisner ideal: the terms whose support is a face."""
+    terms = {e: p for e, p in series._terms.items()
+             if frozenset(i for i, x in enumerate(e, start=1) if x) in faces}
+    return TruncatedSeries._raw(series.variables, series.order, series.backend, terms)
+
+
+def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) -> TruncatedSeries:
+    """F^{(n)} folded at order ambient_dim, non-face terms dropped at every step."""
+    key = (ns, config.faces, config.ambient_dim)
+    result = law._face_combinations.get(key)
+    if result is None:
+        if not ns:
+            raise ValidationError("need at least one multiplicity")
+        order = config.ambient_dim  # at most law.order, by _check_law
+        low = law if order == law.order else law._lower.setdefault(
+            order, FormalGroupLaw(law.backend, order))
+        variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
+        result = low._embedded_n_series(ns[0], 0, variables)
+        for idx in range(1, len(ns)):
+            step = low.sum(result, low._embedded_n_series(ns[idx], idx, variables))
+            result = _on_faces(step, config.faces)
+        law._face_combinations[key] = result
+    return result
+
+
+def _face_classes(config: SncConfiguration, series: TruncatedSeries) -> FaceClassVector:
+    """The support parts of a face-reduced series, each cut at its face dimension."""
+    return FaceClassVector(config, {
+        J: evaluate_at_chern(part, config.face_dim(J))
+        for J, part in support_decompose(series).items()
+    })
+
+
 def divisor_class(config: SncConfiguration, multiplicities, law: FormalGroupLaw) -> FaceClassVector:
     """Face-by-face class of the divisor sum n_i D_i.
 
     The part of F^{(n_1..n_r)} supported on a face J, with the variables read
     as the symbols c_i, truncated at the face dimension.  Faces absent from
-    the configuration contribute nothing.
+    the configuration contribute nothing.  The combination is read modulo
+    the non-face supports and the total degrees above ambient_dim.
     """
     require_valid(config)
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
-    parts = law.decomposed_combination(ns)
-    entries = {}
-    for J, part in parts.items():
-        if J and J in config.faces:
-            entries[J] = evaluate_at_chern(part, config.face_dim(J))
-    return FaceClassVector(config, entries)
+    return _face_classes(config, _face_combination(config, ns, law))
 
 
 def _times_symbols(terms, common):
@@ -276,66 +313,39 @@ def _times_symbols(terms, common):
 def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLaw) -> FaceClassVector:
     """Class of the intersection product of two divisor sums.
 
-    Sums, over pairs of supports (J from the first divisor, I from the
-    second) whose union K is a face, the evaluation of
-    F_J * F_I * prod_{i in J and I} u_i at the dimension of D_K.  Only the
-    terms of F_J * F_I up to degree dim D_K - |J and I| survive, so both
-    factors are cut there before multiplying; every degree is nonnegative,
-    so the cut commutes with the product.
+    At a face K: the sum, over supports J of the first divisor and I of the
+    second with union K, of F_J * F_I * prod_{i in J and I} u_i at the
+    dimension of D_K.  That is the support-K part of F^{(n)} * F^{(p)}, taken
+    in one product.  Only face supports and total degrees up to ambient_dim
+    (c-degree up to dim D_K) reach a face, so both factors and the product
+    are reduced modulo the non-face supports and the higher degrees.
     """
     require_valid(config)
     ns = _check_multiplicities(config, n_mults, "first multiplicities")
     ps = _check_multiplicities(config, p_mults, "second multiplicities")
     _check_law(config, law)
-    parts_n = law.decomposed_combination(ns)
-    parts_p = law.decomposed_combination(ps)
-    entries: dict = {}
-    for J, part_n in parts_n.items():
-        if not J:
-            continue
-        for I, part_p in parts_p.items():
-            if not I:
-                continue
-            K = J | I
-            if K not in config.faces:
-                continue
-            dim = config.face_dim(K)
-            common = J & I
-            top = dim - len(common)
-            if top < 0:
-                continue  # every term lies above the face dimension
-            series = part_n.truncate(top) * part_p.truncate(top)
-            if common:
-                series = TruncatedSeries._raw(
-                    series.variables, dim, series.backend,
-                    _times_symbols(series._terms, common),
-                )
-            cp = evaluate_at_chern(series, dim)
-            if K in entries:
-                cp = entries[K] + cp
-            entries[K] = cp
-    return FaceClassVector(config, entries)
+    product = _face_combination(config, ns, law) * _face_combination(config, ps, law)
+    return _face_classes(config, _on_faces(product, config.faces))
 
 
 def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalGroupLaw) -> FaceClassVector:
     """Intersect an existing face-class vector with the divisor sum n_i D_i.
 
     Each entry at a face I is multiplied by every support part F_J of the
-    divisor's law combination (times the symbols shared between J and I) and
-    deposited on the union face, truncated to its dimension.  As in
-    product_class, both factors are cut before multiplying.
+    divisor's face-reduced combination (times the symbols shared between J
+    and I) and deposited on the union face, truncated to its dimension.
+    Both factors are cut before multiplying.  The entries may carry stray
+    symbols, so they are not lifted into one series product.
     """
     config = vector.config
     require_valid(config)
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
-    parts_n = law.decomposed_combination(ns)
+    parts_n = support_decompose(_face_combination(config, ns, law))
     r = config.r
     entries: dict = {}
     for I, beta in vector.items():
         for J, part_n in parts_n.items():
-            if not J:
-                continue
             K = J | I
             if K not in config.faces:
                 continue

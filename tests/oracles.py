@@ -14,14 +14,26 @@ tuple_mono_mul and tuple_poly_mul multiply monomials as sorted tuples of
 replaced; inverse_by_substitution solves F(u, chi(u)) = 0 with one full
 substitution per order; product_class_full_order and
 apply_divisor_operator_full_bound multiply before truncating;
-substitute_by_terms composes series one term at a time.  normal_form_in_order
+product_class_by_pairs multiplies the support parts pair by pair, and it
+and divisor_class_full_combination decompose the combination at the
+law's full order with every support kept, where the package works in the
+Stanley-Reisner quotient; substitute_by_terms composes series one term at
+a time.  normal_form_in_order
 absorbs stray symbols in a chosen order, to check that the package's fixed
 order does not matter.
 """
 
 from fractions import Fraction
 
-from fglcalc import ChernPolynomial, FaceClassVector, GradedPolynomial, TruncatedSeries
+from fglcalc import (
+    ChernPolynomial,
+    FaceClassVector,
+    GradedPolynomial,
+    TruncatedSeries,
+    evaluate_at_chern,
+    support_decompose,
+)
+from fglcalc.snc import _check_law, _check_multiplicities, _times_symbols, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
 # tuples are right-padded with zeros as needed
@@ -187,8 +199,8 @@ def product_class_full_order(config, n_mults, p_mults, law):
     Multiplies whole support parts at law.order, multiplies by the shared
     variables as a series, and only then cuts at the face dimension.
     """
-    parts_n = law.decomposed_combination(tuple(n_mults))
-    parts_p = law.decomposed_combination(tuple(p_mults))
+    parts_n = support_decompose(law.linear_combination(tuple(n_mults)))
+    parts_p = support_decompose(law.linear_combination(tuple(p_mults)))
     r = config.r
     variables = tuple(f"u{i}" for i in range(1, r + 1))
     entries = {}
@@ -223,7 +235,7 @@ def apply_divisor_operator_full_bound(vector, multiplicities, law):
     by one chern symbol per shared index.
     """
     config = vector.config
-    parts_n = law.decomposed_combination(tuple(multiplicities))
+    parts_n = support_decompose(law.linear_combination(tuple(multiplicities)))
     r = config.r
     entries = {}
     for I, beta in vector.items():
@@ -241,6 +253,69 @@ def apply_divisor_operator_full_bound(vector, multiplicities, law):
             if K in entries:
                 term = entries[K] + term
             entries[K] = term
+    return FaceClassVector(config, entries)
+
+
+# -- the intersection product pair by pair ------------------------------------
+
+def divisor_class_full_combination(config, multiplicities, law):
+    """fglcalc.snc.divisor_class read off the unreduced combination.
+
+    Decomposes F^{(n)} at the law's full order, every support included, and
+    keeps the parts on faces.
+    """
+    require_valid(config)
+    ns = _check_multiplicities(config, multiplicities)
+    _check_law(config, law)
+    parts = support_decompose(law.linear_combination(ns))
+    entries = {}
+    for J, part in parts.items():
+        if J and J in config.faces:
+            entries[J] = evaluate_at_chern(part, config.face_dim(J))
+    return FaceClassVector(config, entries)
+
+
+def product_class_by_pairs(config, n_mults, p_mults, law):
+    """fglcalc.snc.product_class as a sum over pairs of support parts.
+
+    Sums, over pairs of supports (J from the first divisor, I from the
+    second) whose union K is a face, the evaluation of
+    F_J * F_I * prod_{i in J and I} u_i at the dimension of D_K.  Only the
+    terms of F_J * F_I up to degree dim D_K - |J and I| survive, so both
+    factors are cut there before multiplying; every degree is nonnegative,
+    so the cut commutes with the product.
+    """
+    require_valid(config)
+    ns = _check_multiplicities(config, n_mults, "first multiplicities")
+    ps = _check_multiplicities(config, p_mults, "second multiplicities")
+    _check_law(config, law)
+    parts_n = support_decompose(law.linear_combination(ns))
+    parts_p = support_decompose(law.linear_combination(ps))
+    entries: dict = {}
+    for J, part_n in parts_n.items():
+        if not J:
+            continue
+        for I, part_p in parts_p.items():
+            if not I:
+                continue
+            K = J | I
+            if K not in config.faces:
+                continue
+            dim = config.face_dim(K)
+            common = J & I
+            top = dim - len(common)
+            if top < 0:
+                continue  # every term lies above the face dimension
+            series = part_n.truncate(top) * part_p.truncate(top)
+            if common:
+                series = TruncatedSeries._raw(
+                    series.variables, dim, series.backend,
+                    _times_symbols(series._terms, common),
+                )
+            cp = evaluate_at_chern(series, dim)
+            if K in entries:
+                cp = entries[K] + cp
+            entries[K] = cp
     return FaceClassVector(config, entries)
 
 

@@ -466,7 +466,7 @@ def test_decompose_constant_goes_to_empty_support():
 
 def test_decompose_of_combination_has_no_empty_support():
     law = FormalGroupLaw(FREE, order=4)
-    parts = law.decomposed_combination((1, 2))
+    parts = support_decompose(law.linear_combination((1, 2)))
     assert frozenset() not in parts
     assert frozenset({1}) in parts and frozenset({2}) in parts
 

@@ -35,6 +35,8 @@ from fglcalc import (
     validate_config,
 )
 
+from fglcalc import snc
+
 import oracles
 
 
@@ -305,21 +307,67 @@ def _overlapping_mults(rng, r):
             return ns, ps
 
 
-def test_product_class_matches_full_order_oracle():
+def _path_config(ambient, r):
+    """The path 1 - 2 - ... - r: no face has more than two components."""
+    faces = [[i] for i in range(1, r + 1)] + [[i, i + 1] for i in range(1, r)]
+    return _config(ambient, r, faces)
+
+
+def test_product_class_matches_full_order_oracle(monkeypatch):
+    """The face-reduced classes against the unreduced, pair-by-pair oracles.
+
+    r = 1..5 with ambient_dim r-2..r+2 (at least 1) and law order
+    ambient_dim..ambient_dim+3 (so the fold runs at a lower order than the
+    law), on all four backends, on random downward-closed complexes and on
+    paths.  check_properties is compared against itself run on the
+    oracles, with the restriction row exercised by a reduced component.
+    """
     rng = random.Random(2024)
-    for ambient in range(2, 6):
-        order = ambient + rng.randrange(0, 2)
-        for backend in (FREE, log_backend(order - 1), ADDITIVE, MULTIPLICATIVE):
-            law = FormalGroupLaw(backend, order=order)
-            for r in range(2, 6):
-                cfg = _random_downward_closed(rng, ambient, r)
+    backends = (
+        lambda order: FREE, lambda order: log_backend(max(order - 1, 1)),
+        lambda order: ADDITIVE, lambda order: MULTIPLICATIVE,
+    )
+    for r in range(1, 6):
+        for ambient in range(max(1, r - 2), r + 3):
+            for b, backend in enumerate(backends):
+                order = ambient + (r + ambient + b) % 4
+                law = FormalGroupLaw(backend(order), order=order)
+                if (r + ambient + b) % 3 == 0 and ambient >= min(r, 2):
+                    cfg = _path_config(ambient, r)
+                else:
+                    cfg = _random_downward_closed(rng, ambient, r)
                 ns, ps = _overlapping_mults(rng, r)
-                expected = oracles.product_class_full_order(cfg, ns, ps, law)
-                assert product_class(cfg, ns, ps, law) == expected, (backend, ambient, r)
+                case = (r, ambient, order, b, ns, ps, cfg.sorted_faces())
+
+                product = product_class(cfg, ns, ps, law)
+                expected = oracles.product_class_by_pairs(cfg, ns, ps, law)
+                assert product.to_json() == expected.to_json(), case
+                if order <= 6:  # the full-order oracle grows fast with the order
+                    full = oracles.product_class_full_order(cfg, ns, ps, law)
+                    assert product.to_json() == full.to_json(), case
                 vector = divisor_class(cfg, ps, law)
-                assert apply_divisor_operator(vector, ns, law) == (
-                    oracles.apply_divisor_operator_full_bound(vector, ns, law)
-                )
+                assert vector.to_json() == (
+                    oracles.divisor_class_full_combination(cfg, ps, law).to_json()
+                ), case
+                assert apply_divisor_operator(vector, ns, law).to_json() == (
+                    oracles.apply_divisor_operator_full_bound(vector, ns, law).to_json()
+                ), case
+
+                pairs = [(ns, ps)]
+                i = rng.randrange(r)
+                other = tuple(0 if k == i else p for k, p in enumerate(ps))
+                if any(other):
+                    pairs.append((tuple(int(k == i) for k in range(r)), other))
+                for first, second in pairs:
+                    found = check_properties(cfg, first, second, law)
+                    with monkeypatch.context() as m:
+                        m.setattr(snc, "product_class", oracles.product_class_by_pairs)
+                        m.setattr(snc, "divisor_class", oracles.divisor_class_full_combination)
+                        m.setattr(
+                            snc, "apply_divisor_operator",
+                            oracles.apply_divisor_operator_full_bound,
+                        )
+                        assert found == check_properties(cfg, first, second, law), case
 
 
 def test_product_class_matches_oracle_five_components_free():
