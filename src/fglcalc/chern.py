@@ -318,25 +318,3 @@ def chern_substitute(series: TruncatedSeries, values) -> ChernPolynomial:
         total = total + factor.scale(poly)
     return total
 
-
-def fgl_tensor_identity_check(dim_bound: int, backend: CoefficientBackend,
-                              law=None) -> bool:
-    """Check that reading the law's variables as c-symbols is consistent.
-
-    Computes F(c_1, c_2) at the bound two ways: by direct re-indexing of the
-    law's series (evaluate_at_chern) and by substituting the symbols c_1 and
-    c_2 into the series (chern_substitute).  Both are models of the first
-    Chern class of a tensor product, so they must agree for every bound.
-    """
-    from .series import FormalGroupLaw
-
-    if law is None:
-        law = FormalGroupLaw(backend, order=max(dim_bound, 1))
-    elif law.backend != backend:
-        raise BackendMismatchError("law backend differs from requested backend")
-    series = law.series
-    direct = evaluate_at_chern(series, dim_bound)
-    c1 = ChernPolynomial.symbol(1, 2, dim_bound, backend)
-    c2 = ChernPolynomial.symbol(2, 2, dim_bound, backend)
-    substituted = chern_substitute(series, [c1, c2])
-    return direct == substituted

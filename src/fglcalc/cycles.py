@@ -11,18 +11,20 @@ instance (iterated along a tower, with the telescoping sum), and the three
 quotient generators (too many pulled-back bundles, a section moving a
 bundle into its zero locus, and the group-law expansion of a tensor
 product).  Everything here is bookkeeping on labels; validation checks the
-stated dimension and smoothness arithmetic, nothing more.
+stated dimension and smoothness arithmetic, nothing more.  Labels, cycles,
+morphisms and witnesses are immutable slotted records (errors.Record) that
+compare and hash by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     BackendMismatchError,
     CycleError,
     DimensionMismatchError,
+    Record,
     ValidationError,
     WitnessError,
 )
@@ -35,22 +37,19 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class SpaceLabel:
+class SpaceLabel(Record):
     """Name plus the little geometry the calculus actually consumes."""
 
-    name: str
-    dim: int
-    smooth: bool = True
-    quasiprojective: bool = True
-    complete: bool = False
-    nu: int | None = None
+    __slots__ = ("name", "dim", "smooth", "quasiprojective", "complete", "nu")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, dim: int, smooth: bool = True,
+                 quasiprojective: bool = True, complete: bool = False,
+                 nu: int | None = None):
+        if not isinstance(name, str) or not name:
             raise ValidationError("label name must be a nonempty string")
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
-            raise ValidationError(f"label dimension must be an integer >= 0, got {self.dim!r}")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise ValidationError(f"label dimension must be an integer >= 0, got {dim!r}")
+        super().__init__(name, dim, smooth, quasiprojective, complete, nu)
 
     def to_json(self) -> dict:
         out = {
@@ -96,8 +95,7 @@ def _label_key(label: SpaceLabel):
     )
 
 
-@dataclass(frozen=True)
-class DecoratedCycle:
+class DecoratedCycle(Record):
     """[source -> target, bundles]: the free generator of a cycle group.
 
     The source must be smooth and quasiprojective; the bundle multiset is
@@ -105,20 +103,18 @@ class DecoratedCycle:
     the same cycle.
     """
 
-    source: SpaceLabel
-    target: SpaceLabel
-    bundles: tuple = ()
+    __slots__ = ("source", "target", "bundles")
 
-    def __post_init__(self):
-        if not self.source.smooth:
-            raise CycleError(f"cycle source {self.source.name!r} must be smooth")
-        if not self.source.quasiprojective:
-            raise CycleError(f"cycle source {self.source.name!r} must be quasiprojective")
-        bundles = tuple(self.bundles)
+    def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple = ()):
+        if not source.smooth:
+            raise CycleError(f"cycle source {source.name!r} must be smooth")
+        if not source.quasiprojective:
+            raise CycleError(f"cycle source {source.name!r} must be quasiprojective")
+        bundles = tuple(bundles)
         for b in bundles:
             if not isinstance(b, str) or not b:
                 raise ValidationError("bundle names must be nonempty strings")
-        object.__setattr__(self, "bundles", tuple(sorted(bundles)))
+        super().__init__(source, target, tuple(sorted(bundles)))
 
     @property
     def degree(self) -> int:
@@ -154,13 +150,13 @@ class DecoratedCycle:
         return f"[{inside}]"
 
 
-@dataclass(frozen=True)
-class LabelMorphism:
+class LabelMorphism(Record):
     """A named arrow between targets, used for pushforward."""
 
-    source: SpaceLabel
-    target: SpaceLabel
-    proper: bool = True
+    __slots__ = ("source", "target", "proper")
+
+    def __init__(self, source: SpaceLabel, target: SpaceLabel, proper: bool = True):
+        super().__init__(source, target, proper)
 
     def then(self, other: LabelMorphism) -> LabelMorphism:
         """Composite self followed by other."""
@@ -454,8 +450,7 @@ def exterior_product(left: CycleSum, right: CycleSum) -> CycleSum:
 # ---------------------------------------------------------------------------
 # degeneration relations
 
-@dataclass(frozen=True)
-class DoublePointDatum:
+class DoublePointDatum(Record):
     """Labels of a double point degeneration over a curve.
 
     The fiber over a general point is smooth_fiber; the special fiber is
@@ -463,14 +458,14 @@ class DoublePointDatum:
     projective_bundle is the P^1-bundle over the intersection.
     """
 
-    smooth_fiber: SpaceLabel
-    component_a: SpaceLabel
-    component_b: SpaceLabel
-    intersection: SpaceLabel
-    projective_bundle: SpaceLabel
-    target: SpaceLabel
+    __slots__ = ("smooth_fiber", "component_a", "component_b", "intersection",
+                 "projective_bundle", "target")
 
-    def __post_init__(self):
+    def __init__(self, smooth_fiber: SpaceLabel, component_a: SpaceLabel,
+                 component_b: SpaceLabel, intersection: SpaceLabel,
+                 projective_bundle: SpaceLabel, target: SpaceLabel):
+        super().__init__(smooth_fiber, component_a, component_b, intersection,
+                         projective_bundle, target)
         d = self.smooth_fiber.dim
         for part in ("component_a", "component_b", "projective_bundle"):
             if getattr(self, part).dim != d:
@@ -510,8 +505,7 @@ def double_point_relation(datum: DoublePointDatum) -> CycleSum:
     })
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(Record):
     """One stage of a blowup tower: base is replaced by its blowup.
 
     The deformation to the normal cone of the center turns the base into
@@ -520,12 +514,11 @@ class BlowupStep:
     gluing.  All four labels share the base dimension.
     """
 
-    base: SpaceLabel
-    blowup: SpaceLabel
-    exceptional: SpaceLabel
-    projective_bundle: SpaceLabel
+    __slots__ = ("base", "blowup", "exceptional", "projective_bundle")
 
-    def __post_init__(self):
+    def __init__(self, base: SpaceLabel, blowup: SpaceLabel, exceptional: SpaceLabel,
+                 projective_bundle: SpaceLabel):
+        super().__init__(base, blowup, exceptional, projective_bundle)
         d = self.base.dim
         for part in ("blowup", "exceptional", "projective_bundle"):
             if getattr(self, part).dim != d:
@@ -579,8 +572,7 @@ def telescope_sum(steps, target: SpaceLabel) -> CycleSum:
 # ---------------------------------------------------------------------------
 # quotient relation generators
 
-@dataclass(frozen=True)
-class DimWitness:
+class DimWitness(Record):
     """Too many bundles pulled back from a lower-dimensional base.
 
     source fibers over base; pulled_back names bundles coming from the
@@ -588,11 +580,11 @@ class DimWitness:
     the pulled-back count exceeds dim base.
     """
 
-    source: SpaceLabel
-    target: SpaceLabel
-    base: SpaceLabel
-    pulled_back: tuple
-    extra: tuple = ()
+    __slots__ = ("source", "target", "base", "pulled_back", "extra")
+
+    def __init__(self, source: SpaceLabel, target: SpaceLabel, base: SpaceLabel,
+                 pulled_back: tuple, extra: tuple = ()):
+        super().__init__(source, target, base, pulled_back, extra)
 
     @classmethod
     def from_json(cls, data) -> DimWitness:
@@ -613,19 +605,18 @@ class DimWitness:
         )
 
 
-@dataclass(frozen=True)
-class SectWitness:
+class SectWitness(Record):
     """A section of the last bundle cuts out zero_locus inside source.
 
     restricted optionally renames the surviving bundles on the zero locus;
     by default they keep their names.
     """
 
-    source: SpaceLabel
-    target: SpaceLabel
-    zero_locus: SpaceLabel
-    bundles: tuple
-    restricted: tuple | None = None
+    __slots__ = ("source", "target", "zero_locus", "bundles", "restricted")
+
+    def __init__(self, source: SpaceLabel, target: SpaceLabel, zero_locus: SpaceLabel,
+                 bundles: tuple, restricted: tuple | None = None):
+        super().__init__(source, target, zero_locus, bundles, restricted)
 
     @classmethod
     def from_json(cls, data) -> SectWitness:
@@ -648,16 +639,14 @@ class SectWitness:
         )
 
 
-@dataclass(frozen=True)
-class TensorWitness:
+class TensorWitness(Record):
     """A tensor product decoration to be expanded through the group law."""
 
-    source: SpaceLabel
-    target: SpaceLabel
-    bundles: tuple
-    left: str
-    right: str
-    tensor: str
+    __slots__ = ("source", "target", "bundles", "left", "right", "tensor")
+
+    def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple,
+                 left: str, right: str, tensor: str):
+        super().__init__(source, target, bundles, left, right, tensor)
 
     @classmethod
     def from_json(cls, data) -> TensorWitness:

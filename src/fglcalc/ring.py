@@ -27,11 +27,10 @@ rationals (int or fractions.Fraction); floats are rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BackendMismatchError, OrderError, ValidationError
+from .errors import BackendMismatchError, OrderError, Record, ValidationError
 
 # Degree markers for the non-homogeneous cases.
 ANY_DEGREE = "any"            # the zero polynomial is homogeneous of every degree
@@ -150,24 +149,23 @@ def generator_from_name(name: str) -> Generator:
 # ---------------------------------------------------------------------------
 # backends
 
-@dataclass(frozen=True)
-class CoefficientBackend:
+class CoefficientBackend(Record):
     """Tag selecting how the law coefficients a_{i,j} are realized.
 
     log_order bounds the indices available on the log backend: a_{i,j} is
     defined for i + j - 1 <= log_order.  It is None for the other kinds.
     """
 
-    kind: str
-    log_order: int | None = None
+    __slots__ = ("kind", "log_order")
 
-    def __post_init__(self):
-        if self.kind not in ("free", "log", "additive", "mult"):
-            raise ValidationError(f"unknown backend kind {self.kind!r}")
-        if (self.kind == "log") != (self.log_order is not None):
+    def __init__(self, kind: str, log_order: int | None = None):
+        if kind not in ("free", "log", "additive", "mult"):
+            raise ValidationError(f"unknown backend kind {kind!r}")
+        if (kind == "log") != (log_order is not None):
             raise ValidationError("log_order is set exactly for the log backend")
-        if self.log_order is not None and self.log_order < 1:
+        if log_order is not None and log_order < 1:
             raise OrderError("log backend needs log_order >= 1")
+        super().__init__(kind, log_order)
 
     def __repr__(self):
         if self.kind == "log":

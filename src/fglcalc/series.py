@@ -259,14 +259,6 @@ class TruncatedSeries:
             {e: p for e, p in self._terms.items() if sum(e) <= order},
         )
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("series powers take integer exponents >= 0")
-        result = TruncatedSeries.one(self.variables, self.order, self.backend)
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- substitution -----------------------------------------------------
 
     def substitute(self, assignment) -> TruncatedSeries:

@@ -3,7 +3,8 @@
 An SncConfiguration records the combinatorics of an s.n.c. divisor on a
 smooth ambient space: components D_1..D_r and the family of index sets J
 whose intersections D_J are nonempty.  The family must be downward closed,
-contain every singleton, and respect ambient_dim - |J| >= 0.
+contain every singleton, and respect ambient_dim - |J| >= 0.  It and its
+SncComponents are immutable slotted records (errors.Record).
 
 A FaceClassVector assigns to some faces J a ChernPolynomial in the symbols
 c_1..c_r (the classes of the O(D_i) restricted to D_J), truncated at the
@@ -23,24 +24,21 @@ every step, and a product of two divisors is one product of those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chern import ChernPolynomial, evaluate_at_chern
-from .errors import ConfigurationError, OrderError, ValidationError
+from .errors import ConfigurationError, OrderError, Record, ValidationError
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
 from .series import FormalGroupLaw, TruncatedSeries, support_decompose
 
 
-@dataclass(frozen=True)
-class SncComponent:
+class SncComponent(Record):
     """One irreducible divisor component."""
 
-    name: str
-    quasiprojective: bool = True
+    __slots__ = ("name", "quasiprojective")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, quasiprojective: bool = True):
+        if not isinstance(name, str) or not name:
             raise ValidationError("component name must be a nonempty string")
+        super().__init__(name, quasiprojective)
 
 
 def _face(face) -> frozenset:
@@ -56,22 +54,19 @@ def _normalize_faces(faces):
     return frozenset(_face(face) for face in faces)
 
 
-@dataclass(frozen=True)
-class SncConfiguration:
+class SncConfiguration(Record):
     """Combinatorics of an s.n.c. divisor inside an ambient smooth space."""
 
-    ambient_dim: int
-    components: tuple = ()
-    faces: frozenset = field(default_factory=frozenset)
+    __slots__ = ("ambient_dim", "components", "faces")
 
-    def __post_init__(self):
-        if not isinstance(self.ambient_dim, int) or isinstance(self.ambient_dim, bool):
+    def __init__(self, ambient_dim: int, components=(), faces=frozenset()):
+        if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
             raise ValidationError("ambient_dim must be an integer")
-        object.__setattr__(self, "components", tuple(self.components))
-        for comp in self.components:
+        components = tuple(components)
+        for comp in components:
             if not isinstance(comp, SncComponent):
                 raise ValidationError("components must be SncComponent instances")
-        object.__setattr__(self, "faces", _normalize_faces(self.faces))
+        super().__init__(ambient_dim, components, _normalize_faces(faces))
 
     @property
     def r(self) -> int:

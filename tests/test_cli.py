@@ -238,6 +238,24 @@ def test_env_variable_sets_the_default_order():
     assert proc.stdout == _golden("inverse_free_o4.json")
 
 
+def test_cold_start_leaves_dataclasses_and_inspect_unimported():
+    # -X importtime logs every module the process imports, one per line,
+    # ending "| <module name>"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "fglcalc", "fgl", "inverse", "--order", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["order"] == 3
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "fglcalc.cli" in imported
+    assert not {"dataclasses", "inspect"} & imported
+
+
 def test_explicit_order_beats_the_env(monkeypatch):
     monkeypatch.setenv("FGL_ORDER", "3")
     rc, out, _ = run_cli(["fgl", "inverse", "--order", "4", "--backend", "free"])
