@@ -6,7 +6,7 @@ classes over s.n.c. combinatorics (snc), decorated cycle groups and their
 relation generators (cycles), and a JSON command line interface (cli).
 """
 
-from .chern import ChernPolynomial, chern_substitute, evaluate_at_chern
+from .chern import ChernPolynomial, evaluate_at_chern
 from .cycles import (
     BlowupStep,
     CycleSum,

@@ -28,7 +28,6 @@ import sys
 
 from .cycles import (
     BlowupStep,
-    CycleSum,
     DimWitness,
     DoublePointDatum,
     SectWitness,
@@ -37,6 +36,7 @@ from .cycles import (
     blowup_tower_relations,
     double_point_relation,
     relation_generator,
+    telescope_sum,
 )
 from .errors import ConfigurationError, OrderError, ValidationError
 from .ring import ADDITIVE, FREE, MULTIPLICATIVE, CoefficientBackend, log_backend
@@ -235,13 +235,9 @@ def _cmd_cycles_tower(args):
         raise ValidationError("'steps' must be a nonempty list")
     target = SpaceLabel.from_json(data["target"])
     steps = [BlowupStep.from_json(s) for s in data["steps"]]
-    relations = blowup_tower_relations(steps, target)
-    telescope = CycleSum.zero()
-    for rel in relations:
-        telescope = telescope + rel
     return {
-        "relations": [rel.to_json() for rel in relations],
-        "telescope": telescope.to_json(),
+        "relations": [rel.to_json() for rel in blowup_tower_relations(steps, target)],
+        "telescope": telescope_sum(steps, target).to_json(),
     }
 
 

@@ -182,9 +182,7 @@ class CycleSum:
                 if not isinstance(cycle, DecoratedCycle):
                     raise ValidationError("CycleSum keys must be DecoratedCycle")
                 coeff = self._coerce(coeff)
-                if (isinstance(coeff, GradedPolynomial) and not coeff.is_zero()) or (
-                    not isinstance(coeff, GradedPolynomial) and coeff
-                ):
+                if coeff:
                     clean[cycle] = coeff
         self._terms = clean
 
@@ -262,10 +260,10 @@ class CycleSum:
         for cycle, coeff in other._terms.items():
             acc = out.get(cycle)
             acc = coeff if acc is None else acc + coeff
-            if (isinstance(acc, GradedPolynomial) and acc.is_zero()) or acc == 0:
-                out.pop(cycle, None)
-            else:
+            if acc:
                 out[cycle] = acc
+            else:
+                out.pop(cycle, None)
         return CycleSum._raw(self.backend, out)
 
     @classmethod
@@ -290,12 +288,12 @@ class CycleSum:
             scalar = self._coerce(scalar)
         except ValidationError:
             return NotImplemented
-        if (isinstance(scalar, GradedPolynomial) and scalar.is_zero()) or scalar == 0:
+        if not scalar:
             return CycleSum.zero(self.backend)
         out = {}
         for cycle, coeff in self._terms.items():
             acc = coeff * scalar
-            if not ((isinstance(acc, GradedPolynomial) and acc.is_zero()) or acc == 0):
+            if acc:
                 out[cycle] = acc
         return CycleSum._raw(self.backend, out)
 
@@ -353,23 +351,17 @@ class CycleSum:
             return "0"
         chunks = []
         for cycle, coeff in self.items():
-            if isinstance(coeff, GradedPolynomial):
-                text = coeff.to_text()
-                if text == "1":
-                    piece = str(cycle)
-                elif text == "-1":
-                    piece = f"-{cycle}"
-                elif coeff.term_count() > 1:
-                    piece = f"({text})*{cycle}"
-                else:
-                    piece = f"{text}*{cycle}"
+            # a constant's to_text() is the text of the integer
+            polynomial = isinstance(coeff, GradedPolynomial)
+            text = coeff.to_text() if polynomial else str(coeff)
+            if text == "1":
+                piece = str(cycle)
+            elif text == "-1":
+                piece = f"-{cycle}"
+            elif polynomial and coeff.term_count() > 1:
+                piece = f"({text})*{cycle}"
             else:
-                if coeff == 1:
-                    piece = str(cycle)
-                elif coeff == -1:
-                    piece = f"-{cycle}"
-                else:
-                    piece = f"{coeff}*{cycle}"
+                piece = f"{text}*{cycle}"
             chunks.append(piece)
         text = chunks[0]
         for piece in chunks[1:]:
@@ -400,11 +392,7 @@ def pushforward(total: CycleSum, morphism: LabelMorphism) -> CycleSum:
         prev = out.get(moved)
         acc = coeff if prev is None else prev + coeff
         out[moved] = acc
-    clean = {
-        c: k
-        for c, k in out.items()
-        if not ((isinstance(k, GradedPolynomial) and k.is_zero()) or k == 0)
-    }
+    clean = {c: k for c, k in out.items() if k}
     return CycleSum._raw(total.backend, clean)
 
 
@@ -439,11 +427,7 @@ def exterior_product(left: CycleSum, right: CycleSum) -> CycleSum:
             prev = out.get(cycle)
             acc = coeff if prev is None else prev + coeff
             out[cycle] = acc
-    clean = {
-        c: k
-        for c, k in out.items()
-        if not ((isinstance(k, GradedPolynomial) and k.is_zero()) or k == 0)
-    }
+    clean = {c: k for c, k in out.items() if k}
     return CycleSum._raw(left.backend, clean)
 
 
@@ -562,11 +546,17 @@ def blowup_tower_relations(steps, target: SpaceLabel) -> list:
 
 
 def telescope_sum(steps, target: SpaceLabel) -> CycleSum:
-    """Sum of the tower relations; interior stages cancel in pairs."""
-    total = CycleSum.zero()
+    """Sum of the tower relations; interior stages cancel in pairs.
+
+    The coefficients are added in one dict: adding the relations as cycle
+    sums would copy the running total at every step, and the exceptional
+    pieces keep it growing with the tower.
+    """
+    terms: dict = {}
     for rel in blowup_tower_relations(steps, target):
-        total = total + rel
-    return total
+        for cycle, coeff in rel._terms.items():
+            terms[cycle] = terms.get(cycle, 0) + coeff
+    return CycleSum(None, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +574,7 @@ class DimWitness(Record):
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, base: SpaceLabel,
                  pulled_back: tuple, extra: tuple = ()):
-        super().__init__(source, target, base, pulled_back, extra)
+        super().__init__(source, target, base, tuple(pulled_back), tuple(extra))
 
     @classmethod
     def from_json(cls, data) -> DimWitness:
@@ -600,8 +590,8 @@ class DimWitness(Record):
             SpaceLabel.from_json(data["source"]),
             SpaceLabel.from_json(data["target"]),
             SpaceLabel.from_json(data["base"]),
-            tuple(data["pulled_back"]),
-            tuple(data.get("extra", [])),
+            data["pulled_back"],
+            data.get("extra", ()),
         )
 
 
@@ -616,7 +606,8 @@ class SectWitness(Record):
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, zero_locus: SpaceLabel,
                  bundles: tuple, restricted: tuple | None = None):
-        super().__init__(source, target, zero_locus, bundles, restricted)
+        super().__init__(source, target, zero_locus, tuple(bundles),
+                         None if restricted is None else tuple(restricted))
 
     @classmethod
     def from_json(cls, data) -> SectWitness:
@@ -634,8 +625,8 @@ class SectWitness(Record):
             SpaceLabel.from_json(data["source"]),
             SpaceLabel.from_json(data["target"]),
             SpaceLabel.from_json(data["zero_locus"]),
-            tuple(data["bundles"]),
-            None if restricted is None else tuple(restricted),
+            data["bundles"],
+            restricted,
         )
 
 
@@ -646,7 +637,7 @@ class TensorWitness(Record):
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple,
                  left: str, right: str, tensor: str):
-        super().__init__(source, target, bundles, left, right, tensor)
+        super().__init__(source, target, tuple(bundles), left, right, tensor)
 
     @classmethod
     def from_json(cls, data) -> TensorWitness:
@@ -661,7 +652,7 @@ class TensorWitness(Record):
         return cls(
             SpaceLabel.from_json(data["source"]),
             SpaceLabel.from_json(data["target"]),
-            tuple(bundles),
+            bundles,
             data["left"],
             data["right"],
             data["tensor"],

@@ -3,6 +3,8 @@
 A TruncatedSeries holds terms of total degree <= order in named variables,
 with GradedPolynomial coefficients; everything beyond the order is discarded
 on construction, so arithmetic is exact modulo (u_1, ..., u_r)^{order+1}.
+Results keep the class of the left operand (in substitute, of the images),
+so a subclass such as fglcalc.chern.ChernPolynomial is closed under them.
 
 Composition (substitute) runs in one pass over coefficient buckets: the
 terms are grouped by their exponents in every variable but the first, each
@@ -198,7 +200,7 @@ class TruncatedSeries:
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self):
-        return TruncatedSeries._raw(
+        return self._raw(
             self.variables, self.order, self.backend,
             {e: -p for e, p in self._terms.items()},
         )
@@ -215,7 +217,7 @@ class TruncatedSeries:
                 out.pop(exps, None)
             else:
                 out[exps] = acc
-        return TruncatedSeries._raw(self.variables, self.order, self.backend, out)
+        return self._raw(self.variables, self.order, self.backend, out)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -231,9 +233,7 @@ class TruncatedSeries:
             ((sum(e), e, p) for e, p in self._terms.items()),
             _by_degree(other._terms), self.order, acc,
         )
-        return TruncatedSeries._raw(
-            self.variables, self.order, self.backend, _collect(self.backend, acc)
-        )
+        return self._raw(self.variables, self.order, self.backend, _collect(self.backend, acc))
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar or a GradedPolynomial."""
@@ -245,7 +245,7 @@ class TruncatedSeries:
             q = poly * factor
             if not q.is_zero():
                 out[exps] = q
-        return TruncatedSeries._raw(self.variables, self.order, self.backend, out)
+        return self._raw(self.variables, self.order, self.backend, out)
 
     def truncate(self, order: int) -> TruncatedSeries:
         """The same series cut to total degree <= order, at that order.
@@ -254,7 +254,7 @@ class TruncatedSeries:
         """
         if not 0 <= order <= self.order:
             raise OrderError(f"cannot truncate order {self.order} to {order}")
-        return TruncatedSeries._raw(
+        return self._raw(
             self.variables, order, self.backend,
             {e: p for e, p in self._terms.items() if sum(e) <= order},
         )
@@ -358,7 +358,7 @@ class TruncatedSeries:
                     ((sum(e), e, p) for e, p in _collect(backend, inner).items()),
                     rest_factor, order, acc,
                 )
-        return TruncatedSeries._raw(target_vars, order, backend, _collect(backend, acc))
+        return images[0]._raw(target_vars, order, backend, _collect(backend, acc))
 
     # -- serialization ----------------------------------------------------
 
@@ -433,7 +433,7 @@ class TruncatedSeries:
         return text
 
     def __repr__(self):
-        return f"TruncatedSeries({self!s})"
+        return f"{type(self).__name__}({self!s})"
 
 
 # ---------------------------------------------------------------------------

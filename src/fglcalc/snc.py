@@ -329,17 +329,19 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
     Each entry at a face I is multiplied by every support part F_J of the
     divisor's face-reduced combination (times the symbols shared between J
     and I) and deposited on the union face, truncated to its dimension.
-    Both factors are cut before multiplying.  The entries may carry stray
-    symbols, so they are not lifted into one series product.
+    Both factors are cut before multiplying; each cut is made once per
+    part and degree, since many pairs share it.  The entries may carry
+    stray symbols, so they are not lifted into one series product.
     """
     config = vector.config
     require_valid(config)
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
     parts_n = support_decompose(_face_combination(config, ns, law))
-    r = config.r
+    factors: dict = {}  # (J, degree) -> F_J at the symbols, cut there
     entries: dict = {}
     for I, beta in vector.items():
+        cuts: dict = {}  # degree -> beta cut there
         for J, part_n in parts_n.items():
             K = J | I
             if K not in config.faces:
@@ -349,16 +351,16 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
             top = bound - len(common)
             if top < 0:
                 continue  # every term lies above the face dimension
-            factor = evaluate_at_chern(part_n, top)
-            # re-truncate the entry to what the deeper face keeps
-            beta_cut = ChernPolynomial._raw(
-                r, top, beta.backend,
-                {e: p for e, p in beta._terms.items() if sum(e) <= top},
-            )
-            term = factor * beta_cut
+            factor = factors.get((J, top))
+            if factor is None:
+                factor = factors[J, top] = evaluate_at_chern(part_n, top)
+            cut = cuts.get(top)
+            if cut is None:
+                cut = cuts[top] = beta.truncate(top)
+            term = factor * cut
             if common:
-                term = ChernPolynomial._raw(
-                    r, bound, term.backend, _times_symbols(term._terms, common)
+                term = term._raw(
+                    term.variables, bound, term.backend, _times_symbols(term._terms, common)
                 )
             if K in entries:
                 term = entries[K] + term

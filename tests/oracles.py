@@ -18,7 +18,9 @@ product_class_by_pairs multiplies the support parts pair by pair, and it
 and divisor_class_full_combination decompose the combination at the
 law's full order with every support kept, where the package works in the
 Stanley-Reisner quotient; substitute_by_terms composes series one term at
-a time.  normal_form_in_order
+a time.  chern_mul_by_pairs and chern_substitute_by_terms are the chern
+product and substitution from before chern polynomials became series: a
+double loop over term pairs, and a sum of term products.  normal_form_in_order
 absorbs stray symbols in a chosen order, to check that the package's fixed
 order does not matter.
 """
@@ -416,6 +418,65 @@ def substitute_by_terms(series, assignment):
                 factor = power(i, e) if factor is None else factor * power(i, e)
         if factor is None:
             factor = one
+        total = total + factor.scale(poly)
+    return total
+
+
+# -- chern arithmetic term by term ---------------------------------------------
+
+def chern_mul_by_pairs(left, right):
+    """fglcalc.ChernPolynomial's product as a double loop over term pairs.
+
+    Pairs whose c-degrees add up past the bound are skipped.  The operand
+    checks are left to the package.
+    """
+    bound = left.dim_bound
+    acc: dict = {}
+    for e1, p1 in left._terms.items():
+        d1 = sum(e1)
+        for e2, p2 in right._terms.items():
+            if d1 + sum(e2) > bound:
+                continue
+            key = tuple(a + b for a, b in zip(e1, e2))
+            bucket = acc.get(key)
+            if bucket is None:
+                bucket = acc[key] = {}
+            p1._multiply_into(p2, bucket)
+    out = {}
+    for key, bucket in acc.items():
+        poly = GradedPolynomial._from_accumulator(left.backend, bucket)
+        if not poly.is_zero():
+            out[key] = poly
+    return ChernPolynomial._raw(left.variables, bound, left.backend, out)
+
+
+def chern_substitute_by_terms(series, values):
+    """A series at chern values, one value per variable, as a sum of term products.
+
+    Terms of series above the values' bound are skipped, since each value
+    has no constant term; the rest become products of cached powers, built
+    with chern_mul_by_pairs, scaled and added.  The argument checks are left
+    to the package's TruncatedSeries.substitute.
+    """
+    first = values[0]
+    nvars, bound, backend = first.nvars, first.dim_bound, first.backend
+    one = ChernPolynomial.one(nvars, bound, backend)
+    powers = [[one, v] for v in values]
+
+    def power(i, e):
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(chern_mul_by_pairs(cache[-1], cache[1]))
+        return cache[e]
+
+    total = ChernPolynomial.zero(nvars, bound, backend)
+    for exps, poly in series.items():
+        if sum(exps) > bound:
+            continue
+        factor = one
+        for i, e in enumerate(exps):
+            if e:
+                factor = chern_mul_by_pairs(factor, power(i, e))
         total = total + factor.scale(poly)
     return total
 

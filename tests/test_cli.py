@@ -289,6 +289,21 @@ def test_class_entry_face_that_is_not_a_list_exits_2():
     assert "face 5 is not a list" in json.loads(out)["detail"]
 
 
+def test_class_without_chern_symbols_exits_2():
+    # zero components leave no symbols c1..cr for a class to live in
+    one = [{"coeff": "1", "monomial": {}}]
+    data = {
+        "ambient_dim": 2,
+        "components": [],
+        "faces": [],
+        "classes": [{"face": [], "class": {"dim_bound": 2,
+                                           "terms": [{"c_exponents": [], "coeff": one}]}}],
+    }
+    rc, out, _ = run_cli(["snc", "normalform", "--order", "3", json.dumps(data)])
+    assert rc == 2
+    assert json.loads(out)["error"] == "validation"
+
+
 def test_order_over_the_limit_exits_2():
     rc, out, _ = run_cli(["fgl", "inverse", "--order", str(MAX_ORDER + 1), "--backend", "free"])
     assert rc == 2

@@ -290,6 +290,23 @@ def test_fgl_relation_additive_collapses():
     assert len(gen.items()) == 3  # only the tensor, L, and M terms survive
 
 
+def test_relation_generators_take_lists_like_tuples():
+    Y, C, Z = SpaceLabel("Y", 3), SpaceLabel("C", 1), SpaceLabel("Z", 2)
+    cases = [
+        ("dim", DimWitness(Y, X, C, ["P1", "P2"], ["M"]),
+         DimWitness(Y, X, C, ("P1", "P2"), ("M",)), None),
+        ("sect", SectWitness(Y, X, Z, ["L1", "L2"], ["K"]),
+         SectWitness(Y, X, Z, ("L1", "L2"), ("K",)), None),
+        ("fgl", TensorWitness(Y, X, ["K"], "L", "M", "LM"),
+         TensorWitness(Y, X, ("K",), "L", "M", "LM"), FREE),
+    ]
+    for kind, from_lists, from_tuples, backend in cases:
+        assert from_lists == from_tuples
+        gen = relation_generator(kind, from_lists, backend)
+        assert gen == relation_generator(kind, from_tuples, backend)
+        assert not gen.is_zero()
+
+
 def test_relation_generator_validation():
     with pytest.raises(WitnessError):
         relation_generator("weird", None)

@@ -143,6 +143,17 @@ def test_inputs_are_normalized_before_storing():
     assert config.components == (D1,)
     assert config.faces == ONE_FACE
     assert hash(config) == hash(SncConfiguration(2, (D1,), ONE_FACE))
+    # list fields of the witnesses are stored as tuples, so they hash
+    witnesses = [
+        (DimWitness(Y, X, D, ["P1", "P2"], ["M"]), DimWitness(Y, X, D, ("P1", "P2"), ("M",))),
+        (SectWitness(Y, X, D, ["L"]), SectWitness(Y, X, D, ("L",))),
+        (SectWitness(Y, X, D, ["L1", "L2"], ["K"]), SectWitness(Y, X, D, ("L1", "L2"), ("K",))),
+        (TensorWitness(Y, X, ["K"], "L", "M", "LM"), TensorWitness(Y, X, ("K",), "L", "M", "LM")),
+    ]
+    for from_lists, from_tuples in witnesses:
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+    assert SectWitness(Y, X, D, ["L"]).restricted is None
 
 
 _NOT_SMOOTH = SpaceLabel("S", 2, smooth=False)
