@@ -23,6 +23,7 @@ from .cycles import (
     exterior_product,
     pushforward,
     relation_generator,
+    sum_relations,
     telescope_sum,
 )
 from .errors import (

@@ -69,6 +69,14 @@ class ChernPolynomial(TruncatedSeries):
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(nvars, dim_bound, backend, {exps: 1})
 
+    @classmethod
+    def variable(cls, name, variables, order, backend):
+        """Not available: the series form does not fit the chern constructor."""
+        raise ValidationError(
+            "ChernPolynomial.variable is not defined; use "
+            "ChernPolynomial.symbol(i, nvars, dim_bound, backend)"
+        )
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:

@@ -36,7 +36,7 @@ from .cycles import (
     blowup_tower_relations,
     double_point_relation,
     relation_generator,
-    telescope_sum,
+    sum_relations,
 )
 from .errors import ConfigurationError, OrderError, ValidationError
 from .ring import ADDITIVE, FREE, MULTIPLICATIVE, CoefficientBackend, log_backend
@@ -107,7 +107,8 @@ def _read_input(args) -> dict:
 
 
 def _check_multiplicity(key, n):
-    # [n]u costs |n| - 1 law substitutions, so n is capped at the boundary
+    # [n]u costs at most order - 1 law substitutions plus one interpolation
+    # whose weights are binomials in |n|; the cap bounds their size
     if abs(n) > MAX_MULTIPLICITY:
         raise ValidationError(
             f"{key!r}: |{n}| exceeds the multiplicity limit {MAX_MULTIPLICITY}"
@@ -235,9 +236,10 @@ def _cmd_cycles_tower(args):
         raise ValidationError("'steps' must be a nonempty list")
     target = SpaceLabel.from_json(data["target"])
     steps = [BlowupStep.from_json(s) for s in data["steps"]]
+    relations = blowup_tower_relations(steps, target)
     return {
-        "relations": [rel.to_json() for rel in blowup_tower_relations(steps, target)],
-        "telescope": telescope_sum(steps, target).to_json(),
+        "relations": [rel.to_json() for rel in relations],
+        "telescope": sum_relations(relations).to_json(),
     }
 
 

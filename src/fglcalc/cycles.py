@@ -545,18 +545,23 @@ def blowup_tower_relations(steps, target: SpaceLabel) -> list:
     return [blowup_relation(step, target) for step in steps]
 
 
-def telescope_sum(steps, target: SpaceLabel) -> CycleSum:
-    """Sum of the tower relations; interior stages cancel in pairs.
+def sum_relations(relations) -> CycleSum:
+    """Sum of integer cycle sums, such as the relations of a blowup tower.
 
     The coefficients are added in one dict: adding the relations as cycle
-    sums would copy the running total at every step, and the exceptional
-    pieces keep it growing with the tower.
+    sums would copy the running total at every step, and in a tower the
+    exceptional pieces keep it growing.
     """
     terms: dict = {}
-    for rel in blowup_tower_relations(steps, target):
+    for rel in relations:
         for cycle, coeff in rel._terms.items():
             terms[cycle] = terms.get(cycle, 0) + coeff
     return CycleSum(None, terms)
+
+
+def telescope_sum(steps, target: SpaceLabel) -> CycleSum:
+    """Sum of the tower relations; interior stages cancel in pairs."""
+    return sum_relations(blowup_tower_relations(steps, target))
 
 
 # ---------------------------------------------------------------------------

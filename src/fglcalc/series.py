@@ -16,11 +16,17 @@ way.
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
 multi-variable combinations F^{(n_1, ..., n_r)}.  Results are cached on the
-instance; the iterated sums fold left to right.
+instance; the iterated sums fold left to right.  [n]u reads one fold prefix
+per sign, [0]u, [1]u = u, [2]u = F(u, u), ..., kept on the law and run at
+most up to [order]u; beyond it the coefficient of u^k is a polynomial of
+degree <= k in n, which integer Lagrange weights recover exactly from the
+prefix.  That needs no associativity, so it equals the left fold on the
+free law too.
 """
 
 from __future__ import annotations
 
+from math import comb
 from operator import add, itemgetter, mul
 
 from .errors import (
@@ -457,6 +463,7 @@ class FormalGroupLaw:
         self.order = order
         self._series: TruncatedSeries | None = None
         self._inverse: TruncatedSeries | None = None
+        self._prefixes: dict = {}  # [0]u, [±1]u, [±2]u, ... by sign, see n_series
         self._n_series: dict = {}
         self._linear: dict = {}
         self._lower: dict = {}  # this law at lower orders, for fglcalc.snc
@@ -522,6 +529,17 @@ class FormalGroupLaw:
         self._inverse = TruncatedSeries._raw(("u",), self.order, backend, chi)
         return self._inverse
 
+    def _fold_prefix(self, sign: int, length: int) -> list:
+        """[0]u, [sign]u, [2 sign]u, ... in u, the left fold extended to length terms."""
+        prefix = self._prefixes.get(sign)
+        if prefix is None:
+            u = TruncatedSeries.variable("u", ("u",), self.order, self.backend)
+            zero = TruncatedSeries.zero(("u",), self.order, self.backend)
+            prefix = self._prefixes[sign] = [zero, self.inverse() if sign < 0 else u]
+        while len(prefix) < length:
+            prefix.append(self.sum(prefix[-1], prefix[1]))
+        return prefix
+
     def n_series(self, n: int, variable: str = "u") -> TruncatedSeries:
         """[n]u: the n-fold formal sum of u (inverse-based for n < 0).
 
@@ -529,28 +547,45 @@ class FormalGroupLaw:
         fold of chi(u).  The fold order matters: the free law is not
         associative, so a regrouping such as F([2]u, [2]u) differs from
         [4]u there.
+
+        The fold is run once per sign and kept, and only up to [order]u.
+        A larger m = |n| is interpolated.  One fold step x -> F(x, s), with
+        s = u or chi(u), changes the coefficient c_k of u^k by a sum of
+        products of lower coefficients whose indices add up to at most
+        k - 1, so by induction c_k is a polynomial of degree <= k in the
+        number of steps, on every backend and without associativity.  It is
+        therefore fixed by its values at 0, 1, ..., k, and Lagrange's
+        formula gives
+
+            c_k(m) = sum_{j=1..k} (-1)^(k-j) C(m, j) C(m-j-1, k-j) c_k(j)
+
+        (the j = 0 term vanishes, since [0]u = 0).  The weights are integers,
+        so the result is exact, equal to the fold term for term.
         """
         key = (n, variable)
         cached = self._n_series.get(key)
         if cached is not None:
             return cached
-        u_var = (variable,)
-        u = TruncatedSeries.variable(variable, u_var, self.order, self.backend)
-        if n == 0:
-            result = TruncatedSeries.zero(u_var, self.order, self.backend)
-        elif n > 0:
-            result = u
-            for _ in range(n - 1):
-                result = self.sum(result, u)
+        m, order = abs(n), self.order
+        prefix = self._fold_prefix(-1 if n < 0 else 1, min(m, order) + 1)
+        if m <= order:
+            result = prefix[m]
         else:
-            chi = self.inverse()
-            if variable != "u":
-                chi = TruncatedSeries._raw(
-                    u_var, self.order, self.backend, dict(chi._terms)
-                )
-            result = chi
-            for _ in range(-n - 1):
-                result = self.sum(result, chi)
+            terms = {}
+            for k in range(1, order + 1):
+                bucket: dict = {}
+                for j in range(1, k + 1):
+                    coeff = prefix[j]._terms.get((k,))
+                    if coeff is not None:
+                        w = (-1) ** (k - j) * comb(m, j) * comb(m - j - 1, k - j)
+                        for mono, c in coeff._terms.items():
+                            bucket[mono] = bucket.get(mono, 0) + w * c
+                poly = GradedPolynomial._from_accumulator(self.backend, bucket)
+                if poly:
+                    terms[(k,)] = poly
+            result = TruncatedSeries._raw(("u",), order, self.backend, terms)
+        if variable != "u":
+            result = TruncatedSeries._raw((variable,), order, self.backend, dict(result._terms))
         self._n_series[key] = result
         return result
 

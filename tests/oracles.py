@@ -18,9 +18,11 @@ product_class_by_pairs multiplies the support parts pair by pair, and it
 and divisor_class_full_combination decompose the combination at the
 law's full order with every support kept, where the package works in the
 Stanley-Reisner quotient; substitute_by_terms composes series one term at
-a time.  chern_mul_by_pairs and chern_substitute_by_terms are the chern
-product and substitution from before chern polynomials became series: a
-double loop over term pairs, and a sum of term products.  normal_form_in_order
+a time; n_series_by_fold builds [n]u with the full left fold of |n| - 1
+law sums, where the package interpolates from a short shared fold prefix.
+chern_mul_by_pairs and chern_substitute_by_terms are the chern product and
+substitution from before chern polynomials became series: a double loop
+over term pairs, and a sum of term products.  normal_form_in_order
 absorbs stray symbols in a chosen order, to check that the package's fixed
 order does not matter.
 """
@@ -420,6 +422,32 @@ def substitute_by_terms(series, assignment):
             factor = one
         total = total + factor.scale(poly)
     return total
+
+
+def n_series_by_fold(law, n, variable="u"):
+    """fglcalc.FormalGroupLaw.n_series as the full left fold.
+
+    [n]u = F(...F(F(u, u), u)..., u) with |n| - 1 law sums, and [-n]u the
+    same fold of chi(u); nothing is cached.
+    """
+    u_var = (variable,)
+    u = TruncatedSeries.variable(variable, u_var, law.order, law.backend)
+    if n == 0:
+        result = TruncatedSeries.zero(u_var, law.order, law.backend)
+    elif n > 0:
+        result = u
+        for _ in range(n - 1):
+            result = law.sum(result, u)
+    else:
+        chi = law.inverse()
+        if variable != "u":
+            chi = TruncatedSeries._raw(
+                u_var, law.order, law.backend, dict(chi._terms)
+            )
+        result = chi
+        for _ in range(-n - 1):
+            result = law.sum(result, chi)
+    return result
 
 
 # -- chern arithmetic term by term ---------------------------------------------

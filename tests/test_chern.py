@@ -289,6 +289,11 @@ def test_no_symbols_rejected():
         ChernPolynomial.from_json({"dim_bound": 2, "terms": []}, FREE, nvars=0)
 
 
+def test_series_variable_constructor_points_to_symbol():
+    with pytest.raises(ValidationError, match=r"ChernPolynomial\.symbol"):
+        ChernPolynomial.variable("c1", ("c1", "c2"), 2, FREE)
+
+
 @st.composite
 def _chern(draw, nvars, bound, backend, low=0):
     # test_series' sparse random series, in the symbols c1..c<nvars>

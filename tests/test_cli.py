@@ -208,10 +208,22 @@ def test_multiplicity_over_the_limit_exits_2(argv, payload):
 
 
 def test_multiplicity_at_the_limit_is_accepted():
-    # order 1 keeps [1024]u to a thousand tiny substitutions
+    # order 1 keeps [-1024]u to its linear term
     rc, out, _ = run_cli(["fgl", "nseries", "--order", "1", '{"n": -1024}'])
     assert rc == 0
     assert json.loads(out)["terms"][0]["coeff"] == "-1024"
+
+
+@pytest.mark.parametrize("n", [1024, -1024])
+def test_largest_multiplicity_at_the_largest_order_is_quick(n):
+    # within every cap; a fold of |n| - 1 free-law substitutions at order 16
+    # takes about a minute, so the loose budget still catches a return to it
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["fgl", "nseries", "--order", str(MAX_ORDER), "--backend", "free",
+                          json.dumps({"n": n})])
+    assert time.perf_counter() - start < 15.0
+    assert rc == 0
+    assert json.loads(out)["terms"][0]["coeff"] == str(n)
 
 
 def test_wrong_multiplicity_arity_exits_2():

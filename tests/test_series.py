@@ -417,6 +417,34 @@ def test_linear_combination_validation():
         law.linear_combination((1, 2), variables=("u",))
 
 
+def test_n_series_far_past_the_order_matches_the_fold_on_free():
+    # |n| far above the order takes the interpolation; each side builds its
+    # own law, so no cache is shared
+    for n in (200, -200):
+        fast = FormalGroupLaw(FREE, order=8).n_series(n)
+        slow = oracles.n_series_by_fold(FormalGroupLaw(FREE, order=8), n)
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
+
+
+def test_small_multiples_come_from_the_shared_prefix():
+    law = FormalGroupLaw(FREE, order=8)
+    law.n_series(8)
+    calls = []
+    plain_sum = law.sum
+
+    def counted_sum(s, t):
+        calls.append(len(s.variables))
+        return plain_sum(s, t)
+
+    law.sum = counted_sum
+    assert law.n_series(3) == oracles.n_series_by_fold(FormalGroupLaw(FREE, 8), 3)
+    law.n_series(12)
+    assert calls == []
+    law.linear_combination((2, 3))
+    assert calls == [2]  # the one two-variable sum of the combination
+
+
 def test_caches_return_identical_objects():
     law = FormalGroupLaw(FREE, order=4)
     assert law.n_series(2) is law.n_series(2)
@@ -637,6 +665,20 @@ _LOG_LAW = FormalGroupLaw(log_backend(8), 6)
 def test_n_series_is_additive_on_log(m, n):
     law = _LOG_LAW
     assert law.n_series(m + n) == law.sum(law.n_series(m), law.n_series(n))
+
+
+@given(
+    st.sampled_from(sorted(_BACKENDS)),
+    st.integers(1, 8),
+    st.integers(-64, 64),
+    st.sampled_from(["u", "x"]),
+)
+def test_n_series_matches_the_fold_oracle(kind, order, n, variable):
+    backend = _BACKENDS[kind]
+    fast = FormalGroupLaw(backend, order).n_series(n, variable)
+    slow = oracles.n_series_by_fold(FormalGroupLaw(backend, order), n, variable)
+    assert fast == slow
+    assert fast.to_json() == slow.to_json()
 
 
 @given(
