@@ -12,7 +12,7 @@ and the reading of a group-law series at the symbols.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .ring import CoefficientBackend, GradedPolynomial
 from .series import TruncatedSeries
 
@@ -33,6 +33,8 @@ class ChernPolynomial(TruncatedSeries):
     __slots__ = ()
 
     def __init__(self, nvars: int, dim_bound: int, backend: CoefficientBackend, terms=None):
+        if not is_integer(nvars):
+            raise ValidationError(f"symbol count must be an integer, got {nvars!r}")
         if dim_bound < 0:
             raise ValidationError("dim_bound must be >= 0")
         super().__init__(_symbols(nvars), dim_bound, backend, terms)
@@ -64,7 +66,7 @@ class ChernPolynomial(TruncatedSeries):
     @classmethod
     def symbol(cls, i: int, nvars: int, dim_bound: int, backend) -> ChernPolynomial:
         """The symbol c_i (1-based); zero when the bound cannot hold degree 1."""
-        if not 1 <= i <= nvars:
+        if not (is_integer(i) and 1 <= i <= nvars):
             raise ValidationError(f"symbol index {i} outside 1..{nvars}")
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(nvars, dim_bound, backend, {exps: 1})
@@ -89,7 +91,7 @@ class ChernPolynomial(TruncatedSeries):
         if not isinstance(data, dict) or "dim_bound" not in data or "terms" not in data:
             raise ValidationError("chern JSON needs 'dim_bound' and 'terms'")
         bound = data["dim_bound"]
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+        if not is_integer(bound) or bound < 0:
             raise ValidationError(f"bad dim_bound {bound!r}")
         if not isinstance(data["terms"], list):
             raise ValidationError("'terms' must be a list")
@@ -98,9 +100,7 @@ class ChernPolynomial(TruncatedSeries):
             if not isinstance(entry, dict) or "c_exponents" not in entry or "coeff" not in entry:
                 raise ValidationError("chern term needs 'c_exponents' and 'coeff'")
             exps = entry["c_exponents"]
-            if not isinstance(exps, list) or not all(
-                isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
-            ):
+            if not isinstance(exps, list) or not all(is_integer(e) and e >= 0 for e in exps):
                 raise ValidationError(f"bad c_exponents {exps!r}")
             if nvars is None:
                 nvars = len(exps)

@@ -38,7 +38,7 @@ from .cycles import (
     relation_generator,
     sum_relations,
 )
-from .errors import ConfigurationError, OrderError, ValidationError
+from .errors import ConfigurationError, OrderError, ValidationError, is_integer
 from .ring import ADDITIVE, FREE, MULTIPLICATIVE, CoefficientBackend, log_backend
 from .series import FormalGroupLaw, TruncatedSeries, support_decompose
 from .snc import (
@@ -119,9 +119,7 @@ def _int_vector(data, key, expected=None):
     if key not in data:
         raise ValidationError(f"input lacks {key!r}")
     value = data[key]
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, list) or not all(map(is_integer, value)):
         raise ValidationError(f"{key!r} must be a list of integers")
     if expected is not None and len(value) != expected:
         raise ValidationError(f"{key!r} must have {expected} entries, got {len(value)}")
@@ -140,7 +138,7 @@ def _cmd_fgl_inverse(args):
 def _cmd_fgl_nseries(args):
     data = _read_input(args)
     n = data.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_integer(n):
         raise ValidationError("'n' must be an integer")
     _check_multiplicity("n", n)
     return _make_law(args).n_series(n).to_json()

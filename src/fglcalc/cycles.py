@@ -27,6 +27,7 @@ from .errors import (
     Record,
     ValidationError,
     WitnessError,
+    is_integer,
 )
 from .ring import (
     ANY_DEGREE,
@@ -47,7 +48,7 @@ class SpaceLabel(Record):
                  nu: int | None = None):
         if not isinstance(name, str) or not name:
             raise ValidationError("label name must be a nonempty string")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        if not is_integer(dim) or dim < 0:
             raise ValidationError(f"label dimension must be an integer >= 0, got {dim!r}")
         super().__init__(name, dim, smooth, quasiprojective, complete, nu)
 
@@ -71,7 +72,7 @@ class SpaceLabel(Record):
             if flag in data and not isinstance(data[flag], bool):
                 raise ValidationError(f"label field {flag!r} must be a boolean")
         nu = data.get("nu")
-        if nu is not None and (not isinstance(nu, int) or isinstance(nu, bool)):
+        if nu is not None and not is_integer(nu):
             raise ValidationError("'nu' must be an integer when present")
         return cls(
             data["name"],
@@ -188,7 +189,7 @@ class CycleSum:
 
     def _coerce(self, coeff):
         if self.backend is None:
-            if isinstance(coeff, bool) or not isinstance(coeff, int):
+            if not is_integer(coeff):
                 raise ValidationError("integer coefficients required without a backend")
             return coeff
         if isinstance(coeff, GradedPolynomial):
@@ -325,8 +326,7 @@ class CycleSum:
             raise ValidationError("cycle sum JSON needs 'terms'")
         if not isinstance(data["terms"], list):
             raise ValidationError("'terms' must be a list")
-        out = cls(backend)
-        terms: dict = {}
+        pairs = []
         for entry in data["terms"]:
             if not isinstance(entry, dict) or "coeff" not in entry or "cycle" not in entry:
                 raise ValidationError("cycle term needs 'coeff' and 'cycle'")
@@ -336,15 +336,12 @@ class CycleSum:
                 if backend is None:
                     raise ValidationError("polynomial coefficients need a backend")
                 coeff = GradedPolynomial.from_json(raw, backend)
-            elif isinstance(raw, int) and not isinstance(raw, bool):
+            elif is_integer(raw):
                 coeff = raw if backend is None else GradedPolynomial.constant(raw, backend)
             else:
                 raise ValidationError(f"bad coefficient {raw!r}")
-            if cycle in terms:
-                prev = terms[cycle]
-                coeff = prev + coeff
-            terms[cycle] = coeff
-        return cls(backend, terms)
+            pairs.append((cycle, coeff))
+        return _summed(pairs, backend)
 
     def __str__(self):
         if not self._terms:
@@ -375,6 +372,20 @@ class CycleSum:
         return f"CycleSum({self!s})"
 
 
+def _summed(pairs, backend: CoefficientBackend | None = None) -> CycleSum:
+    """The CycleSum of (cycle, coefficient) pairs; a repeated cycle's coefficients add.
+
+    The coefficients are added in one dict, never as cycle sums, which would
+    copy the running total at every step (in a blowup tower the exceptional
+    pieces keep it growing).
+    """
+    terms: dict = {}
+    for cycle, coeff in pairs:
+        prev = terms.get(cycle)
+        terms[cycle] = coeff if prev is None else prev + coeff
+    return CycleSum(backend, terms)
+
+
 # ---------------------------------------------------------------------------
 # functoriality
 
@@ -382,18 +393,15 @@ def pushforward(total: CycleSum, morphism: LabelMorphism) -> CycleSum:
     """Compose every cycle with a proper arrow out of the common target."""
     if not morphism.proper:
         raise CycleError("pushforward requires a proper morphism")
-    out: dict = {}
-    for cycle, coeff in total._terms.items():
+    for cycle in total._terms:
         if cycle.target != morphism.source:
             raise CycleError(
                 f"cycle targets {cycle.target.name!r}, morphism leaves {morphism.source.name!r}"
             )
-        moved = DecoratedCycle(cycle.source, morphism.target, cycle.bundles)
-        prev = out.get(moved)
-        acc = coeff if prev is None else prev + coeff
-        out[moved] = acc
-    clean = {c: k for c, k in out.items() if k}
-    return CycleSum._raw(total.backend, clean)
+    return _summed(
+        ((DecoratedCycle(c.source, morphism.target, c.bundles), k) for c, k in total._terms.items()),
+        total.backend,
+    )
 
 
 def _product_label(a: SpaceLabel, b: SpaceLabel) -> SpaceLabel:
@@ -416,19 +424,12 @@ def exterior_product(left: CycleSum, right: CycleSum) -> CycleSum:
         for cycle in s._terms:
             if cycle.bundles:
                 raise CycleError("exterior products take undecorated cycles")
-    out: dict = {}
-    for c1, k1 in left._terms.items():
-        for c2, k2 in right._terms.items():
-            cycle = DecoratedCycle(
-                _product_label(c1.source, c2.source),
-                _product_label(c1.target, c2.target),
-            )
-            coeff = k1 * k2
-            prev = out.get(cycle)
-            acc = coeff if prev is None else prev + coeff
-            out[cycle] = acc
-    clean = {c: k for c, k in out.items() if k}
-    return CycleSum._raw(left.backend, clean)
+    return _summed((
+        (DecoratedCycle(_product_label(c1.source, c2.source), _product_label(c1.target, c2.target)),
+         k1 * k2)
+        for c1, k1 in left._terms.items()
+        for c2, k2 in right._terms.items()
+    ), left.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +547,8 @@ def blowup_tower_relations(steps, target: SpaceLabel) -> list:
 
 
 def sum_relations(relations) -> CycleSum:
-    """Sum of integer cycle sums, such as the relations of a blowup tower.
-
-    The coefficients are added in one dict: adding the relations as cycle
-    sums would copy the running total at every step, and in a tower the
-    exceptional pieces keep it growing.
-    """
-    terms: dict = {}
-    for rel in relations:
-        for cycle, coeff in rel._terms.items():
-            terms[cycle] = terms.get(cycle, 0) + coeff
-    return CycleSum(None, terms)
+    """Sum of integer cycle sums, such as the relations of a blowup tower."""
+    return _summed(pair for rel in relations for pair in rel._terms.items())
 
 
 def telescope_sum(steps, target: SpaceLabel) -> CycleSum:
@@ -720,28 +712,19 @@ def relation_generator(kind: str, witness, backend: CoefficientBackend | None = 
             raise WitnessError("fgl relation needs a coefficient backend")
         prefix = witness.bundles
         room = witness.source.dim - len(prefix)
-        terms: dict = {}
-
-        def put(cycle, coeff):
-            prev = terms.get(cycle)
-            acc = coeff if prev is None else prev + coeff
-            if acc.is_zero():
-                terms.pop(cycle, None)
-            else:
-                terms[cycle] = acc
-
         one = GradedPolynomial.one(backend)
+        pairs = []
         if room >= 1:
-            put(DecoratedCycle(witness.source, witness.target, prefix + (witness.tensor,)), one)
-            put(DecoratedCycle(witness.source, witness.target, prefix + (witness.left,)), -one)
-            put(DecoratedCycle(witness.source, witness.target, prefix + (witness.right,)), -one)
+            for name, coeff in ((witness.tensor, one), (witness.left, -one), (witness.right, -one)):
+                pairs.append((prefix + (name,), coeff))
         for i in range(1, room + 1):
             for j in range(1, room - i + 1):
                 a = lazard_coefficient(i, j, backend)
-                if a.is_zero():
-                    continue
-                bundles = prefix + (witness.left,) * i + (witness.right,) * j
-                put(DecoratedCycle(witness.source, witness.target, bundles), -a)
-        return CycleSum(backend, terms)
+                if a:
+                    pairs.append((prefix + (witness.left,) * i + (witness.right,) * j, -a))
+        return _summed(
+            ((DecoratedCycle(witness.source, witness.target, bundles), k) for bundles, k in pairs),
+            backend,
+        )
 
     raise WitnessError(f"unknown relation kind {kind!r}")

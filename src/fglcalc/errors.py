@@ -1,4 +1,4 @@
-"""Exception types and the immutable record base shared across the package.
+"""Exception types, the exact-integer test and the immutable record base.
 
 Everything user-input-related derives from ValidationError so callers (and
 the CLI) can distinguish "your data is wrong" from genuine bugs.
@@ -42,6 +42,11 @@ class WitnessError(ValidationError):
 
 class CycleError(ValidationError):
     """A cycle operation was applied to unsuitable operands."""
+
+
+def is_integer(value) -> bool:
+    """True for an int that is not a bool: the package's exact integer inputs."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Record:

@@ -22,6 +22,12 @@ that exceeds the bound and products that would reach it raise
 ValidationError.  Monomials are decoded to sorted tuples of (Generator,
 exponent) pairs only to sort, render or grade them.  Coefficients are exact
 rationals (int or fractions.Fraction); floats are rejected.
+
+The log coefficients are built by the series layer: l and its reversion g
+are one-variable TruncatedSeries and F(u, v) = g(l(u) + l(v)) is one
+substitution, so this module does no series arithmetic of its own.
+fglcalc.series imports this module for its coefficients, so the table
+builder imports TruncatedSeries inside the function, when it first runs.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BackendMismatchError, OrderError, Record, ValidationError
+from .errors import BackendMismatchError, OrderError, Record, ValidationError, is_integer
 
 # Degree markers for the non-homogeneous cases.
 ANY_DEGREE = "any"            # the zero polynomial is homogeneous of every degree
@@ -111,6 +117,8 @@ def _a_gen_interned(i: int, j: int) -> Generator:
 
 def a_gen(i: int, j: int) -> Generator:
     """The symbol A(i,j); indices normalize to i <= j (symmetry a_ij = a_ji)."""
+    if not (is_integer(i) and is_integer(j)):
+        raise ValidationError(f"A(i,j) requires integer indices, got {i!r}, {j!r}")
     if i < 1 or j < 1:
         raise ValidationError("A(i,j) requires i, j >= 1")
     if i > j:
@@ -118,9 +126,11 @@ def a_gen(i: int, j: int) -> Generator:
     return _a_gen_interned(i, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must miss the entry of 1
 def m_gen(i: int) -> Generator:
     """The logarithm coefficient symbol m(i), degree i."""
+    if not is_integer(i):
+        raise ValidationError(f"m(i) requires an integer index, got {i!r}")
     if i < 1:
         raise ValidationError("m(i) requires i >= 1")
     return Generator("m", i)
@@ -163,6 +173,8 @@ class CoefficientBackend(Record):
             raise ValidationError(f"unknown backend kind {kind!r}")
         if (kind == "log") != (log_order is not None):
             raise ValidationError("log_order is set exactly for the log backend")
+        if log_order is not None and not is_integer(log_order):
+            raise OrderError(f"log_order must be an integer, got {log_order!r}")
         if log_order is not None and log_order < 1:
             raise OrderError("log backend needs log_order >= 1")
         super().__init__(kind, log_order)
@@ -195,7 +207,7 @@ def _encode(pairs) -> int:
     """Pack (Generator, exponent) pairs; repeated generators add up."""
     fields: dict = {}
     for gen, e in pairs:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        if not is_integer(e) or e < 0:
             raise ValidationError(f"bad exponent {e!r} for {gen.name}")
         fields[gen] = fields.get(gen, 0) + e
     mono = 0
@@ -260,7 +272,7 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def _json_coefficient(value):
     """An exact rational from JSON: an integer, or a string like "-3/4"."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_integer(value):
         return value
     if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
         try:
@@ -523,7 +535,7 @@ class GradedPolynomial:
             if not isinstance(entry["monomial"], dict):
                 raise ValidationError("'monomial' must be an object")
             for name, e in entry["monomial"].items():
-                if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+                if not is_integer(e) or e < 1:
                     raise ValidationError(f"bad exponent {e!r} for {name!r}")
                 pairs.append((generator_from_name(name), e))
             _add_term(terms, _encode(tuple(pairs)), coeff)
@@ -545,6 +557,8 @@ def lazard_coefficient(i: int, j: int, backend: CoefficientBackend) -> GradedPol
     Requires i, j >= 1.  On the log backend the pair must satisfy
     i + j - 1 <= log_order; anything deeper raises OrderError.
     """
+    if not (is_integer(i) and is_integer(j)):
+        raise ValidationError(f"lazard_coefficient requires integers, got {i!r}, {j!r}")
     if i < 1 or j < 1:
         raise ValidationError("lazard_coefficient requires i, j >= 1")
     kind = backend.kind
@@ -564,19 +578,6 @@ def lazard_coefficient(i: int, j: int, backend: CoefficientBackend) -> GradedPol
     return _log_coefficient_table(backend.log_order)[(i, j)]
 
 
-def _poly_list_mul(a, b, top, backend):
-    # product of univariate series given as coefficient lists, truncated at top
-    out = [GradedPolynomial.zero(backend) for _ in range(top + 1)]
-    for i, pa in enumerate(a):
-        if pa.is_zero():
-            continue
-        for j in range(top - i + 1):
-            pb = b[j]
-            if not pb.is_zero():
-                out[i + j] = out[i + j] + pa * pb
-    return out
-
-
 @lru_cache(maxsize=None)
 def _log_coefficient_table(order: int):
     """All a_{i,j} with i+j-1 <= order on the log backend of that order.
@@ -584,62 +585,32 @@ def _log_coefficient_table(order: int):
     Reverts l(t) = t + m(1) t^2 + m(2) t^3 + ... to g with g(l(t)) = t, then
     expands F(u, v) = g(l(u) + l(v)) up to total degree order + 1.
     """
+    # fglcalc.series imports this module, so it is imported at call time
+    from .series import TruncatedSeries
+
     backend = log_backend(order)
     top = order + 1
-    zero = GradedPolynomial.zero(backend)
     one = GradedPolynomial.one(backend)
+    # ell[k] and g[k] are the coefficients of t^(k+1) in l and g; powers[k] is l^(k+1)
+    ell = [one] + [GradedPolynomial.generator(m_gen(k), backend) for k in range(1, top)]
+    l_t = TruncatedSeries(("t",), top, backend, {(k + 1,): p for k, p in enumerate(ell)})
 
-    ell = [zero, one] + [
-        GradedPolynomial.generator(m_gen(k - 1), backend) for k in range(2, top + 1)
-    ]
-
-    # powers of l, then reversion coefficients g[k] solving sum g_j l^j = t
-    ell_pows = [None, list(ell)]
-    for _ in range(2, top + 1):
-        ell_pows.append(_poly_list_mul(ell_pows[-1], ell, top, backend))
-    g = [zero, one]
+    # reversion: g_k = -sum_{j<k} g_j [t^k] l^j, with the powers of l as products
+    powers = [l_t]
+    while len(powers) < top - 1:
+        powers.append(powers[-1] * l_t)
+    g = [one]
     for k in range(2, top + 1):
-        acc = zero
-        for j in range(1, k):
-            term = ell_pows[j][k]
-            if not term.is_zero():
-                acc = acc + g[j] * term
-        g.append(-acc)
+        g.append(-sum((g[j] * powers[j].coefficient((k,)) for j in range(k - 1)),
+                      GradedPolynomial.zero(backend)))
+    g_t = TruncatedSeries(("t",), top, backend, {(k + 1,): p for k, p in enumerate(g)})
 
-    # s = l(u) + l(v) as a bivariate truncated series, then F = sum g_j s^j
-    s = {}
-    for k in range(1, top + 1):
-        if not ell[k].is_zero():
-            s[(k, 0)] = ell[k]
-            s[(0, k)] = ell[k]
-    f_terms: dict = {}
-    s_pow = {(0, 0): one}
-    for j in range(1, top + 1):
-        nxt: dict = {}
-        for (e1, e2), p in s_pow.items():
-            for (d1, d2), q in s.items():
-                if e1 + d1 + e2 + d2 > top:
-                    continue
-                key = (e1 + d1, e2 + d2)
-                prod = p * q
-                nxt[key] = nxt.get(key, zero) + prod
-        s_pow = {k: v for k, v in nxt.items() if not v.is_zero()}
-        gj = g[j]
-        if gj.is_zero():
-            continue
-        for key, p in s_pow.items():
-            f_terms[key] = f_terms.get(key, zero) + gj * p
+    s = TruncatedSeries(("u", "v"), top, backend, {
+        exps: p for k, p in enumerate(ell, 1) for exps in ((k, 0), (0, k))
+    })
+    f = g_t.substitute({"t": s})
 
     # sanity: the unit axiom must come out on the nose
-    assert f_terms.get((1, 0), zero) == one
-    for k in range(2, top + 1):
-        assert f_terms.get((k, 0), zero).is_zero()
-
-    table = {}
-    for (i, j), p in f_terms.items():
-        if i >= 1 and j >= 1:
-            table[(i, j)] = p
-    for i in range(1, top):
-        for j in range(1, top - i + 1):
-            table.setdefault((i, j), zero)
-    return table
+    assert f.coefficient((1, 0)) == one
+    assert all(f.coefficient((k, 0)).is_zero() for k in range(2, top + 1))
+    return {(i, j): f.coefficient((i, j)) for i in range(1, top) for j in range(1, top - i + 1)}

@@ -34,6 +34,7 @@ from .errors import (
     ConstantTermError,
     OrderError,
     ValidationError,
+    is_integer,
 )
 from .ring import CoefficientBackend, GradedPolynomial, lazard_coefficient
 
@@ -106,6 +107,8 @@ class TruncatedSeries:
             raise ValidationError("a series needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValidationError(f"duplicate variable names in {variables}")
+        if not is_integer(order):
+            raise OrderError(f"truncation order must be an integer, got {order!r}")
         if order < 0:
             raise OrderError("truncation order must be >= 0")
         self.variables = variables
@@ -116,7 +119,7 @@ class TruncatedSeries:
             r = len(variables)
             for exps, poly in terms.items():
                 exps = tuple(exps)
-                if len(exps) != r or any(e < 0 for e in exps):
+                if len(exps) != r or not all(is_integer(e) and e >= 0 for e in exps):
                     raise ValidationError(f"bad exponent vector {exps}")
                 if sum(exps) > order:
                     continue  # truncation is the contract, not an error
@@ -388,7 +391,7 @@ class TruncatedSeries:
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise ValidationError("'variables' must be a list of names")
         order = data["order"]
-        if not isinstance(order, int) or isinstance(order, bool):
+        if not is_integer(order):
             raise ValidationError("'order' must be an integer")
         grouped: dict = {}
         if not isinstance(data["terms"], list):
@@ -397,9 +400,7 @@ class TruncatedSeries:
             if not isinstance(entry, dict) or "exponents" not in entry:
                 raise ValidationError("series term needs an 'exponents' vector")
             exps = entry["exponents"]
-            if not isinstance(exps, list) or not all(
-                isinstance(e, int) and not isinstance(e, bool) for e in exps
-            ):
+            if not isinstance(exps, list) or not all(map(is_integer, exps)):
                 raise ValidationError(f"bad exponents {exps!r}")
             grouped.setdefault(tuple(exps), []).append(
                 {"coeff": entry.get("coeff"), "monomial": entry.get("monomial")}
@@ -453,6 +454,8 @@ class FormalGroupLaw:
     """
 
     def __init__(self, backend: CoefficientBackend, order: int = 8):
+        if not is_integer(order):
+            raise OrderError(f"a formal group law needs an integer order, got {order!r}")
         if order < 1:
             raise OrderError("a formal group law needs order >= 1")
         if backend.kind == "log" and order > backend.log_order + 1:
@@ -562,6 +565,11 @@ class FormalGroupLaw:
         (the j = 0 term vanishes, since [0]u = 0).  The weights are integers,
         so the result is exact, equal to the fold term for term.
         """
+        # checked before the cache, where True and 2.0 would hit 1 and 2
+        if not is_integer(n):
+            raise ValidationError(f"n must be an integer, got {n!r}")
+        if not isinstance(variable, str) or not variable:
+            raise ValidationError(f"variable must be a nonempty string, got {variable!r}")
         key = (n, variable)
         cached = self._n_series.get(key)
         if cached is not None:
@@ -607,7 +615,7 @@ class FormalGroupLaw:
         ns = tuple(multiplicities)
         if not ns:
             raise ValidationError("need at least one multiplicity")
-        if not all(isinstance(n, int) and not isinstance(n, bool) for n in ns):
+        if not all(map(is_integer, ns)):
             raise ValidationError("multiplicities must be integers")
         if variables is None:
             variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
@@ -657,17 +665,19 @@ def support_decompose(series: TruncatedSeries) -> dict:
     return out
 
 
+def _times_symbols(terms, support) -> dict:
+    """Terms multiplied by prod_{i in support} u_i (1-based): a shift of the exponents."""
+    return {
+        tuple(e + 1 if i in support else e for i, e in enumerate(exps, start=1)): poly
+        for exps, poly in terms.items()
+    }
+
+
 def recompose(parts: dict, variables, order, backend) -> TruncatedSeries:
     """Inverse of support_decompose: sum of G_J * prod_{i in J} u_i."""
     variables = tuple(variables)
     total = TruncatedSeries.zero(variables, order, backend)
     for support, part in parts.items():
-        shifted = {}
-        for exps, poly in part._terms.items():
-            bumped = tuple(
-                e + 1 if (i + 1) in support else e for i, e in enumerate(exps)
-            )
-            if sum(bumped) <= order:
-                shifted[bumped] = poly
+        shifted = _times_symbols(part._terms, support)
         total = total + TruncatedSeries(variables, order, backend, shifted)
     return total

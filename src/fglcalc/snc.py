@@ -25,9 +25,9 @@ every step, and a product of two divisors is one product of those.
 from __future__ import annotations
 
 from .chern import ChernPolynomial, evaluate_at_chern
-from .errors import ConfigurationError, OrderError, Record, ValidationError
+from .errors import ConfigurationError, OrderError, Record, ValidationError, is_integer
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
-from .series import FormalGroupLaw, TruncatedSeries, support_decompose
+from .series import FormalGroupLaw, TruncatedSeries, _times_symbols, support_decompose
 
 
 class SncComponent(Record):
@@ -45,7 +45,7 @@ def _face(face) -> frozenset:
     if not isinstance(face, (list, tuple, set, frozenset)):
         raise ValidationError(f"face {face!r} is not a list of component indices")
     for i in face:
-        if not isinstance(i, int) or isinstance(i, bool):
+        if not is_integer(i):
             raise ValidationError(f"face index {i!r} is not an integer")
     return frozenset(face)
 
@@ -60,7 +60,7 @@ class SncConfiguration(Record):
     __slots__ = ("ambient_dim", "components", "faces")
 
     def __init__(self, ambient_dim: int, components=(), faces=frozenset()):
-        if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
+        if not is_integer(ambient_dim):
             raise ValidationError("ambient_dim must be an integer")
         components = tuple(components)
         for comp in components:
@@ -159,7 +159,7 @@ def _check_multiplicities(config, multiplicities, what="multiplicities"):
     if len(ms) != config.r:
         raise ValidationError(f"{what}: expected {config.r} entries, got {len(ms)}")
     for m in ms:
-        if not isinstance(m, int) or isinstance(m, bool):
+        if not is_integer(m):
             raise ValidationError(f"{what} must be integers")
     if ms and not any(ms):
         raise ValidationError(f"{what} must not all vanish")
@@ -295,14 +295,6 @@ def divisor_class(config: SncConfiguration, multiplicities, law: FormalGroupLaw)
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
     return _face_classes(config, _face_combination(config, ns, law))
-
-
-def _times_symbols(terms, common):
-    """Terms multiplied by prod_{i in common} u_i: a shift of the exponents."""
-    return {
-        tuple(e + 1 if i in common else e for i, e in enumerate(exps, start=1)): poly
-        for exps, poly in terms.items()
-    }
 
 
 def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLaw) -> FaceClassVector:

@@ -1,11 +1,12 @@
 """Independent oracles for the test suite.
 
-The log-backend oracles recompute expected values from first principles
-with their own dense representation (tuples of m-exponents over Fraction),
-sharing no code with the package under test.  The defining equation of the
-log-backend law is l(F(u, v)) = l(u) + l(v) with l(t) = t + m1 t^2 + m2 t^3
-+ ...; solving it degree by degree needs no series reversion, so agreement
-with the package's reversion-based table is meaningful evidence.
+log_law_coefficients and log_inverse_coefficients recompute expected
+values from first principles with their own dense representation (tuples
+of m-exponents over Fraction), sharing no code with the package under
+test.  The defining equation of the log-backend law is l(F(u, v)) =
+l(u) + l(v) with l(t) = t + m1 t^2 + m2 t^3 + ...; solving it degree by
+degree needs no series reversion, so agreement with the package's
+reversion-based table is meaningful evidence.
 
 The rest are different: each is the straightforward algorithm that a
 faster one in the package replaced, kept as a reference for it.
@@ -24,7 +25,10 @@ chern_mul_by_pairs and chern_substitute_by_terms are the chern product and
 substitution from before chern polynomials became series: a double loop
 over term pairs, and a sum of term products.  normal_form_in_order
 absorbs stray symbols in a chosen order, to check that the package's fixed
-order does not matter.
+order does not matter.  log_coefficient_table_by_lists is the log table
+from before the series layer built it: l, its powers and its reversion as
+lists of coefficients, and F = g(l(u) + l(v)) from a hand-written loop
+over the powers of l(u) + l(v) keyed by (u, v) exponent pairs.
 """
 
 from fractions import Fraction
@@ -35,6 +39,8 @@ from fglcalc import (
     GradedPolynomial,
     TruncatedSeries,
     evaluate_at_chern,
+    log_backend,
+    m_gen,
     support_decompose,
 )
 from fglcalc.snc import _check_law, _check_multiplicities, _times_symbols, require_valid
@@ -532,3 +538,83 @@ def normal_form_in_order(vector, rank):
         face: ChernPolynomial(r, config.face_dim(face), next(iter(terms.values())).backend, terms)
         for face, terms in acc.items()
     })
+
+
+def _poly_list_mul(a, b, top, backend):
+    # product of univariate series given as coefficient lists, truncated at top
+    out = [GradedPolynomial.zero(backend) for _ in range(top + 1)]
+    for i, pa in enumerate(a):
+        if pa.is_zero():
+            continue
+        for j in range(top - i + 1):
+            pb = b[j]
+            if not pb.is_zero():
+                out[i + j] = out[i + j] + pa * pb
+    return out
+
+
+def log_coefficient_table_by_lists(order: int):
+    """All a_{i,j} with i+j-1 <= order on the log backend of that order.
+
+    Reverts l(t) = t + m(1) t^2 + m(2) t^3 + ... to g with g(l(t)) = t, then
+    expands F(u, v) = g(l(u) + l(v)) up to total degree order + 1.
+    """
+    backend = log_backend(order)
+    top = order + 1
+    zero = GradedPolynomial.zero(backend)
+    one = GradedPolynomial.one(backend)
+
+    ell = [zero, one] + [
+        GradedPolynomial.generator(m_gen(k - 1), backend) for k in range(2, top + 1)
+    ]
+
+    # powers of l, then reversion coefficients g[k] solving sum g_j l^j = t
+    ell_pows = [None, list(ell)]
+    for _ in range(2, top + 1):
+        ell_pows.append(_poly_list_mul(ell_pows[-1], ell, top, backend))
+    g = [zero, one]
+    for k in range(2, top + 1):
+        acc = zero
+        for j in range(1, k):
+            term = ell_pows[j][k]
+            if not term.is_zero():
+                acc = acc + g[j] * term
+        g.append(-acc)
+
+    # s = l(u) + l(v) as a bivariate truncated series, then F = sum g_j s^j
+    s = {}
+    for k in range(1, top + 1):
+        if not ell[k].is_zero():
+            s[(k, 0)] = ell[k]
+            s[(0, k)] = ell[k]
+    f_terms: dict = {}
+    s_pow = {(0, 0): one}
+    for j in range(1, top + 1):
+        nxt: dict = {}
+        for (e1, e2), p in s_pow.items():
+            for (d1, d2), q in s.items():
+                if e1 + d1 + e2 + d2 > top:
+                    continue
+                key = (e1 + d1, e2 + d2)
+                prod = p * q
+                nxt[key] = nxt.get(key, zero) + prod
+        s_pow = {k: v for k, v in nxt.items() if not v.is_zero()}
+        gj = g[j]
+        if gj.is_zero():
+            continue
+        for key, p in s_pow.items():
+            f_terms[key] = f_terms.get(key, zero) + gj * p
+
+    # sanity: the unit axiom must come out on the nose
+    assert f_terms.get((1, 0), zero) == one
+    for k in range(2, top + 1):
+        assert f_terms.get((k, 0), zero).is_zero()
+
+    table = {}
+    for (i, j), p in f_terms.items():
+        if i >= 1 and j >= 1:
+            table[(i, j)] = p
+    for i in range(1, top):
+        for j in range(1, top - i + 1):
+            table.setdefault((i, j), zero)
+    return table

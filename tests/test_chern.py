@@ -81,6 +81,16 @@ def test_constructor_validation():
         ChernPolynomial(1, 2, FREE, {(1,): GradedPolynomial.one(ADDITIVE)})
 
 
+def test_counts_bounds_and_symbol_indices_are_exact_integers():
+    for bad in (True, 1.5):
+        with pytest.raises(ValidationError):
+            ChernPolynomial(bad, 2, FREE)
+        with pytest.raises(ValidationError):
+            ChernPolynomial(2, bad, FREE)
+        with pytest.raises(ValidationError):
+            ChernPolynomial.symbol(bad, 2, 2, FREE)
+
+
 def test_arithmetic_laws_randomized():
     rng = random.Random(3)
     for _ in range(40):

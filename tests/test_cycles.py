@@ -133,6 +133,14 @@ def test_sum_json_round_trip():
         CycleSum.from_json(poly_sum.to_json())  # needs the backend
 
 
+def test_sum_json_adds_repeated_cycles_and_drops_cancelled_ones():
+    a, b = _cyc("A", 1), _cyc("B", 1)
+    data = {"terms": [{"coeff": k, "cycle": c.to_json()}
+                      for c, k in ((a, 2), (b, 1), (a, -2), (b, 3))]}
+    assert CycleSum.from_json(data) == CycleSum(None, {b: 4})
+    assert CycleSum.from_json(data, FREE) == CycleSum(FREE, {b: 4})
+
+
 # -- double point and blowup relations --------------------------------------
 
 def _dpr_labels(d=2):
@@ -256,6 +264,14 @@ def test_fgl_relation_generator_free():
     # dim 2 leaves no room for three bundles
     assert gen.coefficient(_cyc("Y", 2, ("L", "L", "M"))) == GradedPolynomial.zero(FREE)
     assert gen.total_degree() == 1
+
+
+def test_fgl_relation_adds_the_terms_of_equal_bundle_names():
+    # with L = M = L tensor M the expansion's terms meet on the same cycles:
+    # 1 - 1 - 1 on [Y; L], and a(1,2) + a(2,1) on [Y; L, L, L]
+    Y = SpaceLabel("Y", 3)
+    rel = relation_generator("fgl", TensorWitness(Y, X, (), "L", "L", "L"), FREE)
+    assert str(rel) == "-[Y -> X; L] - A(1,1)*[Y -> X; L, L] - 2*A(1,2)*[Y -> X; L, L, L]"
 
 
 def test_fgl_relation_truncates_at_the_dimension():

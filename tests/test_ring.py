@@ -252,13 +252,24 @@ def test_additive_and_multiplicative_coefficients():
 
 def test_log_values_match_independent_oracle():
     # the oracle solves l(F) = l(u) + l(v) degree by degree; the package
-    # reverts the logarithm.  Agreement across i + j <= 6 pins the table.
-    lb = log_backend(5)
-    expected = oracles.log_law_coefficients(6)
+    # reverts the logarithm.  Agreement across i + j <= 10 pins the table.
+    lb = log_backend(9)
+    expected = oracles.log_law_coefficients(10)
     for (i, j), dense in sorted(expected.items()):
         assert oracles.graded_to_dense(lazard_coefficient(i, j, lb)) == dense
     assert lazard_coefficient(1, 1, lb).to_text() == "-2*m(1)"
     assert lazard_coefficient(1, 2, lb).to_text() == "4*m(1)^2 - 3*m(2)"
+
+
+@pytest.mark.parametrize("order", range(1, 16))
+def test_log_table_matches_the_coefficient_list_oracle(order):
+    # every log order the CLI reaches (--order 2..16); the oracle is the
+    # table built from coefficient lists and a bivariate power loop
+    lb = log_backend(order)
+    expected = oracles.log_coefficient_table_by_lists(order)
+    assert len(expected) == order * (order + 1) // 2
+    for (i, j), poly in expected.items():
+        assert lazard_coefficient(i, j, lb).to_json() == poly.to_json()
 
 
 def test_log_coefficients_are_homogeneous():
@@ -282,6 +293,29 @@ def test_bad_indices_rejected():
         lazard_coefficient(0, 1, FREE)
     with pytest.raises(ValidationError):
         lazard_coefficient(1, -1, FREE)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_indices_must_be_exact_integers(bad):
+    with pytest.raises(ValidationError):
+        lazard_coefficient(bad, 1, FREE)
+    with pytest.raises(ValidationError):
+        lazard_coefficient(1, bad, log_backend(3))
+    with pytest.raises(ValidationError):
+        a_gen(1, bad)
+    with pytest.raises(ValidationError):
+        m_gen(bad)
+    with pytest.raises(ValidationError):
+        log_backend(bad)
+
+
+def test_bool_index_does_not_hit_the_cached_integer_generator():
+    m_gen(1)
+    with pytest.raises(ValidationError):
+        m_gen(True)
+    with pytest.raises(ValidationError):
+        m_gen(2.0)
+    assert m_gen(1).name == "m(1)"
 
 
 def test_backend_constructor_validation():

@@ -407,6 +407,41 @@ def test_linear_combination_homogeneity():
             assert poly.graded_degree() == sum(exps) - 1
 
 
+@pytest.mark.parametrize("n", [2.5, "3", None, True, 2.0])
+def test_n_series_rejects_a_non_integer_multiple(n):
+    law = FormalGroupLaw(FREE, order=3)
+    law.n_series(1)  # cached entries that True and 2.0 hash like
+    law.n_series(2)
+    with pytest.raises(ValidationError):
+        law.n_series(n)
+
+
+@pytest.mark.parametrize("variable", ["", None, 3, ("u",)])
+def test_n_series_rejects_a_bad_variable_name(variable):
+    law = FormalGroupLaw(FREE, order=3)
+    with pytest.raises(ValidationError):
+        law.n_series(2, variable)
+
+
+def test_orders_must_be_exact_integers():
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(OrderError):
+            FormalGroupLaw(FREE, bad)
+        with pytest.raises(OrderError):
+            TruncatedSeries(("u",), bad, FREE)
+    with pytest.raises(ValidationError):
+        TruncatedSeries(("u",), 3, FREE, {(1.5,): 1})
+    with pytest.raises(ValidationError):
+        TruncatedSeries(("u",), 3, FREE, {(True,): 1})
+
+
+def test_recompose_drops_what_the_shift_lifts_past_the_order():
+    u_cubed = TruncatedSeries(("u", "v"), 3, FREE, {(3, 0): 1, (1, 0): 2})
+    assert recompose({frozenset({1, 2}): u_cubed}, ("u", "v"), 3, FREE) == TruncatedSeries(
+        ("u", "v"), 3, FREE, {(2, 1): 2}
+    )
+
+
 def test_linear_combination_validation():
     law = FormalGroupLaw(FREE, order=3)
     with pytest.raises(ValidationError):

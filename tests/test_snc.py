@@ -35,7 +35,7 @@ from fglcalc import (
     validate_config,
 )
 
-from fglcalc import snc
+from fglcalc import series, snc
 
 import oracles
 
@@ -80,6 +80,12 @@ def _random_mults(rng, r, lo=-2, hi=2):
 
 
 # -- validation -------------------------------------------------------------
+
+def test_the_monomial_shift_is_the_series_one():
+    # one copy of the shift by prod u_i; the name stays importable from snc
+    assert snc._times_symbols is series._times_symbols
+    assert series._times_symbols({(1, 0, 2): "p"}, frozenset({2, 3})) == {(1, 1, 3): "p"}
+
 
 def test_valid_config_has_no_violations():
     cfg = _full_config(3, 3)
