@@ -121,9 +121,9 @@ def evaluate_at_chern(series: TruncatedSeries, dim_bound: int) -> ChernPolynomia
     monomials the bound would keep are missing, so the result would be
     silently wrong.
     """
-    # series terms are already clean: nonnegative exponents, nonzero
-    # coefficients over the series backend
+    # the packed terms carry over: the key layout depends only on the
+    # number of variables and the order
+    cut = series.truncate(dim_bound)
     return ChernPolynomial._raw(
-        _symbols(len(series.variables)), dim_bound, series.backend,
-        series.truncate(dim_bound)._terms,
+        _symbols(len(series.variables)), dim_bound, series.backend, cut._terms, cut._layout
     )

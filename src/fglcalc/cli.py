@@ -16,7 +16,10 @@ FGL_ORDER environment variable, then 8, and may not exceed MAX_ORDER.
 Every multiplicity (n, and the entries of multiplicities, D and E) must
 satisfy |n| <= MAX_MULTIPLICITY, an s.n.c. configuration may have at most
 MAX_COMPONENTS components, and an fgl relation generator may leave at most
-MAX_ORDER dimensions for the law's terms.
+MAX_ORDER dimensions for the law's terms.  Those caps bound one size each;
+their joint cost is bounded by MAX_WORK, the most coefficient-monomial
+products one command may make (fglcalc.stats), past which it stops with
+exit 2.
 """
 
 from __future__ import annotations
@@ -49,11 +52,15 @@ from .snc import (
     normal_form,
     product_class,
 )
+from .stats import meter
 
 BACKEND_CHOICES = ("free", "log", "additive", "mult")
 MAX_MULTIPLICITY = 1024  # largest |n| accepted for n, multiplicities, D and E
 MAX_ORDER = 16  # largest truncation order accepted from --order or FGL_ORDER
 MAX_COMPONENTS = 6  # most components accepted in an snc configuration
+# most coefficient-monomial products per command: about 5 s of s.n.c. work,
+# which the caps above admit many times over when they are all at their limit
+MAX_WORK = 4_000_000
 
 
 def _order(args) -> int:
@@ -364,7 +371,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args)
+        with meter.budget(MAX_WORK):
+            payload = args.handler(args)
     except ConfigurationError as exc:
         report = {"error": "validation", "detail": str(exc), "violations": exc.violations}
         sys.stdout.write(_render(report, args.pretty))

@@ -6,12 +6,24 @@ on construction, so arithmetic is exact modulo (u_1, ..., u_r)^{order+1}.
 Results keep the class of the left operand (in substitute, of the images),
 so a subclass such as fglcalc.chern.ChernPolynomial is closed under them.
 
-Composition (substitute) runs in one pass over coefficient buckets: the
-terms are grouped by their exponents in every variable but the first, each
-group's sum of first-variable powers is accumulated Horner-style and cut at
-the degree its rest factor leaves, and the group is then multiplied by that
-rest factor straight into the result.  No series is scaled or added on the
-way.
+A series is stored as one dict from packed int keys to exact rationals, one
+entry per pair of a series monomial and a ring monomial.  A key holds, from
+low to high bits, the total degree, one exponent field per variable (the
+first variable highest), each order.bit_length() bits wide, and then the
+ring's packed monomial (fglcalc.ring).  Multiplying two terms is adding
+their keys: a product keeps only degrees <= order, and no exponent exceeds
+the degree, so no field carries into the next.  A product is one double
+loop over the left terms and the degree-sorted keys of the right operand,
+each row cut at the degree its left term leaves, after ring's exponent
+overflow guard for that row.  items() and coefficient() decode the keys
+into GradedPolynomial coefficients on demand.
+
+Composition (substitute) runs the same loop throughout.  The terms are
+grouped by their exponents in every variable but the first; each group's
+sum of first-variable powers is accumulated and cut at the degree its rest
+factor leaves, and the group is then multiplied by that rest factor
+straight into the result.  Powers of the images are series products, each
+cut at the highest degree any group reads from it.
 
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
@@ -26,9 +38,12 @@ free law too.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import reduce
 from math import comb
-from operator import add, itemgetter, mul
+from operator import mul, or_
 
+from . import ring
 from .errors import (
     BackendMismatchError,
     ConstantTermError,
@@ -36,70 +51,163 @@ from .errors import (
     ValidationError,
     is_integer,
 )
-from .ring import CoefficientBackend, GradedPolynomial, lazard_coefficient
-
-_ZERO_EXP_CACHE: dict = {}
-
-
-def _zero_exps(r: int):
-    try:
-        return _ZERO_EXP_CACHE[r]
-    except KeyError:
-        return _ZERO_EXP_CACHE.setdefault(r, (0,) * r)
+from .ring import (
+    CoefficientBackend,
+    GradedPolynomial,
+    _check_products,
+    _coerce_scalar,
+    lazard_coefficient,
+)
+from .stats import meter
 
 
-def _by_degree(terms: dict) -> list:
-    """(degree, exponents, coefficient) triples of a term dict, lowest degree first."""
-    return sorted(((sum(e), e, p) for e, p in terms.items()), key=itemgetter(0))
+class _Layout:
+    """Where the fields of a packed key sit, for r variables at one field width.
 
-
-def _accumulate_product(left, right: list, order: int, acc: dict):
-    """Add left * right, cut above total degree order, into acc.
-
-    left yields (degree, exponents, coefficient) triples in any order; right
-    is a _by_degree list, so each row stops at its first term past the
-    order.  acc maps exponents to {monomial: coefficient} buckets.
+    The exponent vector and the support of each series part (a key's bits
+    below the ring monomial) are decoded once and kept: there are at most
+    as many as monomials in r variables up to the largest order of the
+    width.
     """
-    for d1, e1, p1 in left:
-        room = order - d1
-        for d2, e2, p2 in right:
-            if d2 > room:
-                break
-            key = tuple(map(add, e1, e2))
-            bucket = acc.get(key)
-            if bucket is None:
-                bucket = acc[key] = {}
-            p1._multiply_into(p2, bucket)
+
+    __slots__ = ("r", "width", "mask", "shift", "series_mask", "units", "_exponents", "_supports")
+
+    def __init__(self, r: int, width: int):
+        self.r = r
+        self.width = width
+        self.mask = (1 << width) - 1  # the degree field, or any one exponent field
+        self.shift = width * (r + 1)  # where the ring monomial starts
+        self.series_mask = (1 << self.shift) - 1
+        # units[i]: the key of one power of variable i, its field plus one degree
+        self.units = tuple((1 << width * (r - i)) + 1 for i in range(r))
+        self._exponents: dict = {}
+        self._supports: dict = {}
+
+    def encode(self, exps) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def exponents(self, part: int) -> tuple:
+        exps = self._exponents.get(part)
+        if exps is None:
+            width, mask = self.width, self.mask
+            exps = self._exponents[part] = tuple(
+                (part >> width * f) & mask for f in range(self.r, 0, -1)
+            )
+        return exps
+
+    def support(self, part: int) -> frozenset:
+        """The 1-based indices of the variables with a nonzero exponent in part."""
+        support = self._supports.get(part)
+        if support is None:
+            support = self._supports[part] = frozenset(
+                i for i, e in enumerate(self.exponents(part), 1) if e
+            )
+        return support
 
 
-def _collect(backend, acc: dict) -> dict:
-    """Finalize _accumulate_product buckets into a term dict, zeros dropped."""
+_LAYOUTS: dict = {}   # (r, order) -> _Layout
+_WIDTHS: dict = {}    # (r, width) -> _Layout, so equal widths share one layout
+
+
+def _layout(r: int, order: int) -> _Layout:
+    layout = _LAYOUTS.get((r, order))
+    if layout is None:
+        width = order.bit_length()
+        layout = _WIDTHS.get((r, width))
+        if layout is None:
+            layout = _WIDTHS[r, width] = _Layout(r, width)
+        _LAYOUTS[r, order] = layout
+    return layout
+
+
+def _sorted_rows(terms: dict, layout: _Layout, order: int) -> tuple:
+    """A term dict as the right operand of _multiply: (keys, coefficients, ends, bound).
+
+    The keys are sorted by degree, ends[d] counts those of degree <= d for
+    d <= order, and bound ORs their ring monomials.
+    """
+    mask = layout.mask
+    keys = sorted(terms, key=mask.__and__)
+    degrees = list(map(mask.__and__, keys))
+    ends = [bisect_right(degrees, d) for d in range(order + 1)]
+    bound = reduce(or_, keys, 0) >> layout.shift << layout.shift
+    return keys, list(map(terms.__getitem__, keys)), ends, bound
+
+
+def _multiply(acc: dict, left: dict, rows: tuple, cut: int, layout: _Layout):
+    """Add left * right, cut above total degree cut, into the term dict acc.
+
+    left is a term dict whose terms above the cut are skipped; rows is the
+    right operand's _sorted_rows, made for an order of at least the cut.
+    Each left term is one row: its key is added to every right key up to
+    the degree it leaves.  Zero sums stay in acc for the caller to drop.
+    """
+    keys, coeffs, ends, bound = rows
+    if not keys:
+        return
+    mask, shift = layout.mask, layout.shift
+    # the top bit of every ring field, read per call: generators register lazily
+    top = ring._top_bits << shift
+    get = acc.get
+    k0, c0 = keys[0], coeffs[0]
+    allowance = meter.allowance()
+    done = 0
+    for k1, c1 in left.items():
+        room = cut - (k1 & mask)
+        if room < 0:
+            continue
+        n = ends[room]
+        if not n:
+            continue
+        done += n
+        if done > allowance:
+            meter.exceeded()
+        if (k1 + bound) & top:
+            # fieldwise, bound >= every right monomial without a carry
+            _check_products(k1 >> shift, [k >> shift for k in keys[:n]])
+        if n == 1:  # 58 % of the rows on series-cold and snc-check
+            k = k1 + k0
+            acc[k] = get(k, 0) + c1 * c0
+            continue
+        for k2, c2 in zip(keys[:n], coeffs[:n]):
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    meter.products += done
+
+
+def _nonzero(acc: dict) -> dict:
+    """acc with its zero sums deleted, in place: no second dict is made."""
+    for k in [k for k, c in acc.items() if not c]:
+        del acc[k]
+    return acc
+
+
+def _repack(terms: dict, src: _Layout, dst: _Layout, top: int, move=None) -> dict:
+    """terms re-keyed from layout src to dst, dropping those of degree above top.
+
+    move, if given, maps each exponent vector to the one it becomes; it
+    must be one to one, since the moved terms are not added up.
+    """
+    series_mask, src_shift, dst_shift = src.series_mask, src.shift, dst.shift
+    parts: dict = {}  # old series part -> new one, or None to drop
     out = {}
-    for exps, bucket in acc.items():
-        poly = GradedPolynomial._from_accumulator(backend, bucket)
-        if poly:
-            out[exps] = poly
+    for k, c in terms.items():
+        part = k & series_mask
+        new = parts.get(part, -1)
+        if new == -1:
+            exps = src.exponents(part)
+            if move is not None:
+                exps = move(exps)
+            new = parts[part] = dst.encode(exps) if sum(exps) <= top else None
+        if new is not None:
+            out[new + (k >> src_shift << dst_shift)] = c
     return out
-
-
-def _product(left: list, right: list, cut: int, variables, backend) -> list:
-    """Product of two _by_degree lists, cut at degree cut, as a _by_degree list.
-
-    It goes through TruncatedSeries.__mul__, so the powers that composition
-    builds show up as series products when that method is profiled.
-    """
-    cut = max(cut, 0)
-    left, right = (
-        TruncatedSeries._raw(variables, cut, backend, {e: p for d, e, p in terms if d <= cut})
-        for terms in (left, right)
-    )
-    return _by_degree((left * right)._terms)
 
 
 class TruncatedSeries:
     """Polynomial truncation of a power series at a fixed total degree."""
 
-    __slots__ = ("variables", "order", "backend", "_terms")
+    __slots__ = ("variables", "order", "backend", "_terms", "_layout", "_sorted")
 
     def __init__(self, variables, order: int, backend: CoefficientBackend, terms=None):
         variables = tuple(variables)
@@ -111,12 +219,12 @@ class TruncatedSeries:
             raise OrderError(f"truncation order must be an integer, got {order!r}")
         if order < 0:
             raise OrderError("truncation order must be >= 0")
-        self.variables = variables
-        self.order = order
-        self.backend = backend
+        if not isinstance(backend, CoefficientBackend):
+            raise ValidationError(f"backend must be a CoefficientBackend, got {backend!r}")
+        layout = _layout(len(variables), order)
         clean = {}
         if terms:
-            r = len(variables)
+            r, shift = len(variables), layout.shift
             for exps, poly in terms.items():
                 exps = tuple(exps)
                 if len(exps) != r or not all(is_integer(e) and e >= 0 for e in exps):
@@ -127,17 +235,26 @@ class TruncatedSeries:
                     poly = GradedPolynomial.constant(poly, backend)
                 if poly.backend != backend:
                     raise BackendMismatchError("series coefficient over wrong backend")
-                if not poly.is_zero():
-                    clean[exps] = poly
+                part = layout.encode(exps)
+                for mono, c in poly._terms.items():
+                    clean[part + (mono << shift)] = c
+        self.variables = variables
+        self.order = order
+        self.backend = backend
         self._terms = clean
+        self._layout = layout
+        self._sorted = None
 
     @classmethod
-    def _raw(cls, variables, order, backend, terms):
+    def _raw(cls, variables, order, backend, terms, layout):
+        # terms: packed keys in layout, which must fit the order
         self = object.__new__(cls)
         self.variables = variables
         self.order = order
         self.backend = backend
         self._terms = terms
+        self._layout = layout
+        self._sorted = None
         return self
 
     @classmethod
@@ -146,7 +263,8 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, variables, order, backend) -> TruncatedSeries:
-        return cls(variables, order, backend, {_zero_exps(len(tuple(variables))): 1})
+        variables = tuple(variables)
+        return cls(variables, order, backend, {(0,) * len(variables): 1})
 
     @classmethod
     def variable(cls, name: str, variables, order, backend) -> TruncatedSeries:
@@ -157,21 +275,46 @@ class TruncatedSeries:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, order, backend, {exps: 1})
 
+    def _rows(self) -> tuple:
+        """This series as a right operand of _multiply, sorted once and kept."""
+        rows = self._sorted
+        if rows is None:
+            rows = self._sorted = _sorted_rows(self._terms, self._layout, self.order)
+        return rows
+
+    def _cut(self, order: int) -> TruncatedSeries:
+        """This series read at a lower order, with its terms left in place.
+
+        Only an operand of __mul__, whose rows stop at the order, so a
+        power in substitute is cut without copying its terms.
+        """
+        cut = self._raw(self.variables, order, self.backend, self._terms, self._layout)
+        cut._sorted = self._rows()
+        return cut
+
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _part(self, part: int) -> GradedPolynomial:
+        # the coefficient of the series monomial packed as part
+        series_mask, shift = self._layout.series_mask, self._layout.shift
+        return GradedPolynomial._raw(self.backend, {
+            k >> shift: c for k, c in self._terms.items() if k & series_mask == part
+        })
+
     def constant_term(self) -> GradedPolynomial:
-        zero = _zero_exps(len(self.variables))
-        return self._terms.get(zero, GradedPolynomial.zero(self.backend))
+        return self._part(0)
 
     def coefficient(self, exps) -> GradedPolynomial:
         """Coefficient polynomial of the monomial with the given exponents."""
         exps = tuple(exps)
         if len(exps) != len(self.variables):
             raise ValidationError("exponent vector length mismatch")
-        return self._terms.get(exps, GradedPolynomial.zero(self.backend))
+        if not all(isinstance(e, int) and e >= 0 for e in exps) or sum(exps) > self.order:
+            return GradedPolynomial.zero(self.backend)
+        return self._part(self._layout.encode(exps))
 
     def items(self):
         """Nonzero (exponents, coefficient) pairs in canonical order.
@@ -179,10 +322,20 @@ class TruncatedSeries:
         Graded, and within a degree the earlier variables lead: u1^2 before
         u1*u2 before u2^2.
         """
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])),
-        )
+        layout, backend = self._layout, self.backend
+        series_mask, shift, mask = layout.series_mask, layout.shift, layout.mask
+        parts: dict = {}
+        for k, c in self._terms.items():
+            monos = parts.get(k & series_mask)
+            if monos is None:
+                monos = parts[k & series_mask] = {}
+            monos[k >> shift] = c
+        # the first variable's field is the highest, so within a degree a
+        # larger packed part leads
+        return [
+            (layout.exponents(part), GradedPolynomial._raw(backend, parts[part]))
+            for part in sorted(parts, key=lambda p: (p & mask, -p))
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -211,7 +364,7 @@ class TruncatedSeries:
     def __neg__(self):
         return self._raw(
             self.variables, self.order, self.backend,
-            {e: -p for e, p in self._terms.items()},
+            {k: -c for k, c in self._terms.items()}, self._layout,
         )
 
     def __add__(self, other):
@@ -219,14 +372,14 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self._terms)
-        for exps, poly in other._terms.items():
-            acc = out.get(exps)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                out.pop(exps, None)
+        get = out.get
+        for k, c in other._terms.items():
+            total = get(k, 0) + c
+            if total:
+                out[k] = total
             else:
-                out[exps] = acc
-        return self._raw(self.variables, self.order, self.backend, out)
+                del out[k]
+        return self._raw(self.variables, self.order, self.backend, out, self._layout)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -238,35 +391,39 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         acc: dict = {}
-        _accumulate_product(
-            ((sum(e), e, p) for e, p in self._terms.items()),
-            _by_degree(other._terms), self.order, acc,
-        )
-        return self._raw(self.variables, self.order, self.backend, _collect(self.backend, acc))
+        _multiply(acc, self._terms, other._rows(), self.order, self._layout)
+        return self._raw(self.variables, self.order, self.backend, _nonzero(acc), self._layout)
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar or a GradedPolynomial."""
+        layout = self._layout
         if isinstance(factor, GradedPolynomial):
             if factor.backend != self.backend:
                 raise BackendMismatchError("scale factor over wrong backend")
-        out = {}
-        for exps, poly in self._terms.items():
-            q = poly * factor
-            if not q.is_zero():
-                out[exps] = q
-        return self._raw(self.variables, self.order, self.backend, out)
+            right = {m << layout.shift: c for m, c in factor._terms.items()}
+            acc: dict = {}
+            _multiply(acc, self._terms, _sorted_rows(right, layout, self.order),
+                      self.order, layout)
+            terms = _nonzero(acc)
+        else:
+            factor = _coerce_scalar(factor)
+            terms = {k: c * factor for k, c in self._terms.items()} if factor else {}
+        return self._raw(self.variables, self.order, self.backend, terms, layout)
 
     def truncate(self, order: int) -> TruncatedSeries:
         """The same series cut to total degree <= order, at that order.
 
         Only lowering is exact: terms above self.order are unknown.
         """
-        if not 0 <= order <= self.order:
+        if not (is_integer(order) and 0 <= order <= self.order):
             raise OrderError(f"cannot truncate order {self.order} to {order}")
-        return self._raw(
-            self.variables, order, self.backend,
-            {e: p for e, p in self._terms.items() if sum(e) <= order},
-        )
+        layout = _layout(len(self.variables), order)
+        if layout is self._layout:
+            mask = layout.mask
+            terms = {k: c for k, c in self._terms.items() if k & mask <= order}
+        else:
+            terms = _repack(self._terms, self._layout, layout, order)
+        return self._raw(self.variables, order, self.backend, terms, layout)
 
     # -- substitution -----------------------------------------------------
 
@@ -299,75 +456,94 @@ class TruncatedSeries:
             raise OrderError(
                 f"substitution needs matching orders ({images[0].order} vs {self.order})"
             )
-        for v, s in zip(self.variables, images):
-            if not s.constant_term().is_zero():
+        target = images[0]
+        order, backend, layout = self.order, self.backend, target._layout
+        mask, shift = layout.mask, layout.shift
+        # lowest degree of each image; a zero image never gets below the order
+        low = [s._rows()[0][0] & mask if s._terms else order + 1 for s in images]
+        for v, d in zip(self.variables, low):
+            if d == 0:
                 raise ConstantTermError(f"series for {v!r} has a constant term")
 
-        target_vars = images[0].variables
-        order = self.order
-        backend = self.backend
-        one = [(0, _zero_exps(len(target_vars)), GradedPolynomial.one(backend))]
-        powers = [[one, _by_degree(s._terms)] for s in images]
-        # lowest degree of each image; a zero image never gets below the order
-        low = [p[1][0][0] if p[1] else order + 1 for p in powers]
-
+        # columns[rest][e0]: the terms with exponents (e0, rest), as ring
+        # monomials moved to the target layout at degree 0
+        src = self._layout
+        first = src.width * src.r  # the first variable's field
+        rest_mask = ((1 << first) - 1) ^ src.mask
         columns: dict = {}
-        for exps, poly in self._terms.items():
-            columns.setdefault(exps[1:], []).append((exps[0], poly))
+        for k, c in self._terms.items():
+            column = columns.get(k & rest_mask)
+            if column is None:
+                column = columns[k & rest_mask] = {}
+            e0 = (k >> first) & src.mask
+            part = column.get(e0)
+            if part is None:
+                part = column[e0] = {}
+            part[k >> src.shift << shift] = c
         # need[i][e]: the degree up to which some column uses images[i]**e
         need = [{} for _ in images]
-        for rest, column in columns.items():
+        groups = []
+        for rest_key, column in columns.items():
+            rest = src.exponents(rest_key)[1:]
             rest_low = sum(map(mul, rest, low[1:]))
-            inner_low = min(e0 for e0, _ in column) * low[0]
-            for e0, _ in column:
-                need[0][e0] = max(need[0].get(e0, -1), order - rest_low)
+            inner_low = min(column) * low[0]
+            if inner_low + rest_low > order:
+                continue  # every term of the column lies above the order
+            for e0 in column:
+                if need[0].get(e0, -1) < order - rest_low:
+                    need[0][e0] = order - rest_low
             for i, e in enumerate(rest, 1):
                 if e:
                     room = order - inner_low - rest_low + e * low[i]
-                    need[i][e] = max(need[i].get(e, -1), room)
+                    if need[i].get(e, -1) < room:
+                        need[i][e] = room
+            groups.append((rest, column, inner_low))
 
-        def power(i: int, e: int) -> list:
-            # images[i]**e as a _by_degree list, cut above the degree any
-            # column reads; the cut never rises with e, so each power is
-            # exact as far as the next one needs it
+        one = target._raw(target.variables, order, backend, {0: 1}, layout)
+        powers = [[one, s] for s in images]
+
+        def power(i: int, e: int) -> TruncatedSeries:
+            # images[i]**e, cut above the degree any column reads; the cut
+            # never rises with e, so each power is exact as far as the next
+            # one needs it
             cache = powers[i]
             while len(cache) <= e:
                 k = len(cache)
-                cut = max(d for f, d in need[i].items() if f >= k)
-                cache.append(_product(cache[-1], cache[1], cut, target_vars, backend))
+                cut = max(0, max(d for f, d in need[i].items() if f >= k))
+                cache.append(cache[-1]._cut(cut) * cache[1]._cut(cut))
             return cache[e]
 
         acc: dict = {}
-        for rest, column in columns.items():
-            rest_factor = None
-            for i, e in enumerate(rest, 1):
-                if e:
-                    p = power(i, e)
-                    rest_factor = p if rest_factor is None else _product(
-                        rest_factor, p, order, target_vars, backend
-                    )
-            if rest_factor is None:
+        for rest, column, inner_low in groups:
+            factors = [(power(i, e), e * low[i]) for i, e in enumerate(rest, 1) if e]
+            if not factors:
                 inner, room = acc, order
-            elif rest_factor:
-                inner, room = {}, order - rest_factor[0][0]
             else:
-                continue  # the rest factor vanishes below the order
-            for e0, poly in column:
-                if e0 * low[0] > room:
-                    continue
-                for d, exps, q in power(0, e0):
-                    if d > room:
-                        break
-                    bucket = inner.get(exps)
-                    if bucket is None:
-                        bucket = inner[exps] = {}
-                    poly._multiply_into(q, bucket)
-            if rest_factor is not None:
-                _accumulate_product(
-                    ((sum(e), e, p) for e, p in _collect(backend, inner).items()),
-                    rest_factor, order, acc,
-                )
-        return images[0]._raw(target_vars, order, backend, _collect(backend, acc))
+                # the rest factor is read up to degree order - inner_low only
+                top = order - inner_low
+                if len(factors) == 1:
+                    rows = factors[0][0]._rows()
+                else:
+                    # each partial product is cut at top less the lowest
+                    # degrees of the factors still to come, which is as far
+                    # as the power it multiplies by was built
+                    later = sum(d for _, d in factors[1:])
+                    rest_factor = factors[0][0]._terms
+                    for p, d in factors[1:]:
+                        later -= d
+                        product: dict = {}
+                        _multiply(product, rest_factor, p._rows(), top - later, layout)
+                        rest_factor = _nonzero(product)
+                    rows = _sorted_rows(rest_factor, layout, top)
+                if not rows[0]:
+                    continue  # the rest factor vanishes below the order
+                inner, room = {}, order - (rows[0][0] & mask)
+            for e0, part in column.items():
+                if e0 * low[0] <= room:
+                    _multiply(inner, part, power(0, e0)._rows(), room, layout)
+            if factors:
+                _multiply(acc, _nonzero(inner), rows, order, layout)
+        return target._raw(target.variables, order, backend, _nonzero(acc), layout)
 
     # -- serialization ----------------------------------------------------
 
@@ -454,6 +630,8 @@ class FormalGroupLaw:
     """
 
     def __init__(self, backend: CoefficientBackend, order: int = 8):
+        if not isinstance(backend, CoefficientBackend):
+            raise ValidationError(f"backend must be a CoefficientBackend, got {backend!r}")
         if not is_integer(order):
             raise OrderError(f"a formal group law needs an integer order, got {order!r}")
         if order < 1:
@@ -504,7 +682,14 @@ class FormalGroupLaw:
             return self._inverse
         backend = self.backend
         zero = GradedPolynomial.zero(backend)
-        a_terms = [(i, j, a) for (i, j), a in self.series._terms.items() if i and j]
+        law = self.series
+        source = law._layout
+        a_monos: dict = {}  # (i, j) -> {monomial: coefficient} of a_ij
+        for k, c in law._terms.items():
+            i, j = source.exponents(k & source.series_mask)
+            if i and j:
+                a_monos.setdefault((i, j), {})[k >> source.shift] = c
+        a_terms = [(i, j, GradedPolynomial._raw(backend, m)) for (i, j), m in a_monos.items()]
         c = [zero, GradedPolynomial.constant(-1, backend)]
         # powers[j][d] = [u^d] chi^j for j >= 2 and j <= d < len(c); every
         # lower slot is zero, since chi has no constant term
@@ -528,8 +713,14 @@ class FormalGroupLaw:
                 if i + j <= k:
                     a._multiply_into(power_coefficient(j, k - i), acc)
             c.append(-GradedPolynomial._from_accumulator(backend, acc))
-        chi = {(k,): p for k, p in enumerate(c) if p}
-        self._inverse = TruncatedSeries._raw(("u",), self.order, backend, chi)
+        # the recursive helper holds itself through its closure; emptying
+        # the cell frees its tables now instead of at the next cycle
+        # collection, which the flat kernel's few allocations make rare
+        del power_coefficient
+        layout = _layout(1, self.order)
+        shift, unit = layout.shift, layout.units[0]
+        chi = {k * unit + (m << shift): v for k, p in enumerate(c) for m, v in p._terms.items()}
+        self._inverse = TruncatedSeries._raw(("u",), self.order, backend, chi, layout)
         return self._inverse
 
     def _fold_prefix(self, sign: int, length: int) -> list:
@@ -579,38 +770,39 @@ class FormalGroupLaw:
         if m <= order:
             result = prefix[m]
         else:
-            terms = {}
-            for k in range(1, order + 1):
-                bucket: dict = {}
-                for j in range(1, k + 1):
-                    coeff = prefix[j]._terms.get((k,))
-                    if coeff is not None:
-                        w = (-1) ** (k - j) * comb(m, j) * comb(m - j - 1, k - j)
-                        for mono, c in coeff._terms.items():
-                            bucket[mono] = bucket.get(mono, 0) + w * c
-                poly = GradedPolynomial._from_accumulator(self.backend, bucket)
-                if poly:
-                    terms[(k,)] = poly
-            result = TruncatedSeries._raw(("u",), order, self.backend, terms)
+            # in one variable the degree field is the exponent k of u^k
+            layout = prefix[1]._layout
+            mask = layout.mask
+            weights = [[(-1) ** (k - j) * comb(m, j) * comb(m - j - 1, k - j)
+                        for j in range(k + 1)] for k in range(order + 1)]
+            acc: dict = {}
+            for j in range(1, order + 1):
+                for packed, c in prefix[j]._terms.items():
+                    k = packed & mask
+                    if k >= j:
+                        acc[packed] = acc.get(packed, 0) + weights[k][j] * c
+            result = TruncatedSeries._raw(("u",), order, self.backend, _nonzero(acc), layout)
         if variable != "u":
-            result = TruncatedSeries._raw((variable,), order, self.backend, dict(result._terms))
+            result = TruncatedSeries._raw(
+                (variable,), order, self.backend, result._terms, result._layout
+            )
         self._n_series[key] = result
         return result
 
     def _embedded_n_series(self, n: int, index: int, variables) -> TruncatedSeries:
         """[n]u written in the variable variables[index] of a series in variables."""
-        terms = {}
-        for (e,), poly in self.n_series(n)._terms.items():
-            exps = [0] * len(variables)
-            exps[index] = e
-            terms[tuple(exps)] = poly
-        return TruncatedSeries._raw(variables, self.order, self.backend, terms)
+        series = self.n_series(n)
+        src, dst = series._layout, _layout(len(variables), self.order)
+        mask, src_shift, dst_shift, unit = src.mask, src.shift, dst.shift, dst.units[index]
+        terms = {(k >> src_shift << dst_shift) + (k & mask) * unit: c
+                 for k, c in series._terms.items()}
+        return TruncatedSeries._raw(variables, self.order, self.backend, terms, dst)
 
     def linear_combination(self, multiplicities, variables=None) -> TruncatedSeries:
         """F^{(n_1, ..., n_r)}: the formal sum of [n_i]u_i, folded left to right.
 
-        Defaults to variables u1, ..., ur.  Multiplicities may be any
-        integers, including zero.
+        Defaults to variables u1, ..., ur, which must otherwise be distinct
+        nonempty names.  Multiplicities may be any integers, including zero.
         """
         ns = tuple(multiplicities)
         if not ns:
@@ -623,6 +815,10 @@ class FormalGroupLaw:
             variables = tuple(variables)
             if len(variables) != len(ns):
                 raise ValidationError("one variable per multiplicity required")
+            if not all(isinstance(v, str) and v for v in variables):
+                raise ValidationError(f"variables must be nonempty strings, got {variables!r}")
+            if len(set(variables)) != len(variables):
+                raise ValidationError(f"duplicate variable names in {variables}")
         key = (ns, variables)
         cached = self._linear.get(key)
         if cached is not None:
@@ -648,36 +844,40 @@ def support_decompose(series: TruncatedSeries) -> dict:
     is divided out); the constant term, if any, sits at J = frozenset().
     Only nonzero parts appear.
     """
+    layout = series._layout
+    series_mask, units = layout.series_mask, layout.units
+    seen: dict = {}  # series part -> (its support, the key of prod_{i in it} u_i)
     parts: dict = {}
-    for exps, poly in series._terms.items():
-        support = frozenset(i + 1 for i, e in enumerate(exps) if e)
-        reduced = tuple(e - 1 if e else 0 for e in exps)
-        bucket = parts.setdefault(support, {})
-        acc = bucket.get(reduced)
-        bucket[reduced] = poly if acc is None else acc + poly
-    out = {}
-    for support, bucket in sorted(parts.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        clean = {e: p for e, p in bucket.items() if not p.is_zero()}
-        if clean:
-            out[support] = TruncatedSeries._raw(
-                series.variables, series.order, series.backend, clean
-            )
-    return out
-
-
-def _times_symbols(terms, support) -> dict:
-    """Terms multiplied by prod_{i in support} u_i (1-based): a shift of the exponents."""
+    for k, c in series._terms.items():
+        hit = seen.get(k & series_mask)
+        if hit is None:
+            support = layout.support(k & series_mask)
+            hit = seen[k & series_mask] = (support, sum(units[i - 1] for i in support))
+        part = parts.get(hit[0])
+        if part is None:
+            part = parts[hit[0]] = {}
+        part[k - hit[1]] = c  # one to one within a support
     return {
-        tuple(e + 1 if i in support else e for i, e in enumerate(exps, start=1)): poly
-        for exps, poly in terms.items()
+        support: TruncatedSeries._raw(
+            series.variables, series.order, series.backend, parts[support], layout
+        )
+        for support in sorted(parts, key=lambda J: (len(J), sorted(J)))
     }
+
+
+def _times_symbols(series: TruncatedSeries, support, order: int) -> TruncatedSeries:
+    """series times prod_{i in support} u_i (1-based), at order: terms above it dropped."""
+    src = series._layout
+    dst = _layout(src.r, order)
+    terms = _repack(series._terms, src, dst, order, lambda exps: tuple(
+        e + 1 if i in support else e for i, e in enumerate(exps, 1)
+    ))
+    return series._raw(series.variables, order, series.backend, terms, dst)
 
 
 def recompose(parts: dict, variables, order, backend) -> TruncatedSeries:
     """Inverse of support_decompose: sum of G_J * prod_{i in J} u_i."""
-    variables = tuple(variables)
     total = TruncatedSeries.zero(variables, order, backend)
     for support, part in parts.items():
-        shifted = _times_symbols(part._terms, support)
-        total = total + TruncatedSeries(variables, order, backend, shifted)
+        total = total + _times_symbols(part, support, order)
     return total

@@ -24,10 +24,24 @@ every step, and a product of two divisors is one product of those.
 
 from __future__ import annotations
 
-from .chern import ChernPolynomial, evaluate_at_chern
-from .errors import ConfigurationError, OrderError, Record, ValidationError, is_integer
+from .chern import ChernPolynomial, _symbols, evaluate_at_chern
+from .errors import (
+    BackendMismatchError,
+    ConfigurationError,
+    OrderError,
+    Record,
+    ValidationError,
+    is_integer,
+)
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
-from .series import FormalGroupLaw, TruncatedSeries, _times_symbols, support_decompose
+from .series import (
+    FormalGroupLaw,
+    TruncatedSeries,
+    _layout,
+    _repack,
+    _times_symbols,
+    support_decompose,
+)
 
 
 class SncComponent(Record):
@@ -251,9 +265,17 @@ class FaceClassVector:
 
 def _on_faces(series: TruncatedSeries, faces) -> TruncatedSeries:
     """series modulo the Stanley-Reisner ideal: the terms whose support is a face."""
-    terms = {e: p for e, p in series._terms.items()
-             if frozenset(i for i, x in enumerate(e, start=1) if x) in faces}
-    return TruncatedSeries._raw(series.variables, series.order, series.backend, terms)
+    layout = series._layout
+    series_mask = layout.series_mask
+    on_face: dict = {}  # series part -> whether its support is a face
+    terms = {}
+    for k, c in series._terms.items():
+        keep = on_face.get(k & series_mask)
+        if keep is None:
+            keep = on_face[k & series_mask] = layout.support(k & series_mask) in faces
+        if keep:
+            terms[k] = c
+    return TruncatedSeries._raw(series.variables, series.order, series.backend, terms, layout)
 
 
 def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) -> TruncatedSeries:
@@ -351,9 +373,7 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
                 cut = cuts[top] = beta.truncate(top)
             term = factor * cut
             if common:
-                term = term._raw(
-                    term.variables, bound, term.backend, _times_symbols(term._terms, common)
-                )
+                term = _times_symbols(term, common, bound)
             if K in entries:
                 term = entries[K] + term
             entries[K] = term
@@ -415,18 +435,22 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
     if len(kept) != sub.r:
         raise ValidationError("vector does not live on the restriction to this component")
     r = config.r
+
+    def lift(exps):
+        lifted = [0] * r
+        for pos, e in enumerate(exps, start=1):
+            lifted[kept[pos - 1] - 1] = e
+        return tuple(lifted)
+
     entries = {}
     for Jp, cp in vector.items():
         face = frozenset(kept[k - 1] for k in Jp) | {index}
         if face not in config.faces:
             raise ValidationError(f"lifted face {sorted(face)} is not a face upstairs")
-        terms = {}
-        for exps, poly in cp._terms.items():
-            lifted = [0] * r
-            for pos, e in enumerate(exps, start=1):
-                lifted[kept[pos - 1] - 1] = e
-            terms[tuple(lifted)] = poly
-        entries[face] = ChernPolynomial(r, config.face_dim(face), cp.backend, terms)
+        dim = config.face_dim(face)
+        layout = _layout(r, dim)
+        terms = _repack(cp._terms, cp._layout, layout, dim, lift)
+        entries[face] = ChernPolynomial._raw(_symbols(r), dim, cp.backend, terms, layout)
     return FaceClassVector(config, entries)
 
 
@@ -446,38 +470,50 @@ def normal_form(vector: FaceClassVector) -> FaceClassVector:
     config = vector.config
     require_valid(config)
     r = config.r
-    acc: dict = {}
 
-    def deposit(face, exps, poly):
-        stray = [j for j in range(1, r + 1) if exps[j - 1] and j not in face]
-        if not stray:
-            if sum(exps) <= config.face_dim(face):
-                bucket = acc.setdefault(face, {})
-                prev = bucket.get(exps)
-                total = poly if prev is None else prev + poly
-                if total.is_zero():
-                    bucket.pop(exps, None)
-                else:
-                    bucket[exps] = total
-            return
-        j = stray[0]
-        target = face | {j}
-        if target not in config.faces:
-            return
-        reduced = tuple(e - 1 if k == j - 1 else e for k, e in enumerate(exps))
-        if sum(reduced) > config.face_dim(target):
-            return
-        deposit(target, reduced, poly)
+    def destination(face, exps):
+        # (face, exponents) where terms at face with exps end up, or None
+        while True:
+            stray = next((j for j in range(1, r + 1) if exps[j - 1] and j not in face), None)
+            if stray is None:
+                return (face, exps) if sum(exps) <= config.face_dim(face) else None
+            face = face | {stray}
+            if face not in config.faces:
+                return None
+            exps = tuple(e - 1 if k == stray else e for k, e in enumerate(exps, start=1))
+            if sum(exps) > config.face_dim(face):
+                return None
 
+    acc: dict = {}  # face -> (backend, packed terms at the face dimension)
     for J, cp in vector.items():
-        for exps, poly in cp._terms.items():
-            deposit(J, exps, poly)
+        src = cp._layout
+        series_mask, src_shift = src.series_mask, src.shift
+        moves: dict = {}  # series part -> (bucket, new series part, its shift), or None
+        for k, c in cp._terms.items():
+            move = moves.get(k & series_mask, 0)
+            if move == 0:
+                dest = destination(J, src.exponents(k & series_mask))
+                if dest is not None:
+                    face, exps = dest
+                    backend, bucket = acc.setdefault(face, (cp.backend, {}))
+                    if backend != cp.backend:
+                        raise BackendMismatchError("mixed backends in a class vector")
+                    dst = _layout(r, config.face_dim(face))
+                    dest = (bucket, dst.encode(exps), dst.shift)
+                move = moves[k & series_mask] = dest
+            if move is not None:
+                bucket, part, shift = move
+                key = part + (k >> src_shift << shift)
+                total = bucket.get(key, 0) + c
+                if total:
+                    bucket[key] = total
+                else:
+                    del bucket[key]
 
     entries = {}
-    for face, terms in acc.items():
-        if terms:
-            backend = next(iter(terms.values())).backend
-            entries[face] = ChernPolynomial(r, config.face_dim(face), backend, terms)
+    for face, (backend, terms) in acc.items():
+        dim = config.face_dim(face)
+        entries[face] = ChernPolynomial._raw(_symbols(r), dim, backend, terms, _layout(r, dim))
     return FaceClassVector(config, entries)
 
 
@@ -490,9 +526,9 @@ def class_dimension(vector: FaceClassVector):
     dims = set()
     for J, cp in vector.items():
         base = vector.config.face_dim(J)
-        for exps, poly in cp._terms.items():
-            for mono in poly._terms:
-                dims.add(base - sum(exps) + _mono_degree(mono))
+        mask, shift = cp._layout.mask, cp._layout.shift
+        for k in cp._terms:
+            dims.add(base - (k & mask) + _mono_degree(k >> shift))
     if not dims:
         return ANY_DEGREE
     if len(dims) == 1:

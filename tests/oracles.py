@@ -21,6 +21,10 @@ law's full order with every support kept, where the package works in the
 Stanley-Reisner quotient; substitute_by_terms composes series one term at
 a time; n_series_by_fold builds [n]u with the full left fold of |n| - 1
 law sums, where the package interpolates from a short shared fold prefix.
+series_mul_two_level and substitute_two_level are the series product and
+composition from before a series became one dict of packed keys: terms
+keyed by exponent vectors with GradedPolynomial coefficients, one
+polynomial product per pair of terms, collected in per-exponent buckets.
 chern_mul_by_pairs and chern_substitute_by_terms are the chern product and
 substitution from before chern polynomials became series: a double loop
 over term pairs, and a sum of term products.  normal_form_in_order
@@ -32,6 +36,7 @@ over the powers of l(u) + l(v) keyed by (u, v) exponent pairs.
 """
 
 from fractions import Fraction
+from operator import add, itemgetter, mul
 
 from fglcalc import (
     ChernPolynomial,
@@ -43,7 +48,7 @@ from fglcalc import (
     m_gen,
     support_decompose,
 )
-from fglcalc.snc import _check_law, _check_multiplicities, _times_symbols, require_valid
+from fglcalc.snc import _check_law, _check_multiplicities, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
 # tuples are right-padded with zeros as needed
@@ -231,7 +236,7 @@ def product_class_full_order(config, n_mults, p_mults, law):
                     variables, law.order, law.backend, {exps: 1}
                 )
             # the constructor drops every term above the bound
-            cp = ChernPolynomial(r, config.face_dim(K), law.backend, dict(series._terms))
+            cp = ChernPolynomial(r, config.face_dim(K), law.backend, dict(series.items()))
             if K in entries:
                 cp = entries[K] + cp
             entries[K] = cp
@@ -256,8 +261,8 @@ def apply_divisor_operator_full_bound(vector, multiplicities, law):
             if K not in config.faces:
                 continue
             bound = config.face_dim(K)
-            factor = ChernPolynomial(r, bound, law.backend, dict(part_n._terms))
-            term = factor * ChernPolynomial(r, bound, law.backend, dict(beta._terms))
+            factor = ChernPolynomial(r, bound, law.backend, dict(part_n.items()))
+            term = factor * ChernPolynomial(r, bound, law.backend, dict(beta.items()))
             for i in J & I:
                 term = term * ChernPolynomial.symbol(i, r, bound, law.backend)
             if K in entries:
@@ -318,10 +323,10 @@ def product_class_by_pairs(config, n_mults, p_mults, law):
                 continue  # every term lies above the face dimension
             series = part_n.truncate(top) * part_p.truncate(top)
             if common:
-                series = TruncatedSeries._raw(
-                    series.variables, dim, series.backend,
-                    _times_symbols(series._terms, common),
-                )
+                series = TruncatedSeries(series.variables, dim, series.backend, {
+                    tuple(e + 1 if i in common else e for i, e in enumerate(exps, 1)): poly
+                    for exps, poly in series.items()
+                })
             cp = evaluate_at_chern(series, dim)
             if K in entries:
                 cp = entries[K] + cp
@@ -419,7 +424,7 @@ def substitute_by_terms(series, assignment):
         return cache[e]
 
     total = TruncatedSeries.zero(target_vars, order, backend)
-    for exps, poly in sorted(series._terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+    for exps, poly in series.items():
         factor = None
         for i, e in enumerate(exps):
             if e:
@@ -428,6 +433,138 @@ def substitute_by_terms(series, assignment):
             factor = one
         total = total + factor.scale(poly)
     return total
+
+
+# -- the two-level series product and composition ------------------------------
+
+def _by_degree(terms: dict) -> list:
+    """(degree, exponents, coefficient) triples of a term dict, lowest degree first."""
+    return sorted(((sum(e), e, p) for e, p in terms.items()), key=itemgetter(0))
+
+
+def _accumulate_product(left, right: list, order: int, acc: dict):
+    """Add left * right, cut above total degree order, into acc.
+
+    left yields (degree, exponents, coefficient) triples in any order; right
+    is a _by_degree list, so each row stops at its first term past the
+    order.  acc maps exponents to {monomial: coefficient} buckets.
+    """
+    for d1, e1, p1 in left:
+        room = order - d1
+        for d2, e2, p2 in right:
+            if d2 > room:
+                break
+            key = tuple(map(add, e1, e2))
+            bucket = acc.get(key)
+            if bucket is None:
+                bucket = acc[key] = {}
+            p1._multiply_into(p2, bucket)
+
+
+def _collect(backend, acc: dict) -> dict:
+    """Finalize _accumulate_product buckets into a term dict, zeros dropped."""
+    out = {}
+    for exps, bucket in acc.items():
+        poly = GradedPolynomial._from_accumulator(backend, bucket)
+        if poly:
+            out[exps] = poly
+    return out
+
+
+def _like(series, variables, order, terms):
+    """A series of the class of `series` (chern or plain) from a two-level term dict."""
+    if isinstance(series, ChernPolynomial):
+        return ChernPolynomial(len(variables), order, series.backend, terms)
+    return TruncatedSeries(variables, order, series.backend, terms)
+
+
+def series_mul_two_level(left, right):
+    """fglcalc.TruncatedSeries.__mul__ on {exponents: GradedPolynomial} terms.
+
+    Each pair of terms within the order makes one polynomial product into
+    the bucket of its exponent sum.  The operand checks are left to the
+    package.
+    """
+    acc: dict = {}
+    _accumulate_product(
+        ((sum(e), e, p) for e, p in left.items()),
+        _by_degree(dict(right.items())), left.order, acc,
+    )
+    return _like(left, left.variables, left.order, _collect(left.backend, acc))
+
+
+def substitute_two_level(series, assignment):
+    """fglcalc.TruncatedSeries.substitute on {exponents: GradedPolynomial} terms.
+
+    The same grouping by rest exponents and the same cuts as the package,
+    with every product a two-level pair loop.  The argument checks are left
+    to the package method.
+    """
+    images = [assignment[v] for v in series.variables]
+    target_vars, order, backend = images[0].variables, series.order, series.backend
+
+    def product(left: list, right: list, cut: int) -> list:
+        cut = max(cut, 0)
+        acc: dict = {}
+        _accumulate_product((t for t in left if t[0] <= cut),
+                            [t for t in right if t[0] <= cut], cut, acc)
+        return _by_degree(_collect(backend, acc))
+
+    one = [(0, (0,) * len(target_vars), GradedPolynomial.one(backend))]
+    powers = [[one, _by_degree(dict(s.items()))] for s in images]
+    low = [p[1][0][0] if p[1] else order + 1 for p in powers]
+
+    columns: dict = {}
+    for exps, poly in series.items():
+        columns.setdefault(exps[1:], []).append((exps[0], poly))
+    need = [{} for _ in images]
+    for rest, column in columns.items():
+        rest_low = sum(map(mul, rest, low[1:]))
+        inner_low = min(e0 for e0, _ in column) * low[0]
+        for e0, _ in column:
+            need[0][e0] = max(need[0].get(e0, -1), order - rest_low)
+        for i, e in enumerate(rest, 1):
+            if e:
+                room = order - inner_low - rest_low + e * low[i]
+                need[i][e] = max(need[i].get(e, -1), room)
+
+    def power(i: int, e: int) -> list:
+        cache = powers[i]
+        while len(cache) <= e:
+            k = len(cache)
+            cut = max(d for f, d in need[i].items() if f >= k)
+            cache.append(product(cache[-1], cache[1], cut))
+        return cache[e]
+
+    acc: dict = {}
+    for rest, column in columns.items():
+        rest_factor = None
+        for i, e in enumerate(rest, 1):
+            if e:
+                p = power(i, e)
+                rest_factor = p if rest_factor is None else product(rest_factor, p, order)
+        if rest_factor is None:
+            inner, room = acc, order
+        elif rest_factor:
+            inner, room = {}, order - rest_factor[0][0]
+        else:
+            continue  # the rest factor vanishes below the order
+        for e0, poly in column:
+            if e0 * low[0] > room:
+                continue
+            for d, exps, q in power(0, e0):
+                if d > room:
+                    break
+                bucket = inner.get(exps)
+                if bucket is None:
+                    bucket = inner[exps] = {}
+                poly._multiply_into(q, bucket)
+        if rest_factor is not None:
+            _accumulate_product(
+                ((sum(e), e, p) for e, p in _collect(backend, inner).items()),
+                rest_factor, order, acc,
+            )
+    return _like(images[0], target_vars, order, _collect(backend, acc))
 
 
 def n_series_by_fold(law, n, variable="u"):
@@ -447,9 +584,7 @@ def n_series_by_fold(law, n, variable="u"):
     else:
         chi = law.inverse()
         if variable != "u":
-            chi = TruncatedSeries._raw(
-                u_var, law.order, law.backend, dict(chi._terms)
-            )
+            chi = TruncatedSeries(u_var, law.order, law.backend, dict(chi.items()))
         result = chi
         for _ in range(-n - 1):
             result = law.sum(result, chi)
@@ -466,9 +601,9 @@ def chern_mul_by_pairs(left, right):
     """
     bound = left.dim_bound
     acc: dict = {}
-    for e1, p1 in left._terms.items():
+    for e1, p1 in left.items():
         d1 = sum(e1)
-        for e2, p2 in right._terms.items():
+        for e2, p2 in right.items():
             if d1 + sum(e2) > bound:
                 continue
             key = tuple(a + b for a, b in zip(e1, e2))
@@ -481,7 +616,7 @@ def chern_mul_by_pairs(left, right):
         poly = GradedPolynomial._from_accumulator(left.backend, bucket)
         if not poly.is_zero():
             out[key] = poly
-    return ChernPolynomial._raw(left.variables, bound, left.backend, out)
+    return ChernPolynomial(left.nvars, bound, left.backend, out)
 
 
 def chern_substitute_by_terms(series, values):
@@ -522,7 +657,7 @@ def normal_form_in_order(vector, rank):
     config, r = vector.config, vector.config.r
     acc = {}
     for start, cp in vector.items():
-        for exps, poly in cp._terms.items():
+        for exps, poly in cp.items():
             face, exps = start, list(exps)
             stray = [j for j in range(1, r + 1) if exps[j - 1] and j not in face]
             while stray and face in config.faces:

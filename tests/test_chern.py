@@ -26,7 +26,7 @@ from fglcalc import (
 )
 
 import oracles
-from test_series import _series
+from test_series import _ORDER_DRAWS, _image_lows, _series, _sparse_sizes
 
 _BACKENDS = (FREE, ADDITIVE, MULTIPLICATIVE, log_backend(4))
 
@@ -308,21 +308,28 @@ def test_series_variable_constructor_points_to_symbol():
 def _chern(draw, nvars, bound, backend, low=0):
     # test_series' sparse random series, in the symbols c1..c<nvars>
     symbols = tuple(f"c{i}" for i in range(1, nvars + 1))
-    series = draw(_series(symbols, bound, backend, low=low, max_terms=4))
-    return ChernPolynomial(nvars, bound, backend, series._terms)
+    most = _sparse_sizes(bound)[0] // 2
+    series = draw(_series(symbols, bound, backend, low=low, max_terms=most))
+    return ChernPolynomial(nvars, bound, backend, dict(series.items()))
 
 
 @st.composite
 def _chern_cases(draw):
-    """Two chern polynomials, and a series with one chern value per variable."""
+    """Two chern polynomials, and a series with one chern value per variable.
+
+    The bound is small, or on either side of a step of the packed field width.
+    """
     backend = draw(st.sampled_from(_BACKENDS))
     nvars = draw(st.integers(1, 4))
-    bound = draw(st.integers(0, 5))
+    bound = draw(_ORDER_DRAWS)
     left = draw(_chern(nvars, bound, backend))
     right = draw(_chern(nvars, bound, backend))
     source = ("u", "v", "w")[: draw(st.integers(1, 3))]
-    series = draw(_series(source, bound + draw(st.integers(0, 2)), backend))
-    values = [draw(_chern(nvars, bound, backend, low=1)) for _ in source]
+    series = draw(_series(source, bound + draw(st.integers(0, 2)), backend,
+                          max_terms=_sparse_sizes(bound)[0]))
+    lowest = _sparse_sizes(bound)[1]
+    values = [draw(_chern(nvars, bound, backend, low=draw(_image_lows(bound, lowest))))
+              for _ in source]
     return left, right, series, values
 
 
@@ -330,16 +337,20 @@ def _chern_cases(draw):
 def test_product_matches_pair_loop_oracle(case):
     left, right, _, _ = case
     fast = left * right
-    slow = oracles.chern_mul_by_pairs(left, right)
-    assert fast == slow
-    assert fast.to_json() == slow.to_json()
+    for oracle in (oracles.chern_mul_by_pairs, oracles.series_mul_two_level):
+        slow = oracle(left, right)
+        assert type(slow) is ChernPolynomial
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
 
 
 @given(_chern_cases())
 def test_substitute_matches_term_by_term_oracle(case):
     _, _, series, values = case
     fast = _substitute(series, values)
-    slow = oracles.chern_substitute_by_terms(series, values)
     assert type(fast) is ChernPolynomial
-    assert fast == slow
-    assert fast.to_json() == slow.to_json()
+    cut = series.truncate(values[0].dim_bound)
+    for slow in (oracles.chern_substitute_by_terms(series, values),
+                 oracles.substitute_two_level(cut, dict(zip(series.variables, values)))):
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()

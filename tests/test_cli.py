@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglcalc.cli import MAX_COMPONENTS, MAX_ORDER, main
+import fglcalc.ring
+from fglcalc.cli import MAX_COMPONENTS, MAX_ORDER, MAX_WORK, main
+from fglcalc.stats import meter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
 
@@ -372,6 +375,56 @@ def test_component_count_over_the_limit_exits_2(command):
     assert f"exceed the component limit {MAX_COMPONENTS}" in json.loads(out)["detail"]
     rc, _, _ = run_cli(["snc", command, "--order", "3", json.dumps(_components(MAX_COMPONENTS))])
     assert rc == 0
+
+
+# -- the work budget -------------------------------------------------------------
+
+def test_the_work_budget_stops_every_cap_at_its_limit():
+    # 6 components, all 63 faces, ambient dimension and order 12: within
+    # each cap, and minutes of work without the joint budget
+    faces = [[i for i in range(1, 7) if mask >> (i - 1) & 1] for mask in range(1, 64)]
+    doc = {"ambient_dim": 12, "components": [{"name": f"D{i}"} for i in range(1, 7)],
+           "faces": faces, "D": [1, 2, -1, 1, 2, 1], "E": [2, 1, 1, -1, 1, 2]}
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["snc", "check-properties", "--order", "12", "--backend", "free",
+                          json.dumps(doc)])
+    assert rc == 2
+    assert f"work budget of {MAX_WORK} " in json.loads(out)["detail"]
+    assert time.perf_counter() - start < 30
+
+
+def _work(argv, stdin_text=None):
+    # (exit code, products) of one command, the log tables built afresh as
+    # in a new process
+    fglcalc.ring._log_coefficient_table.cache_clear()
+    before = meter.products
+    rc, _, _ = run_cli(argv, stdin_text)
+    return rc, meter.products - before
+
+
+@pytest.mark.parametrize("golden_name,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
+def test_goldens_stay_under_the_work_budget(golden_name, argv):
+    rc, products = _work(argv)
+    assert rc == 0
+    assert products < MAX_WORK
+
+
+def test_cli_batch_inputs_stay_under_the_work_budget():
+    # the benchmark's cli-batch jobs whose output bytes it pins, at its seed
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    from perfbench.workloads import SHIPPED_SEED, WORKLOADS, SpecStream, load_pins
+
+    stream = SpecStream(WORKLOADS["cli-batch"], SHIPPED_SEED)
+    for k in range(len(load_pins()["cli-batch"])):
+        spec = stream[k]
+        argv, stdin_text = list(spec["argv"]), None
+        if spec["mode"] != "none":
+            argv.append("-")
+            stdin_text = json.dumps(spec["input"])
+        rc, products = _work(argv, stdin_text)
+        assert rc == spec["expect_exit"], (k, argv)
+        assert products < MAX_WORK, (k, argv)
 
 
 # -- fuzz: mutated inputs end in exit 0, 1 or 2 --------------------------------

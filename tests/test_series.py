@@ -1,10 +1,11 @@
 """Truncated series and the formal group law operations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fglcalc import (
@@ -25,6 +26,8 @@ from fglcalc import (
     recompose,
     support_decompose,
 )
+
+from fglcalc.stats import meter
 
 import oracles
 
@@ -103,7 +106,7 @@ def test_truncate_cuts_terms_and_order():
         for order in range(6):
             cut = s.truncate(order)
             assert cut.order == order
-            assert cut == TruncatedSeries(("u", "v"), order, FREE, s._terms)
+            assert cut == TruncatedSeries(("u", "v"), order, FREE, dict(s.items()))
 
 
 def test_truncate_commutes_with_multiplication():
@@ -452,6 +455,56 @@ def test_linear_combination_validation():
         law.linear_combination((1, 2), variables=("u",))
 
 
+@pytest.mark.parametrize("variables", [("u", "u"), ("u", ""), ("u", 3)],
+                         ids=["repeated", "empty", "not-a-string"])
+def test_linear_combination_rejects_bad_variable_names(variables):
+    with pytest.raises(ValidationError):
+        FormalGroupLaw(FREE, 3).linear_combination([1, 2], variables)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FormalGroupLaw("free", 3),
+    lambda: lazard_coefficient(1, 1, "free"),
+    lambda: TruncatedSeries(("u",), 2, "free", {(1,): 1}),
+], ids=["FormalGroupLaw", "lazard_coefficient", "TruncatedSeries"])
+def test_backends_must_be_coefficient_backends(build):
+    with pytest.raises(ValidationError, match="must be a CoefficientBackend"):
+        build()
+
+
+def test_a_series_cold_job_multiplies_through_the_series_product(monkeypatch):
+    # perfbench traces TruncatedSeries.__mul__ as series.mul; a job like
+    # series-cold's must reach it, or that layer silently reads zero
+    calls = []
+    product = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    law = FormalGroupLaw(FREE, 8)
+    law.inverse()
+    law.n_series(5)
+    law.linear_combination([2, -1, 3])
+    assert len(calls) > 0
+
+
+def test_the_work_meter_counts_products_and_enforces_a_budget():
+    before = meter.products
+    expected = FormalGroupLaw(FREE, 6).linear_combination([2, -1, 3])
+    used = meter.products - before
+    assert used > 0
+    # a fresh law makes the same products: exactly that many fit
+    with meter.budget(used):
+        assert FormalGroupLaw(FREE, 6).linear_combination([2, -1, 3]) == expected
+    with pytest.raises(ValidationError, match=f"work budget of {used - 1} "):
+        with meter.budget(used - 1):
+            FormalGroupLaw(FREE, 6).linear_combination([2, -1, 3])
+    # leaving the block lifts the budget
+    assert meter.allowance() > used
+
+
 def test_n_series_far_past_the_order_matches_the_fold_on_free():
     # |n| far above the order takes the interpolation; each side builds its
     # own law, so no cache is shared
@@ -621,28 +674,131 @@ def _series(draw, variables, order, backend, low=0, max_terms=6):
     return TruncatedSeries(variables, order, backend, terms)
 
 
+# orders on both sides of each step of the packed exponent field width,
+# order.bit_length()
+_ORDERS = (0, 1, 3, 4, 7, 8, 15, 16, 31, 32)
+# those, and every small order as well
+_ORDER_DRAWS = st.one_of(st.integers(0, 8), st.sampled_from(_ORDERS))
+
+
+def _sparse_sizes(order):
+    # (most terms, lowest image degree) that keep the oracles' full powers small
+    return (8, 1) if order <= 8 else (3, order // 4)
+
+
+def _image_lows(order, lowest):
+    # an image's lowest degree: often the smallest allowed, so that products
+    # of several images stay below the order, and at times order + 1, a
+    # zero image
+    return st.one_of(st.integers(lowest, min(lowest + 1, order + 1)), st.integers(lowest, order + 1))
+
+
+@st.composite
+def _products(draw):
+    """Two series in 1-4 variables over one backend, at an order from _ORDER_DRAWS."""
+    backend = _BACKENDS[draw(st.sampled_from(sorted(_BACKENDS)))]
+    order = draw(_ORDER_DRAWS)
+    variables = ("u", "v", "w", "x")[: draw(st.integers(1, 4))]
+    most, _ = _sparse_sizes(order)
+    return tuple(draw(_series(variables, order, backend, max_terms=most)) for _ in range(2))
+
+
 @st.composite
 def _substitutions(draw):
-    """(series, assignment): series in 1-3 variables, images in 1-3 others."""
+    """(series, assignment): series in 1-4 variables, images in 1-4 others."""
     backend = _BACKENDS[draw(st.sampled_from(sorted(_BACKENDS)))]
-    order = draw(st.integers(1, 7))
-    source = ("u", "v", "w")[: draw(st.integers(1, 3))]
-    target = draw(st.sampled_from([("u",), ("u", "v"), ("x",), ("x", "y"), ("y", "x", "z")]))
-    series = draw(_series(source, order, backend, max_terms=8))
+    order = draw(_ORDER_DRAWS)
+    source = ("u", "v", "w", "t")[: draw(st.integers(1, 4))]
+    target = draw(st.sampled_from(
+        [("u",), ("u", "v"), ("x",), ("x", "y"), ("y", "x", "z"), ("x", "y", "z", "s")]
+    ))
+    most, lowest = _sparse_sizes(order)
+    series = draw(_series(source, order, backend, max_terms=most))
     assignment = {}
     for name in source:
-        low = draw(st.integers(1, order + 1))  # lowest degree; order + 1 is zero
-        assignment[name] = draw(_series(target, order, backend, low=low, max_terms=4))
+        low = draw(_image_lows(order, lowest))
+        assignment[name] = draw(_series(target, order, backend, low=low, max_terms=most // 2))
     return series, assignment
 
 
-@given(_substitutions())
-def test_substitute_matches_term_by_term_oracle(case):
-    series, assignment = case
-    fast = series.substitute(assignment)
-    slow = oracles.substitute_by_terms(series, assignment)
+def _power_of_a11(e, exps=(1,), order=2):
+    # the one-term series A(1,1)^e * u^exps, whose ring exponent sums reach
+    # MAX_EXPONENT = 2**31 - 1 with e = 2**30 - 1 and 2**30
+    names = ("u", "v", "w", "x")[: len(exps)]
+    coefficient = GradedPolynomial(FREE, {((a_gen(1, 1), e),): 1})
+    return TruncatedSeries(names, order, FREE, {exps: coefficient})
+
+
+_EDGE = 1 << 30
+
+
+@given(_products())
+@example((_power_of_a11(_EDGE - 1), _power_of_a11(_EDGE)))  # reaches the limit
+@example((_power_of_a11(_EDGE), _power_of_a11(_EDGE)))  # one past it: raises
+@example((_power_of_a11(_EDGE, order=1), _power_of_a11(_EDGE, order=1)))  # cut away
+def test_product_matches_the_two_level_oracle(case):
+    left, right = case
+    try:
+        fast = left * right
+    except ValidationError as exc:
+        assert "exceeds the limit" in str(exc)
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            oracles.series_mul_two_level(left, right)
+        return
+    slow = oracles.series_mul_two_level(left, right)
     assert fast == slow
     assert fast.to_json() == slow.to_json()
+
+
+@given(_substitutions())
+@example((  # [u^2] at x -> A(1,1)^(2^30) x: the power reaches one past the limit
+    TruncatedSeries(("u",), 2, FREE, {(2,): 1}), {"u": _power_of_a11(_EDGE, order=2)},
+))
+@example((  # the coefficient times the image's power reaches the limit exactly
+    _power_of_a11(_EDGE - 1, exps=(1, 1), order=3),
+    {"u": _power_of_a11(_EDGE // 2, order=3), "v": _power_of_a11(_EDGE // 2, order=3)},
+))
+@example((  # one past it through the rest factor
+    _power_of_a11(_EDGE, exps=(1, 1), order=3),
+    {"u": _power_of_a11(_EDGE // 2, order=3), "v": _power_of_a11(_EDGE // 2, order=3)},
+))
+@example((  # a rest factor of three powers, a squared one in the middle: x^4
+    TruncatedSeries(("t", "a", "b", "c"), 4, FREE, {(0, 1, 2, 1): 1}),
+    {v: TruncatedSeries(("x",), 4, FREE, {(1,): 1}) for v in "tabc"},
+))
+def test_substitute_matches_term_by_term_oracle(case):
+    series, assignment = case
+    try:
+        fast = series.substitute(assignment)
+    except ValidationError as exc:
+        assert "exceeds the limit" in str(exc)
+        for oracle in (oracles.substitute_two_level, oracles.substitute_by_terms):
+            with pytest.raises(ValidationError, match="exceeds the limit"):
+                oracle(series, assignment)
+        return
+    for oracle in (oracles.substitute_two_level, oracles.substitute_by_terms):
+        slow = oracle(series, assignment)
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_substitute_every_monomial_shape_matches_the_oracle(order):
+    # every monomial in four variables, under every assignment of three
+    # images of lowest degree 1, 1 and 2: each rest factor of one, two or
+    # three powers, with each exponent in each place
+    a11 = _a(1, 1)
+    pool = [
+        TruncatedSeries(("x",), order, FREE, {(1,): 1}),
+        TruncatedSeries(("x",), order, FREE, {(1,): 1, (2,): a11}),
+        TruncatedSeries(("x",), order, FREE, {(2,): 1, (3,): 2}),
+    ]
+    exponents = [e for e in itertools.product(range(order + 1), repeat=4) if sum(e) <= order]
+    for picks in itertools.product(pool, repeat=4):
+        env = dict(zip("tabc", picks))
+        for exps in exponents:
+            f = TruncatedSeries(("t", "a", "b", "c"), order, FREE, {exps: 1})
+            assert f.substitute(env) == oracles.substitute_by_terms(f, env), (exps, picks)
 
 
 def test_substitute_cuts_at_the_images_lowest_degree():

@@ -20,6 +20,7 @@ from fglcalc import (
     OrderError,
     SncComponent,
     SncConfiguration,
+    TruncatedSeries,
     ValidationError,
     a_gen,
     apply_divisor_operator,
@@ -84,7 +85,13 @@ def _random_mults(rng, r, lo=-2, hi=2):
 def test_the_monomial_shift_is_the_series_one():
     # one copy of the shift by prod u_i; the name stays importable from snc
     assert snc._times_symbols is series._times_symbols
-    assert series._times_symbols({(1, 0, 2): "p"}, frozenset({2, 3})) == {(1, 1, 3): "p"}
+    names, support = ("u1", "u2", "u3"), frozenset({2, 3})
+    terms = {(1, 0, 2): 5, (2, 0, 0): 1}
+    shifted = {(1, 1, 3): 5, (2, 1, 1): 1}
+    # order 3 to 5 widens the exponent fields, 5 to 5 and 5 to 4 keep them
+    for source, order in ((3, 5), (5, 5), (5, 4)):
+        result = series._times_symbols(TruncatedSeries(names, source, FREE, terms), support, order)
+        assert result == TruncatedSeries(names, order, FREE, shifted)
 
 
 def test_valid_config_has_no_violations():
