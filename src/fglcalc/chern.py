@@ -121,8 +121,7 @@ def evaluate_at_chern(series: TruncatedSeries, dim_bound: int) -> ChernPolynomia
     monomials the bound would keep are missing, so the result would be
     silently wrong.
     """
-    # the packed terms carry over: the key layout depends only on the
-    # number of variables and the order
+    # the packed keys carry over: the layout does not depend on the names
     cut = series.truncate(dim_bound)
     return ChernPolynomial._raw(
         _symbols(len(series.variables)), dim_bound, series.backend, cut._terms, cut._layout

@@ -196,6 +196,11 @@ def log_backend(order: int) -> CoefficientBackend:
     return CoefficientBackend("log", order)
 
 
+def _check_backend(backend):
+    if not isinstance(backend, CoefficientBackend):
+        raise ValidationError(f"backend must be a CoefficientBackend, got {backend!r}")
+
+
 def _require_same_backend(x: CoefficientBackend, y: CoefficientBackend):
     if x != y:
         raise BackendMismatchError(f"mixed backends {x!r} and {y!r}")
@@ -307,6 +312,7 @@ class GradedPolynomial:
     __slots__ = ("backend", "_terms")
 
     def __init__(self, backend: CoefficientBackend, terms=None):
+        _check_backend(backend)
         self.backend = backend
         clean: dict = {}
         if terms:
@@ -346,9 +352,6 @@ class GradedPolynomial:
 
     def __bool__(self):
         return bool(self._terms)
-
-    def constant_term(self):
-        return self._terms.get(0, 0)
 
     def graded_degree(self):
         """Common degree of all terms, ANY_DEGREE for 0, else INHOMOGENEOUS."""
@@ -490,6 +493,7 @@ class GradedPolynomial:
     @classmethod
     def from_text(cls, text: str, backend: CoefficientBackend) -> GradedPolynomial:
         """Parse the canonical text form (also accepts explicit unit coefficients)."""
+        _check_backend(backend)
         s = text.strip()
         if s in ("", "0"):
             return cls.zero(backend)
@@ -530,6 +534,7 @@ class GradedPolynomial:
 
     @classmethod
     def from_json(cls, data, backend: CoefficientBackend) -> GradedPolynomial:
+        _check_backend(backend)
         if not isinstance(data, list):
             raise ValidationError("polynomial JSON must be a list of terms")
         terms: dict = {}
@@ -567,8 +572,7 @@ def lazard_coefficient(i: int, j: int, backend: CoefficientBackend) -> GradedPol
         raise ValidationError(f"lazard_coefficient requires integers, got {i!r}, {j!r}")
     if i < 1 or j < 1:
         raise ValidationError("lazard_coefficient requires i, j >= 1")
-    if not isinstance(backend, CoefficientBackend):
-        raise ValidationError(f"backend must be a CoefficientBackend, got {backend!r}")
+    _check_backend(backend)
     kind = backend.kind
     if kind == "free":
         return GradedPolynomial.generator(a_gen(i, j), backend)

@@ -9,14 +9,16 @@ so a subclass such as fglcalc.chern.ChernPolynomial is closed under them.
 A series is stored as one dict from packed int keys to exact rationals, one
 entry per pair of a series monomial and a ring monomial.  A key holds, from
 low to high bits, the total degree, one exponent field per variable (the
-first variable highest), each order.bit_length() bits wide, and then the
-ring's packed monomial (fglcalc.ring).  Multiplying two terms is adding
-their keys: a product keeps only degrees <= order, and no exponent exceeds
-the degree, so no field carries into the next.  A product is one double
-loop over the left terms and the degree-sorted keys of the right operand,
-each row cut at the degree its left term leaves, after ring's exponent
-overflow guard for that row.  items() and coefficient() decode the keys
-into GradedPolynomial coefficients on demand.
+first variable highest), each max(5, order.bit_length()) bits wide, and
+then the ring's packed monomial (fglcalc.ring).  So every order below 32
+has one layout per variable count, and truncate and the shift by a product
+of variables keep the keys.  Multiplying two terms is adding their keys: a
+product keeps only degrees <= order, and no exponent exceeds the degree, so
+no field carries into the next.  A product is one double loop over the
+left terms and the degree-sorted keys of the right operand, each row cut
+at the degree its left term leaves, after ring's exponent overflow guard
+for that row.  items() and coefficient() decode the keys into
+GradedPolynomial coefficients on demand.
 
 Composition (substitute) runs the same loop throughout.  The terms are
 grouped by their exponents in every variable but the first; each group's
@@ -54,6 +56,7 @@ from .errors import (
 from .ring import (
     CoefficientBackend,
     GradedPolynomial,
+    _check_backend,
     _check_products,
     _coerce_scalar,
     lazard_coefficient,
@@ -105,18 +108,16 @@ class _Layout:
         return support
 
 
-_LAYOUTS: dict = {}   # (r, order) -> _Layout
-_WIDTHS: dict = {}    # (r, width) -> _Layout, so equal widths share one layout
+_LAYOUTS: dict = {}   # (r, width) -> _Layout
 
 
 def _layout(r: int, order: int) -> _Layout:
-    layout = _LAYOUTS.get((r, order))
+    # fields of max(5, order.bit_length()) bits: every order up to 31, the
+    # command line's limit of 16 included, shares one layout per r
+    width = max(5, order.bit_length())
+    layout = _LAYOUTS.get((r, width))
     if layout is None:
-        width = order.bit_length()
-        layout = _WIDTHS.get((r, width))
-        if layout is None:
-            layout = _WIDTHS[r, width] = _Layout(r, width)
-        _LAYOUTS[r, order] = layout
+        layout = _LAYOUTS[r, width] = _Layout(r, width)
     return layout
 
 
@@ -204,6 +205,14 @@ def _repack(terms: dict, src: _Layout, dst: _Layout, top: int, move=None) -> dic
     return out
 
 
+def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int, offset: int = 0) -> dict:
+    """terms in layout dst, the degrees above top dropped, each key plus offset."""
+    if src is not dst:
+        terms = _repack(terms, src, dst, top)
+    mask = dst.mask
+    return {k + offset: c for k, c in terms.items() if k & mask <= top}
+
+
 class TruncatedSeries:
     """Polynomial truncation of a power series at a fixed total degree."""
 
@@ -213,14 +222,15 @@ class TruncatedSeries:
         variables = tuple(variables)
         if not variables:
             raise ValidationError("a series needs at least one variable")
+        if not all(isinstance(v, str) and v for v in variables):
+            raise ValidationError(f"variables must be nonempty strings, got {variables!r}")
         if len(set(variables)) != len(variables):
             raise ValidationError(f"duplicate variable names in {variables}")
         if not is_integer(order):
             raise OrderError(f"truncation order must be an integer, got {order!r}")
         if order < 0:
             raise OrderError("truncation order must be >= 0")
-        if not isinstance(backend, CoefficientBackend):
-            raise ValidationError(f"backend must be a CoefficientBackend, got {backend!r}")
+        _check_backend(backend)
         layout = _layout(len(variables), order)
         clean = {}
         if terms:
@@ -297,16 +307,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _part(self, part: int) -> GradedPolynomial:
-        # the coefficient of the series monomial packed as part
-        series_mask, shift = self._layout.series_mask, self._layout.shift
-        return GradedPolynomial._raw(self.backend, {
-            k >> shift: c for k, c in self._terms.items() if k & series_mask == part
-        })
-
-    def constant_term(self) -> GradedPolynomial:
-        return self._part(0)
-
     def coefficient(self, exps) -> GradedPolynomial:
         """Coefficient polynomial of the monomial with the given exponents."""
         exps = tuple(exps)
@@ -314,7 +314,11 @@ class TruncatedSeries:
             raise ValidationError("exponent vector length mismatch")
         if not all(isinstance(e, int) and e >= 0 for e in exps) or sum(exps) > self.order:
             return GradedPolynomial.zero(self.backend)
-        return self._part(self._layout.encode(exps))
+        layout = self._layout
+        part, series_mask, shift = layout.encode(exps), layout.series_mask, layout.shift
+        return GradedPolynomial._raw(self.backend, {
+            k >> shift: c for k, c in self._terms.items() if k & series_mask == part
+        })
 
     def items(self):
         """Nonzero (exponents, coefficient) pairs in canonical order.
@@ -418,14 +422,33 @@ class TruncatedSeries:
         if not (is_integer(order) and 0 <= order <= self.order):
             raise OrderError(f"cannot truncate order {self.order} to {order}")
         layout = _layout(len(self.variables), order)
-        if layout is self._layout:
-            mask = layout.mask
-            terms = {k: c for k, c in self._terms.items() if k & mask <= order}
-        else:
-            terms = _repack(self._terms, self._layout, layout, order)
+        terms = _cut_terms(self._terms, self._layout, layout, order)
         return self._raw(self.variables, order, self.backend, terms, layout)
 
     # -- substitution -----------------------------------------------------
+
+    def _images(self, assignment) -> tuple:
+        """substitute's checks: the images in variable order and their lowest degrees."""
+        missing = [v for v in self.variables if v not in assignment]
+        if missing:
+            raise ValidationError(f"no substitution given for {missing}")
+        images = [assignment[v] for v in self.variables]
+        for s in images:
+            if not isinstance(s, TruncatedSeries):
+                raise ValidationError("substitution values must be series")
+            images[0]._check_compatible(s)
+        if images[0].backend != self.backend:
+            raise BackendMismatchError("substitution across different backends")
+        if images[0].order != self.order:
+            raise OrderError(
+                f"substitution needs matching orders ({images[0].order} vs {self.order})"
+            )
+        # lowest degrees; a zero image never gets below the order
+        low = [s._rows()[0][0] & s._layout.mask if s._terms else self.order + 1 for s in images]
+        for v, d in zip(self.variables, low):
+            if d == 0:
+                raise ConstantTermError(f"series for {v!r} has a constant term")
+        return images, low
 
     def substitute(self, assignment) -> TruncatedSeries:
         """Compose: replace each variable by a series with zero constant term.
@@ -442,28 +465,10 @@ class TruncatedSeries:
         order - d, and every power of an image only up to the highest degree
         any group reads from it.
         """
-        missing = [v for v in self.variables if v not in assignment]
-        if missing:
-            raise ValidationError(f"no substitution given for {missing}")
-        images = [assignment[v] for v in self.variables]
-        for s in images:
-            if not isinstance(s, TruncatedSeries):
-                raise ValidationError("substitution values must be series")
-            images[0]._check_compatible(s)
-        if images[0].backend != self.backend:
-            raise BackendMismatchError("substitution across different backends")
-        if images[0].order != self.order:
-            raise OrderError(
-                f"substitution needs matching orders ({images[0].order} vs {self.order})"
-            )
+        images, low = self._images(assignment)
         target = images[0]
         order, backend, layout = self.order, self.backend, target._layout
         mask, shift = layout.mask, layout.shift
-        # lowest degree of each image; a zero image never gets below the order
-        low = [s._rows()[0][0] & mask if s._terms else order + 1 for s in images]
-        for v, d in zip(self.variables, low):
-            if d == 0:
-                raise ConstantTermError(f"series for {v!r} has a constant term")
 
         # columns[rest][e0]: the terms with exponents (e0, rest), as ring
         # monomials moved to the target layout at degree 0
@@ -630,8 +635,7 @@ class FormalGroupLaw:
     """
 
     def __init__(self, backend: CoefficientBackend, order: int = 8):
-        if not isinstance(backend, CoefficientBackend):
-            raise ValidationError(f"backend must be a CoefficientBackend, got {backend!r}")
+        _check_backend(backend)
         if not is_integer(order):
             raise OrderError(f"a formal group law needs an integer order, got {order!r}")
         if order < 1:
@@ -664,7 +668,13 @@ class FormalGroupLaw:
         return self._series
 
     def sum(self, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-        """F(s, t) for two series with zero constant term over this backend."""
+        """F(s, t) for two series with zero constant term over this backend.
+
+        F is symmetric (a_ij = a_ji), so after the checks in the given order
+        the smaller image goes first, where substitute runs every inner sum."""
+        self.series._images({"u": s, "v": t})
+        if len(t._terms) < len(s._terms):
+            s, t = t, s
         return self.series.substitute({"u": s, "v": t})
 
     def inverse(self) -> TruncatedSeries:
@@ -866,12 +876,10 @@ def support_decompose(series: TruncatedSeries) -> dict:
 
 
 def _times_symbols(series: TruncatedSeries, support, order: int) -> TruncatedSeries:
-    """series times prod_{i in support} u_i (1-based), at order: terms above it dropped."""
-    src = series._layout
-    dst = _layout(src.r, order)
-    terms = _repack(series._terms, src, dst, order, lambda exps: tuple(
-        e + 1 if i in support else e for i, e in enumerate(exps, 1)
-    ))
+    """series times prod_{i in support} u_i (1-based), at order: kept keys plus that product's."""
+    dst = _layout(len(series.variables), order)
+    offset = sum(dst.units[i - 1] for i in support)
+    terms = _cut_terms(series._terms, series._layout, dst, order - len(support), offset)
     return series._raw(series.variables, order, series.backend, terms, dst)
 
 

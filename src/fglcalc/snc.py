@@ -24,6 +24,8 @@ every step, and a product of two divisors is one product of those.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .chern import ChernPolynomial, _symbols, evaluate_at_chern
 from .errors import (
     BackendMismatchError,
@@ -162,7 +164,9 @@ def validate_config(config: SncConfiguration) -> list:
     return unique
 
 
+@lru_cache(maxsize=8)
 def require_valid(config: SncConfiguration):
+    """Raise ConfigurationError unless config is valid; passes, not raises, are cached by equality."""
     violations = validate_config(config)
     if violations:
         raise ConfigurationError(violations)

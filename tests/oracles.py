@@ -33,6 +33,11 @@ order does not matter.  log_coefficient_table_by_lists is the log table
 from before the series layer built it: l, its powers and its reversion as
 lists of coefficients, and F = g(l(u) + l(v)) from a hand-written loop
 over the powers of l(u) + l(v) keyed by (u, v) exponent pairs.
+sum_fixed_orientation is FormalGroupLaw.sum with s always in F's first
+slot, where the package puts the image with fewer terms there.
+truncate_by_repack and times_symbols_by_repack decode every series part
+and encode it again in the target layout, where the package keeps the
+keys, filters them by degree and adds one constant key for the symbols.
 """
 
 from fractions import Fraction
@@ -48,6 +53,7 @@ from fglcalc import (
     m_gen,
     support_decompose,
 )
+from fglcalc.series import _layout, _repack
 from fglcalc.snc import _check_law, _check_multiplicities, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
@@ -433,6 +439,29 @@ def substitute_by_terms(series, assignment):
             factor = one
         total = total + factor.scale(poly)
     return total
+
+
+# -- the sum in a fixed orientation, and re-encoded cuts -------------------------
+
+def sum_fixed_orientation(law, s, t):
+    """F(s, t) with s in F's first slot, whichever image has fewer terms."""
+    return law.series.substitute({"u": s, "v": t})
+
+
+def truncate_by_repack(series, order):
+    """fglcalc.TruncatedSeries.truncate with every part decoded and encoded again."""
+    src, dst = series._layout, _layout(len(series.variables), order)
+    terms = _repack(series._terms, src, dst, order)
+    return series._raw(series.variables, order, series.backend, terms, dst)
+
+
+def times_symbols_by_repack(series, support, order):
+    """fglcalc.series._times_symbols with every exponent vector moved one by one."""
+    src, dst = series._layout, _layout(len(series.variables), order)
+    terms = _repack(series._terms, src, dst, order, lambda exps: tuple(
+        e + 1 if i in support else e for i, e in enumerate(exps, 1)
+    ))
+    return series._raw(series.variables, order, series.backend, terms, dst)
 
 
 # -- the two-level series product and composition ------------------------------

@@ -1,5 +1,6 @@
 """Truncated series and the formal group law operations."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -27,6 +28,8 @@ from fglcalc import (
     support_decompose,
 )
 
+from fglcalc.cli import MAX_ORDER
+from fglcalc.series import _layout, _times_symbols
 from fglcalc.stats import meter
 
 import oracles
@@ -97,6 +100,22 @@ def test_mul_respects_truncation():
     u = TruncatedSeries.variable("u", ("u",), 3, FREE)
     assert (u * u * u * u).is_zero()
     assert (u * u * u).coefficient((3,)) == 1
+
+
+@pytest.mark.parametrize("variables", [(1, None), ("u", ""), ("u", 3), ("u", ("v",))])
+def test_variable_names_must_be_nonempty_strings(variables):
+    with pytest.raises(ValidationError, match="nonempty strings"):
+        TruncatedSeries(variables, 2, FREE, {(1, 0): 1})
+
+
+def test_every_command_line_order_shares_one_key_layout():
+    # fields of max(5, order.bit_length()) bits: a cut to any order up to
+    # 31, so every order the command line accepts, keeps the packed keys
+    assert MAX_ORDER < 32
+    for r in range(1, 7):
+        assert all(_layout(r, order) is _layout(r, 0) for order in range(32))
+        assert _layout(r, 32) is not _layout(r, 31)
+        assert _layout(r, 63) is _layout(r, 32)
 
 
 def test_truncate_cuts_terms_and_order():
@@ -466,7 +485,11 @@ def test_linear_combination_rejects_bad_variable_names(variables):
     lambda: FormalGroupLaw("free", 3),
     lambda: lazard_coefficient(1, 1, "free"),
     lambda: TruncatedSeries(("u",), 2, "free", {(1,): 1}),
-], ids=["FormalGroupLaw", "lazard_coefficient", "TruncatedSeries"])
+    lambda: GradedPolynomial("free", {}),
+    lambda: GradedPolynomial.from_json([], "free"),
+    lambda: GradedPolynomial.from_text("0", "free"),
+], ids=["FormalGroupLaw", "lazard_coefficient", "TruncatedSeries", "GradedPolynomial",
+        "GradedPolynomial.from_json", "GradedPolynomial.from_text"])
 def test_backends_must_be_coefficient_backends(build):
     with pytest.raises(ValidationError, match="must be a CoefficientBackend"):
         build()
@@ -674,9 +697,9 @@ def _series(draw, variables, order, backend, low=0, max_terms=6):
     return TruncatedSeries(variables, order, backend, terms)
 
 
-# orders on both sides of each step of the packed exponent field width,
-# order.bit_length()
-_ORDERS = (0, 1, 3, 4, 7, 8, 15, 16, 31, 32)
+# orders around the command line's limit, 16, and on both sides of the
+# step of the packed field width, max(5, order.bit_length()), at 31/32
+_ORDERS = (15, 16, 31, 32, 33)
 # those, and every small order as well
 _ORDER_DRAWS = st.one_of(st.integers(0, 8), st.sampled_from(_ORDERS))
 
@@ -810,6 +833,134 @@ def test_substitute_cuts_at_the_images_lowest_degree():
     env = {"u": x2, "v": x_x2}
     assert f.substitute(env) == oracles.substitute_by_terms(f, env)
     assert f.substitute(env).coefficient((6,)) == 2 + _a(1, 2)
+
+
+# -- the sum with the smaller image first, and cuts that keep the keys ---------
+
+@functools.lru_cache(maxsize=None)
+def _law(kind, order):
+    return FormalGroupLaw(_BACKENDS[kind], order)
+
+
+@st.composite
+def _sums(draw):
+    """(law, s, t): two images in 1-4 variables, at a law order from _ORDER_DRAWS."""
+    kind = draw(st.sampled_from(sorted(_BACKENDS)))
+    order = max(1, draw(_ORDER_DRAWS))
+    if kind == "log":
+        # the log table past order 9 takes seconds, past 24 minutes
+        order = min(order, _BACKENDS["log"].log_order + 1)
+    variables = ("x", "y", "z", "w")[: draw(st.integers(1, 4))]
+    most, lowest = _sparse_sizes(order)
+    backend = _BACKENDS[kind]
+    s, t = (draw(_series(variables, order, backend, low=draw(_image_lows(order, lowest)),
+                         max_terms=most)) for _ in range(2))
+    return _law(kind, order), s, t
+
+
+def _a11_times(e, terms, order):
+    # A(1,1)^e times the one-variable series with the given {exponent: coefficient}
+    coefficient = GradedPolynomial(FREE, {((a_gen(1, 1), e),): 1})
+    return TruncatedSeries(("x",), order, FREE, {(k,): c * coefficient for k, c in terms.items()})
+
+
+@given(_sums())
+@example((  # t is the smaller image; A(1,1) s t reaches the exponent limit exactly
+    _law("free", 2), _a11_times(_EDGE - 1, {1: 1, 2: 1}, 2), _a11_times(_EDGE - 1, {1: 1}, 2),
+))
+@example((  # and one past it: both orientations raise
+    _law("free", 2), _a11_times(_EDGE, {1: 1, 2: 1}, 2), _a11_times(_EDGE, {1: 1}, 2),
+))
+def test_sum_matches_the_fixed_orientation_oracle(case):
+    law, s, t = case
+    try:
+        fast = law.sum(s, t)
+    except ValidationError as exc:
+        assert "exceeds the limit" in str(exc)
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            oracles.sum_fixed_orientation(law, s, t)
+        return
+    slow = oracles.sum_fixed_orientation(law, s, t)
+    assert fast == slow
+    assert fast.to_json() == slow.to_json()
+
+
+@st.composite
+def _cuts(draw):
+    """(series, order, support, target): a series in 1-4 variables, a lower
+    order, a set of its variables and an order for the shift by them."""
+    backend = _BACKENDS[draw(st.sampled_from(sorted(_BACKENDS)))]
+    order = draw(_ORDER_DRAWS)
+    r = draw(st.integers(1, 4))
+    series = draw(_series(("u", "v", "w", "x")[:r], order, backend,
+                          max_terms=_sparse_sizes(order)[0]))
+    support = frozenset(draw(st.sets(st.integers(1, r))))
+    return series, min(order, draw(_ORDER_DRAWS)), support, draw(_ORDER_DRAWS)
+
+
+@given(_cuts())
+def test_truncate_and_the_symbol_shift_match_the_repacking_oracles(case):
+    series, order, support, target = case
+    for fast, slow in (
+        (series.truncate(order), oracles.truncate_by_repack(series, order)),
+        (_times_symbols(series, support, target),
+         oracles.times_symbols_by_repack(series, support, target)),
+    ):
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
+
+
+def test_an_exponent_overflow_still_raises_after_a_cut():
+    # the kept keys carry the ring monomial that the product's row guard
+    # reads, whether the cut filters them (8 to 4) or repacks them (33 to 31)
+    for order, cut in ((8, 4), (33, 31)):
+        at_limit = _power_of_a11(_EDGE - 1, order=order).truncate(cut)
+        past = _power_of_a11(_EDGE, order=order).truncate(cut)
+        assert (at_limit * past).coefficient((2,)) == GradedPolynomial(
+            FREE, {((a_gen(1, 1), 2 * _EDGE - 1),): 1})
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            past * past
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_the_law_is_its_own_variable_swap(kind):
+    # so F(s, t) = F(t, s) term for term, and sum may put either image first
+    for order in (1, 2, 5, 9):
+        law = FormalGroupLaw(_BACKENDS[kind], order)
+        swapped = {(j, i): p for (i, j), p in law.series.items()}
+        assert TruncatedSeries(("u", "v"), order, law.backend, swapped) == law.series
+
+
+def test_sum_raises_what_the_fixed_orientation_raises():
+    # in each case the second argument has fewer terms, so a swap before
+    # the checks would name the other series or the other order first
+    law = FormalGroupLaw(FREE, 4)
+    x = TruncatedSeries.variable("x", ("x",), 4, FREE)
+    big = TruncatedSeries(("x",), 4, FREE, {(1,): 1, (2,): 1, (3,): _a(1, 1)})
+    one = TruncatedSeries.one(("x",), 4, FREE)
+    y = TruncatedSeries.variable("y", ("y",), 4, FREE)
+    x3, big3 = x.truncate(3), big.truncate(3)
+    x_add = TruncatedSeries.variable("x", ("x",), 4, ADDITIVE)
+    big_add = TruncatedSeries(("x",), 4, ADDITIVE, {(1,): 1, (2,): 1})
+    cases = [
+        (big + one, x, ConstantTermError, "series for 'u' has a constant term"),
+        (big, x + one, ConstantTermError, "series for 'v' has a constant term"),
+        (big + one, x + one, ConstantTermError, "series for 'u' has a constant term"),
+        (big, y, ValidationError, "variable mismatch: ('x',) vs ('y',)"),
+        (big, x3, OrderError, "order mismatch: 4 vs 3"),
+        (big3, x3, OrderError, "substitution needs matching orders (3 vs 4)"),
+        (big, x_add, BackendMismatchError, "mixed backends in series arithmetic"),
+        (big_add, x_add, BackendMismatchError, "substitution across different backends"),
+        (big, 5, ValidationError, "substitution values must be series"),
+        (5, x, ValidationError, "substitution values must be series"),
+    ]
+    for s, t, kind, message in cases:
+        raised = []
+        for add in (law.sum, lambda s, t: oracles.sum_fixed_orientation(law, s, t)):
+            with pytest.raises(kind) as err:
+                add(s, t)
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1] == (kind, message)
 
 
 class _OracleSumLaw(FormalGroupLaw):

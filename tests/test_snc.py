@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -88,8 +89,9 @@ def test_the_monomial_shift_is_the_series_one():
     names, support = ("u1", "u2", "u3"), frozenset({2, 3})
     terms = {(1, 0, 2): 5, (2, 0, 0): 1}
     shifted = {(1, 1, 3): 5, (2, 1, 1): 1}
-    # order 3 to 5 widens the exponent fields, 5 to 5 and 5 to 4 keep them
-    for source, order in ((3, 5), (5, 5), (5, 4)):
+    # orders up to 31 keep the exponent fields; 31 to 33 widens them and 33
+    # to 31 narrows them
+    for source, order in ((3, 5), (5, 5), (5, 4), (31, 33), (33, 31)):
         result = series._times_symbols(TruncatedSeries(names, source, FREE, terms), support, order)
         assert result == TruncatedSeries(names, order, FREE, shifted)
 
@@ -141,6 +143,70 @@ def test_operations_refuse_invalid_configs():
     with pytest.raises(ConfigurationError) as err:
         divisor_class(cfg, (1, 1), law)
     assert err.value.violations
+
+
+def test_each_configuration_is_validated_once(monkeypatch):
+    counts = Counter()
+
+    def counting(config):
+        counts[config] += 1
+        return validate_config(config)
+
+    monkeypatch.setattr(snc, "validate_config", counting)
+    snc.require_valid.cache_clear()
+    law = FormalGroupLaw(FREE, order=3)
+    full = _full_config(3, 3)
+    assert check_properties(full, (1, 2, 0), (0, 1, 1), law)["restriction"] is None
+    assert counts == {full: 1}
+    check_properties(full, (1, 2, 0), (0, 1, 1), law)
+    assert counts == {full: 1}
+    # the restriction row validates the configuration on D_1 as well
+    reduced = _config(3, 3, [[1], [2], [3], [1, 2], [1, 3]])
+    assert check_properties(reduced, (1, 0, 0), (0, 1, 2), law)["restriction"] is True
+    sub = restrict_to_component(reduced, 1, (0, 1, 2))[0]
+    assert counts == {full: 1, reduced: 1, sub: 1}
+
+
+def test_invalid_configurations_raise_on_every_call(monkeypatch):
+    # each entry point after an equal-looking valid configuration has
+    # passed and been cached: the same violations, validated every time
+    law = FormalGroupLaw(FREE, order=3)
+    valid = _full_config(3, 3)
+    invalid = [
+        SncConfiguration(2, valid.components, valid.faces),  # dimension of {1, 2, 3} is -1
+        SncConfiguration(3, _components(2) + (SncComponent("D1"),), valid.faces),
+    ]
+    sub, sub_ps = restrict_to_component(valid, 1, (0, 1, 1))
+    lifted = divisor_class(sub, sub_ps, law)
+    calls = {
+        "divisor_class": lambda c: divisor_class(c, (1, 1, 1), law),
+        "product_class": lambda c: product_class(c, (1, 0, 0), (0, 1, 1), law),
+        "apply_divisor_operator": lambda c: apply_divisor_operator(
+            FaceClassVector(c, {}), (1, 1, 1), law),
+        "normal_form": lambda c: normal_form(FaceClassVector(c, {})),
+        "restrict_to_component": lambda c: restrict_to_component(c, 1, (0, 1, 1)),
+        "lift_restricted_class": lambda c: lift_restricted_class(lifted, c, 1),
+        "check_properties": lambda c: check_properties(c, (1, 0, 0), (0, 1, 1), law),
+    }
+    counts = Counter()
+
+    def counting(config):
+        counts[config] += 1
+        return validate_config(config)
+
+    monkeypatch.setattr(snc, "validate_config", counting)
+    for bad in invalid:
+        expected = validate_config(bad)
+        assert expected and bad.faces == valid.faces
+        for name, call in calls.items():
+            call(valid)
+            for _ in range(2):
+                before = counts[bad]
+                with pytest.raises(ConfigurationError) as err:
+                    call(bad)
+                assert err.value.violations == expected, name
+                assert str(err.value) == str(ConfigurationError(expected)), name
+                assert counts[bad] == before + 1, name
 
 
 def test_config_json_round_trip():
