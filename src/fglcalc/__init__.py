@@ -55,7 +55,6 @@ from .ring import (
 from .series import (
     FormalGroupLaw,
     TruncatedSeries,
-    recompose,
     support_decompose,
 )
 from .snc import (

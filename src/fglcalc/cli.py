@@ -136,14 +136,14 @@ def _int_vector(data, key, expected=None):
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each takes the parsed arguments and the input object, which is
+# None for the one command without an input
 
-def _cmd_fgl_inverse(args):
+def _cmd_fgl_inverse(args, data):
     return _make_law(args).inverse().to_json()
 
 
-def _cmd_fgl_nseries(args):
-    data = _read_input(args)
+def _cmd_fgl_nseries(args, data):
     n = data.get("n")
     if not is_integer(n):
         raise ValidationError("'n' must be an integer")
@@ -151,16 +151,14 @@ def _cmd_fgl_nseries(args):
     return _make_law(args).n_series(n).to_json()
 
 
-def _cmd_fgl_multilinear(args):
-    data = _read_input(args)
+def _cmd_fgl_multilinear(args, data):
     ns = _int_vector(data, "multiplicities")
     if not ns:
         raise ValidationError("'multiplicities' must be nonempty")
     return _make_law(args).linear_combination(ns).to_json()
 
 
-def _cmd_fgl_decompose(args):
-    data = _read_input(args)
+def _cmd_fgl_decompose(args, data):
     if "variables" in data:
         law = _make_law(args)
         series = TruncatedSeries.from_json(data, law.backend)
@@ -172,12 +170,7 @@ def _cmd_fgl_decompose(args):
         parts = support_decompose(_make_law(args).linear_combination(ns))
     else:
         raise ValidationError("decompose needs a series or 'multiplicities'")
-    return {
-        "parts": [
-            {"support": sorted(J), "series": part.to_json()}
-            for J, part in parts.items()
-        ]
-    }
+    return {"parts": [{"support": sorted(J), "series": part.to_json()} for J, part in parts.items()]}
 
 
 def _snc_setup(args, data):
@@ -190,23 +183,20 @@ def _snc_setup(args, data):
     return config, _make_law(args)
 
 
-def _cmd_snc_divclass(args):
-    data = _read_input(args)
+def _cmd_snc_divclass(args, data):
     config, law = _snc_setup(args, data)
     ns = _int_vector(data, "D", config.r)
     return divisor_class(config, ns, law).to_json()
 
 
-def _cmd_snc_prodclass(args):
-    data = _read_input(args)
+def _cmd_snc_prodclass(args, data):
     config, law = _snc_setup(args, data)
     ns = _int_vector(data, "D", config.r)
     ps = _int_vector(data, "E", config.r)
     return product_class(config, ns, ps, law).to_json()
 
 
-def _cmd_snc_normalform(args):
-    data = _read_input(args)
+def _cmd_snc_normalform(args, data):
     config, law = _snc_setup(args, data)
     if "classes" not in data:
         raise ValidationError("normalform needs 'classes'")
@@ -214,27 +204,20 @@ def _cmd_snc_normalform(args):
     return normal_form(vector).to_json()
 
 
-def _cmd_snc_check(args):
-    data = _read_input(args)
+def _cmd_snc_check(args, data):
     config, law = _snc_setup(args, data)
     ns = _int_vector(data, "D", config.r)
     ps = _int_vector(data, "E", config.r)
     result = check_properties(config, ns, ps, law)
     word = {True: "pass", False: "fail", None: "skipped"}
-    return {
-        "symmetry": word[result["symmetry"]],
-        "restriction": word[result["restriction"]],
-        "operator": word[result["operator"]],
-    }
+    return {key: word[result[key]] for key in ("symmetry", "restriction", "operator")}
 
 
-def _cmd_cycles_dpr(args):
-    data = _read_input(args)
+def _cmd_cycles_dpr(args, data):
     return double_point_relation(DoublePointDatum.from_json(data)).to_json()
 
 
-def _cmd_cycles_tower(args):
-    data = _read_input(args)
+def _cmd_cycles_tower(args, data):
     if "target" not in data or "steps" not in data:
         raise ValidationError("blowup-tower needs 'target' and 'steps'")
     if not isinstance(data["steps"], list) or not data["steps"]:
@@ -248,8 +231,7 @@ def _cmd_cycles_tower(args):
     }
 
 
-def _cmd_cycles_relgen(args):
-    data = _read_input(args)
+def _cmd_cycles_relgen(args, data):
     kind = data.get("kind")
     if kind not in ("dim", "sect", "fgl"):
         raise ValidationError("'kind' must be one of dim, sect, fgl")
@@ -266,10 +248,8 @@ def _cmd_cycles_relgen(args):
         # quadratically many terms of length room; cap it like an order
         room = witness.source.dim - len(witness.bundles)
         if room > MAX_ORDER:
-            raise ValidationError(
-                f"fgl witness leaves {room} dimensions for the law, "
-                f"above the order limit {MAX_ORDER}"
-            )
+            raise ValidationError(f"fgl witness leaves {room} dimensions for the law, "
+                                  f"above the order limit {MAX_ORDER}")
         backend = _make_backend(args.backend, _order(args))
         gen = relation_generator(kind, witness, backend)
     return gen.to_json()
@@ -278,86 +258,50 @@ def _cmd_cycles_relgen(args):
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_common(parser, with_input=True):
-    parser.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help=f"truncation order, at most {MAX_ORDER} (default: FGL_ORDER env var, then 8)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="free",
-        help="coefficient backend (default free)",
-    )
-    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-    if with_input:
-        parser.add_argument(
-            "input",
-            help="JSON input: a file path, inline JSON, or - for stdin",
-        )
+# group -> (help, [(command, handler, whether it reads an input, help)])
+COMMANDS = {
+    "fgl": ("formal group law series", [
+        ("inverse", _cmd_fgl_inverse, False, "the formal inverse series"),
+        ("nseries", _cmd_fgl_nseries, True, "the n-fold formal sum [n]u; input {\"n\": int}"),
+        ("multilinear", _cmd_fgl_multilinear, True,
+         "the combination of [n_i]u_i; input {\"multiplicities\": [..]}"),
+        ("decompose", _cmd_fgl_decompose, True,
+         "split by variable support; input a series or {\"multiplicities\": [..]}"),
+    ]),
+    "snc": ("divisor classes on s.n.c. data", [
+        ("divclass", _cmd_snc_divclass, True, "face classes of the divisor D"),
+        ("prodclass", _cmd_snc_prodclass, True, "face classes of the product of D and E"),
+        ("normalform", _cmd_snc_normalform, True, "absorb stray chern symbols into deeper faces"),
+        ("check-properties", _cmd_snc_check, True,
+         "evaluate the structural identities for D and E"),
+    ]),
+    "cycles": ("decorated cycle groups", [
+        ("dpr", _cmd_cycles_dpr, True, "double point relation from labels"),
+        ("blowup-tower", _cmd_cycles_tower, True,
+         "relations of a blowup tower plus their telescope"),
+        ("relgen", _cmd_cycles_relgen, True, "one quotient relation generator (dim, sect, or fgl)"),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fglcalc",
-        description="Exact formal group law calculus over graded coefficient rings.",
-    )
+    parser = argparse.ArgumentParser(prog="fglcalc", description=(
+        "Exact formal group law calculus over graded coefficient rings."))
     groups = parser.add_subparsers(dest="group", required=True)
-
-    fgl = groups.add_parser("fgl", help="formal group law series").add_subparsers(
-        dest="command", required=True
-    )
-    p = fgl.add_parser("inverse", help="the formal inverse series")
-    _add_common(p, with_input=False)
-    p.set_defaults(handler=_cmd_fgl_inverse)
-    p = fgl.add_parser("nseries", help="the n-fold formal sum [n]u; input {\"n\": int}")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fgl_nseries)
-    p = fgl.add_parser(
-        "multilinear",
-        help="the combination of [n_i]u_i; input {\"multiplicities\": [..]}",
-    )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fgl_multilinear)
-    p = fgl.add_parser(
-        "decompose",
-        help="split by variable support; input a series or {\"multiplicities\": [..]}",
-    )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fgl_decompose)
-
-    snc = groups.add_parser("snc", help="divisor classes on s.n.c. data").add_subparsers(
-        dest="command", required=True
-    )
-    p = snc.add_parser("divclass", help="face classes of the divisor D")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_snc_divclass)
-    p = snc.add_parser("prodclass", help="face classes of the product of D and E")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_snc_prodclass)
-    p = snc.add_parser("normalform", help="absorb stray chern symbols into deeper faces")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_snc_normalform)
-    p = snc.add_parser("check-properties", help="evaluate the structural identities for D and E")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_snc_check)
-
-    cyc = groups.add_parser("cycles", help="decorated cycle groups").add_subparsers(
-        dest="command", required=True
-    )
-    p = cyc.add_parser("dpr", help="double point relation from labels")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cycles_dpr)
-    p = cyc.add_parser("blowup-tower", help="relations of a blowup tower plus their telescope")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cycles_tower)
-    p = cyc.add_parser("relgen", help="one quotient relation generator (dim, sect, or fgl)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cycles_relgen)
-
+    for group, (group_help, commands) in COMMANDS.items():
+        sub = groups.add_parser(group, help=group_help)
+        sub = sub.add_subparsers(dest="command", required=True)
+        for name, handler, reads_input, command_help in commands:
+            p = sub.add_parser(name, help=command_help)
+            p.add_argument("--order", type=int, default=None, help=(
+                f"truncation order, at most {MAX_ORDER} (default: FGL_ORDER env var, then 8)"))
+            p.add_argument("--backend", choices=BACKEND_CHOICES, default="free",
+                           help="coefficient backend (default free)")
+            p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+            p.add_argument("--output", default=None, help="write to this path instead of stdout")
+            if reads_input:
+                p.add_argument("input", help="JSON input: a file path, inline JSON, or - for stdin")
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -371,14 +315,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        data = _read_input(args) if "input" in args else None
         with meter.budget(MAX_WORK):
-            payload = args.handler(args)
-    except ConfigurationError as exc:
-        report = {"error": "validation", "detail": str(exc), "violations": exc.violations}
-        sys.stdout.write(_render(report, args.pretty))
-        return 2
+            payload = args.handler(args, data)
     except ValidationError as exc:
         report = {"error": "validation", "detail": str(exc)}
+        if isinstance(exc, ConfigurationError):
+            report["violations"] = exc.violations
         sys.stdout.write(_render(report, args.pretty))
         return 2
     except json.JSONDecodeError as exc:

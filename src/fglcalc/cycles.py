@@ -27,6 +27,7 @@ from .errors import (
     Record,
     ValidationError,
     WitnessError,
+    check_flags,
     is_integer,
 )
 from .ring import (
@@ -46,6 +47,11 @@ class SpaceLabel(Record):
     def __init__(self, name: str, dim: int, smooth: bool = True,
                  quasiprojective: bool = True, complete: bool = False,
                  nu: int | None = None):
+        # flags before name and dim: the order from_json reported them in
+        check_flags("label field ", smooth=smooth, quasiprojective=quasiprojective,
+                    complete=complete)
+        if nu is not None and not is_integer(nu):
+            raise ValidationError("'nu' must be an integer when present")
         if not isinstance(name, str) or not name:
             raise ValidationError("label name must be a nonempty string")
         if not is_integer(dim) or dim < 0:
@@ -68,19 +74,13 @@ class SpaceLabel(Record):
     def from_json(cls, data) -> SpaceLabel:
         if not isinstance(data, dict) or "name" not in data or "dim" not in data:
             raise ValidationError("label JSON needs 'name' and 'dim'")
-        for flag in ("smooth", "quasiprojective", "complete"):
-            if flag in data and not isinstance(data[flag], bool):
-                raise ValidationError(f"label field {flag!r} must be a boolean")
-        nu = data.get("nu")
-        if nu is not None and not is_integer(nu):
-            raise ValidationError("'nu' must be an integer when present")
         return cls(
             data["name"],
             data["dim"],
             data.get("smooth", True),
             data.get("quasiprojective", True),
             data.get("complete", False),
-            nu,
+            data.get("nu"),
         )
 
 
@@ -157,6 +157,7 @@ class LabelMorphism(Record):
     __slots__ = ("source", "target", "proper")
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, proper: bool = True):
+        check_flags("morphism field ", proper=proper)
         super().__init__(source, target, proper)
 
     def then(self, other: LabelMorphism) -> LabelMorphism:
@@ -219,9 +220,6 @@ class CycleSum:
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def cycles(self):
-        return [cycle for cycle, _ in self.items()]
 
     def total_degree(self):
         """Common degree of all terms (cycle degree plus coefficient degree)."""
@@ -299,17 +297,6 @@ class CycleSum:
         return CycleSum._raw(self.backend, out)
 
     __rmul__ = __mul__
-
-    def with_backend(self, backend: CoefficientBackend) -> CycleSum:
-        """Extend integer coefficients to constants over a backend."""
-        if self.backend is not None:
-            if self.backend == backend:
-                return self
-            raise BackendMismatchError("sum already lives over a different backend")
-        return CycleSum(
-            backend,
-            {c: GradedPolynomial.constant(k, backend) for c, k in self._terms.items()},
-        )
 
     # -- serialization ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exception types, the exact-integer test and the immutable record base.
+"""Exception types, the exact-integer and flag tests and the immutable record base.
 
 Everything user-input-related derives from ValidationError so callers (and
 the CLI) can distinguish "your data is wrong" from genuine bugs.
@@ -47,6 +47,13 @@ class CycleError(ValidationError):
 def is_integer(value) -> bool:
     """True for an int that is not a bool: the package's exact integer inputs."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_flags(prefix: str = "", **flags):
+    """Raise ValidationError unless every named record flag is a bool."""
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValidationError(f"{prefix}{name!r} must be a boolean")
 
 
 class Record:

@@ -14,13 +14,12 @@ then the ring's packed monomial (fglcalc.ring).  So every order below 32
 has one layout per variable count, and truncate and the shift by a product
 of variables keep the keys.  Multiplying two terms is adding their keys: a
 product keeps only degrees <= order, and no exponent exceeds the degree, so
-no field carries into the next.  A product is one double loop over the
-left terms and the degree-sorted keys of the right operand, each row cut
-at the degree its left term leaves, after ring's exponent overflow guard
-for that row.  items() and coefficient() decode the keys into
-GradedPolynomial coefficients on demand.
+no field carries into the next.  Products run ring's product kernel
+(fglcalc.ring._multiply) with the layout's degree mask and monomial shift.
+items() and coefficient() decode the keys into GradedPolynomial
+coefficients on demand.
 
-Composition (substitute) runs the same loop throughout.  The terms are
+Composition (substitute) runs the same kernel throughout.  The terms are
 grouped by their exponents in every variable but the first; each group's
 sum of first-variable powers is accumulated and cut at the degree its rest
 factor leaves, and the group is then multiplied by that rest factor
@@ -40,12 +39,9 @@ free law too.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import reduce
 from math import comb
-from operator import mul, or_
+from operator import mul
 
-from . import ring
 from .errors import (
     BackendMismatchError,
     ConstantTermError,
@@ -57,11 +53,13 @@ from .ring import (
     CoefficientBackend,
     GradedPolynomial,
     _check_backend,
-    _check_products,
     _coerce_scalar,
+    _multiply,
+    _nonzero,
+    _polynomial_rows,
+    _sorted_rows,
     lazard_coefficient,
 )
-from .stats import meter
 
 
 class _Layout:
@@ -119,68 +117,6 @@ def _layout(r: int, order: int) -> _Layout:
     if layout is None:
         layout = _LAYOUTS[r, width] = _Layout(r, width)
     return layout
-
-
-def _sorted_rows(terms: dict, layout: _Layout, order: int) -> tuple:
-    """A term dict as the right operand of _multiply: (keys, coefficients, ends, bound).
-
-    The keys are sorted by degree, ends[d] counts those of degree <= d for
-    d <= order, and bound ORs their ring monomials.
-    """
-    mask = layout.mask
-    keys = sorted(terms, key=mask.__and__)
-    degrees = list(map(mask.__and__, keys))
-    ends = [bisect_right(degrees, d) for d in range(order + 1)]
-    bound = reduce(or_, keys, 0) >> layout.shift << layout.shift
-    return keys, list(map(terms.__getitem__, keys)), ends, bound
-
-
-def _multiply(acc: dict, left: dict, rows: tuple, cut: int, layout: _Layout):
-    """Add left * right, cut above total degree cut, into the term dict acc.
-
-    left is a term dict whose terms above the cut are skipped; rows is the
-    right operand's _sorted_rows, made for an order of at least the cut.
-    Each left term is one row: its key is added to every right key up to
-    the degree it leaves.  Zero sums stay in acc for the caller to drop.
-    """
-    keys, coeffs, ends, bound = rows
-    if not keys:
-        return
-    mask, shift = layout.mask, layout.shift
-    # the top bit of every ring field, read per call: generators register lazily
-    top = ring._top_bits << shift
-    get = acc.get
-    k0, c0 = keys[0], coeffs[0]
-    allowance = meter.allowance()
-    done = 0
-    for k1, c1 in left.items():
-        room = cut - (k1 & mask)
-        if room < 0:
-            continue
-        n = ends[room]
-        if not n:
-            continue
-        done += n
-        if done > allowance:
-            meter.exceeded()
-        if (k1 + bound) & top:
-            # fieldwise, bound >= every right monomial without a carry
-            _check_products(k1 >> shift, [k >> shift for k in keys[:n]])
-        if n == 1:  # 58 % of the rows on series-cold and snc-check
-            k = k1 + k0
-            acc[k] = get(k, 0) + c1 * c0
-            continue
-        for k2, c2 in zip(keys[:n], coeffs[:n]):
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    meter.products += done
-
-
-def _nonzero(acc: dict) -> dict:
-    """acc with its zero sums deleted, in place: no second dict is made."""
-    for k in [k for k, c in acc.items() if not c]:
-        del acc[k]
-    return acc
 
 
 def _repack(terms: dict, src: _Layout, dst: _Layout, top: int, move=None) -> dict:
@@ -289,7 +225,8 @@ class TruncatedSeries:
         """This series as a right operand of _multiply, sorted once and kept."""
         rows = self._sorted
         if rows is None:
-            rows = self._sorted = _sorted_rows(self._terms, self._layout, self.order)
+            layout = self._layout
+            rows = self._sorted = _sorted_rows(self._terms, layout.mask, layout.shift, self.order)
         return rows
 
     def _cut(self, order: int) -> TruncatedSeries:
@@ -395,7 +332,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         acc: dict = {}
-        _multiply(acc, self._terms, other._rows(), self.order, self._layout)
+        _multiply(acc, self._terms, other._rows(), self.order, self._layout.mask, self._layout.shift)
         return self._raw(self.variables, self.order, self.backend, _nonzero(acc), self._layout)
 
     def scale(self, factor) -> TruncatedSeries:
@@ -406,8 +343,8 @@ class TruncatedSeries:
                 raise BackendMismatchError("scale factor over wrong backend")
             right = {m << layout.shift: c for m, c in factor._terms.items()}
             acc: dict = {}
-            _multiply(acc, self._terms, _sorted_rows(right, layout, self.order),
-                      self.order, layout)
+            _multiply(acc, self._terms, _sorted_rows(right, layout.mask, layout.shift, self.order),
+                      self.order, layout.mask, layout.shift)
             terms = _nonzero(acc)
         else:
             factor = _coerce_scalar(factor)
@@ -537,17 +474,17 @@ class TruncatedSeries:
                     for p, d in factors[1:]:
                         later -= d
                         product: dict = {}
-                        _multiply(product, rest_factor, p._rows(), top - later, layout)
+                        _multiply(product, rest_factor, p._rows(), top - later, mask, shift)
                         rest_factor = _nonzero(product)
-                    rows = _sorted_rows(rest_factor, layout, top)
+                    rows = _sorted_rows(rest_factor, mask, shift, top)
                 if not rows[0]:
                     continue  # the rest factor vanishes below the order
                 inner, room = {}, order - (rows[0][0] & mask)
             for e0, part in column.items():
                 if e0 * low[0] <= room:
-                    _multiply(inner, part, power(0, e0)._rows(), room, layout)
+                    _multiply(inner, part, power(0, e0)._rows(), room, mask, shift)
             if factors:
-                _multiply(acc, _nonzero(inner), rows, order, layout)
+                _multiply(acc, _nonzero(inner), rows, order, mask, shift)
         return target._raw(target.variables, order, backend, _nonzero(acc), layout)
 
     # -- serialization ----------------------------------------------------
@@ -690,47 +627,49 @@ class FormalGroupLaw:
         """
         if self._inverse is not None:
             return self._inverse
-        backend = self.backend
-        zero = GradedPolynomial.zero(backend)
         law = self.series
         source = law._layout
-        a_monos: dict = {}  # (i, j) -> {monomial: coefficient} of a_ij
-        for k, c in law._terms.items():
+        a_terms: dict = {}  # (i, j) -> {monomial: coefficient} of a_ij
+        for k, v in law._terms.items():
             i, j = source.exponents(k & source.series_mask)
             if i and j:
-                a_monos.setdefault((i, j), {})[k >> source.shift] = c
-        a_terms = [(i, j, GradedPolynomial._raw(backend, m)) for (i, j), m in a_monos.items()]
-        c = [zero, GradedPolynomial.constant(-1, backend)]
-        # powers[j][d] = [u^d] chi^j for j >= 2 and j <= d < len(c); every
-        # lower slot is zero, since chi has no constant term
+                a_terms.setdefault((i, j), {})[k >> source.shift] = v
+        # ring's product kernel on bare polynomials (mask and shift 0): c[k]
+        # holds the terms of the coefficient of u^k in chi, rows[k] the same
+        # as a right operand
+        c = [{}, {0: -1}]
+        rows = [_polynomial_rows(t) for t in c]
+        # powers[j][d]: the rows of [u^d] chi^j for j >= 2 and j <= d < len(c);
+        # every lower slot is zero, since chi has no constant term
         powers: dict = {}
 
-        def power_coefficient(j: int, d: int) -> GradedPolynomial:
+        def power_rows(j: int, d: int) -> tuple:
             if j == 1:
-                return c[d]
+                return rows[d]
             row = powers.setdefault(j, {})
             p = row.get(d)
             if p is None:
                 acc: dict = {}
                 for t in range(1, d - j + 2):
-                    c[t]._multiply_into(power_coefficient(j - 1, d - t), acc)
-                p = row[d] = GradedPolynomial._from_accumulator(backend, acc)
+                    _multiply(acc, c[t], power_rows(j - 1, d - t), 0, 0, 0)
+                p = row[d] = _polynomial_rows(_nonzero(acc))
             return p
 
         for k in range(2, self.order + 1):
             acc: dict = {}
-            for i, j, a in a_terms:
+            for (i, j), a in a_terms.items():
                 if i + j <= k:
-                    a._multiply_into(power_coefficient(j, k - i), acc)
-            c.append(-GradedPolynomial._from_accumulator(backend, acc))
+                    _multiply(acc, a, power_rows(j, k - i), 0, 0, 0)
+            c.append({m: -v for m, v in acc.items() if v})
+            rows.append(_polynomial_rows(c[k]))
         # the recursive helper holds itself through its closure; emptying
         # the cell frees its tables now instead of at the next cycle
         # collection, which the flat kernel's few allocations make rare
-        del power_coefficient
+        del power_rows
         layout = _layout(1, self.order)
         shift, unit = layout.shift, layout.units[0]
-        chi = {k * unit + (m << shift): v for k, p in enumerate(c) for m, v in p._terms.items()}
-        self._inverse = TruncatedSeries._raw(("u",), self.order, backend, chi, layout)
+        chi = {k * unit + (m << shift): v for k, p in enumerate(c) for m, v in p.items()}
+        self._inverse = TruncatedSeries._raw(("u",), self.order, self.backend, chi, layout)
         return self._inverse
 
     def _fold_prefix(self, sign: int, length: int) -> list:
@@ -744,7 +683,7 @@ class FormalGroupLaw:
             prefix.append(self.sum(prefix[-1], prefix[1]))
         return prefix
 
-    def n_series(self, n: int, variable: str = "u") -> TruncatedSeries:
+    def n_series(self, n: int) -> TruncatedSeries:
         """[n]u: the n-fold formal sum of u (inverse-based for n < 0).
 
         [n]u is the left fold F(...F(F(u, u), u)..., u), and [-n]u the same
@@ -769,10 +708,7 @@ class FormalGroupLaw:
         # checked before the cache, where True and 2.0 would hit 1 and 2
         if not is_integer(n):
             raise ValidationError(f"n must be an integer, got {n!r}")
-        if not isinstance(variable, str) or not variable:
-            raise ValidationError(f"variable must be a nonempty string, got {variable!r}")
-        key = (n, variable)
-        cached = self._n_series.get(key)
+        cached = self._n_series.get(n)
         if cached is not None:
             return cached
         m, order = abs(n), self.order
@@ -792,11 +728,7 @@ class FormalGroupLaw:
                     if k >= j:
                         acc[packed] = acc.get(packed, 0) + weights[k][j] * c
             result = TruncatedSeries._raw(("u",), order, self.backend, _nonzero(acc), layout)
-        if variable != "u":
-            result = TruncatedSeries._raw(
-                (variable,), order, self.backend, result._terms, result._layout
-            )
-        self._n_series[key] = result
+        self._n_series[n] = result
         return result
 
     def _embedded_n_series(self, n: int, index: int, variables) -> TruncatedSeries:
@@ -881,11 +813,3 @@ def _times_symbols(series: TruncatedSeries, support, order: int) -> TruncatedSer
     offset = sum(dst.units[i - 1] for i in support)
     terms = _cut_terms(series._terms, series._layout, dst, order - len(support), offset)
     return series._raw(series.variables, order, series.backend, terms, dst)
-
-
-def recompose(parts: dict, variables, order, backend) -> TruncatedSeries:
-    """Inverse of support_decompose: sum of G_J * prod_{i in J} u_i."""
-    total = TruncatedSeries.zero(variables, order, backend)
-    for support, part in parts.items():
-        total = total + _times_symbols(part, support, order)
-    return total

@@ -33,6 +33,7 @@ from .errors import (
     OrderError,
     Record,
     ValidationError,
+    check_flags,
     is_integer,
 )
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
@@ -52,6 +53,7 @@ class SncComponent(Record):
     __slots__ = ("name", "quasiprojective")
 
     def __init__(self, name: str, quasiprojective: bool = True):
+        check_flags(quasiprojective=quasiprojective)  # before the name, as from_json did
         if not isinstance(name, str) or not name:
             raise ValidationError("component name must be a nonempty string")
         super().__init__(name, quasiprojective)
@@ -117,10 +119,7 @@ class SncConfiguration(Record):
         for entry in data["components"]:
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ValidationError("each component needs a 'name'")
-            qp = entry.get("quasiprojective", True)
-            if not isinstance(qp, bool):
-                raise ValidationError("'quasiprojective' must be a boolean")
-            comps.append(SncComponent(entry["name"], qp))
+            comps.append(SncComponent(entry["name"], entry.get("quasiprojective", True)))
         if not isinstance(data["faces"], list):
             raise ValidationError("'faces' must be a list of index lists")
         return cls(data["ambient_dim"], tuple(comps), _normalize_faces(data["faces"]))

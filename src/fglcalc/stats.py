@@ -1,13 +1,14 @@
 """Work accounting: the coefficient-monomial products the kernels make.
 
-The series product kernel (fglcalc.series) and the ring's polynomial
-product (fglcalc.ring) add each row's product count to meter.products, one
-addition per row and never one per product.  Inside meter.budget(n) a row
-that would take the count more than n products past where the block began
-raises ValidationError before it runs, so a computation stops within one
-row of its budget.  Outside a budget block the count only grows; the
-library sets no budget of its own, and the command line interface sets
-fglcalc.cli.MAX_WORK.
+The one product kernel (fglcalc.ring._multiply), which polynomial and
+series products, substitution and the formal inverse all run, adds each
+row's product count to meter.products: one site, one addition per row and
+never one per product.  Inside meter.budget(n) a row that would take the
+count more than n products past where the block began raises
+ValidationError before it runs, so a computation stops within one row of
+its budget.  Outside a budget block the count only grows; the library sets
+no budget of its own (fglcalc.ring.log_backend gives the cost that leaves
+unbounded), and the command line interface sets fglcalc.cli.MAX_WORK.
 """
 
 from __future__ import annotations

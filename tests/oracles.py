@@ -38,22 +38,30 @@ slot, where the package puts the image with fewer terms there.
 truncate_by_repack and times_symbols_by_repack decode every series part
 and encode it again in the target layout, where the package keeps the
 keys, filters them by degree and adds one constant key for the symbols.
+multiply_into is the polynomial product from before ring's product kernel
+served polynomials and series alike: a pair loop over packed monomials
+with an overflow test per product and no work meter, which the two-level
+and chern oracles use.  recompose inverts fglcalc.support_decompose with the
+package's own shift by a product of variables.
 """
 
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
+import fglcalc.ring
 from fglcalc import (
     ChernPolynomial,
     FaceClassVector,
     GradedPolynomial,
     TruncatedSeries,
+    ValidationError,
     evaluate_at_chern,
     log_backend,
     m_gen,
     support_decompose,
 )
-from fglcalc.series import _layout, _repack
+from fglcalc.ring import MAX_EXPONENT
+from fglcalc.series import _layout, _repack, _times_symbols
 from fglcalc.snc import _check_law, _check_multiplicities, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
@@ -340,6 +348,14 @@ def product_class_by_pairs(config, n_mults, p_mults, law):
     return FaceClassVector(config, entries)
 
 
+def recompose(parts: dict, variables, order, backend) -> TruncatedSeries:
+    """Inverse of fglcalc.support_decompose: sum of G_J * prod_{i in J} u_i."""
+    total = TruncatedSeries.zero(variables, order, backend)
+    for support, part in parts.items():
+        total = total + _times_symbols(part, support, order)
+    return total
+
+
 # -- tuple monomials ---------------------------------------------------------
 
 def tuple_mono_mul(m1, m2):
@@ -466,6 +482,24 @@ def times_symbols_by_repack(series, support, order):
 
 # -- the two-level series product and composition ------------------------------
 
+def multiply_into(p1, p2, acc: dict):
+    """Add the polynomial product p1 * p2 into a {monomial: coefficient} dict.
+
+    A product monomial that reaches a field's top bit raises, as in the package.
+    """
+    for m1, c1 in p1._terms.items():
+        for m2, c2 in p2._terms.items():
+            mono = m1 + m2
+            if mono & fglcalc.ring._top_bits:
+                raise ValidationError(f"a product exponent exceeds the limit {MAX_EXPONENT}")
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+
+
+def from_accumulator(backend, acc: dict):
+    """A multiply_into dict as a GradedPolynomial, zero sums dropped."""
+    return GradedPolynomial._raw(backend, {m: c for m, c in acc.items() if c})
+
+
 def _by_degree(terms: dict) -> list:
     """(degree, exponents, coefficient) triples of a term dict, lowest degree first."""
     return sorted(((sum(e), e, p) for e, p in terms.items()), key=itemgetter(0))
@@ -487,14 +521,14 @@ def _accumulate_product(left, right: list, order: int, acc: dict):
             bucket = acc.get(key)
             if bucket is None:
                 bucket = acc[key] = {}
-            p1._multiply_into(p2, bucket)
+            multiply_into(p1, p2, bucket)
 
 
 def _collect(backend, acc: dict) -> dict:
     """Finalize _accumulate_product buckets into a term dict, zeros dropped."""
     out = {}
     for exps, bucket in acc.items():
-        poly = GradedPolynomial._from_accumulator(backend, bucket)
+        poly = from_accumulator(backend, bucket)
         if poly:
             out[exps] = poly
     return out
@@ -587,7 +621,7 @@ def substitute_two_level(series, assignment):
                 bucket = inner.get(exps)
                 if bucket is None:
                     bucket = inner[exps] = {}
-                poly._multiply_into(q, bucket)
+                multiply_into(poly, q, bucket)
         if rest_factor is not None:
             _accumulate_product(
                 ((sum(e), e, p) for e, p in _collect(backend, inner).items()),
@@ -596,24 +630,21 @@ def substitute_two_level(series, assignment):
     return _like(images[0], target_vars, order, _collect(backend, acc))
 
 
-def n_series_by_fold(law, n, variable="u"):
+def n_series_by_fold(law, n):
     """fglcalc.FormalGroupLaw.n_series as the full left fold.
 
     [n]u = F(...F(F(u, u), u)..., u) with |n| - 1 law sums, and [-n]u the
     same fold of chi(u); nothing is cached.
     """
-    u_var = (variable,)
-    u = TruncatedSeries.variable(variable, u_var, law.order, law.backend)
+    u = TruncatedSeries.variable("u", ("u",), law.order, law.backend)
     if n == 0:
-        result = TruncatedSeries.zero(u_var, law.order, law.backend)
+        result = TruncatedSeries.zero(("u",), law.order, law.backend)
     elif n > 0:
         result = u
         for _ in range(n - 1):
             result = law.sum(result, u)
     else:
         chi = law.inverse()
-        if variable != "u":
-            chi = TruncatedSeries(u_var, law.order, law.backend, dict(chi.items()))
         result = chi
         for _ in range(-n - 1):
             result = law.sum(result, chi)
@@ -639,10 +670,10 @@ def chern_mul_by_pairs(left, right):
             bucket = acc.get(key)
             if bucket is None:
                 bucket = acc[key] = {}
-            p1._multiply_into(p2, bucket)
+            multiply_into(p1, p2, bucket)
     out = {}
     for key, bucket in acc.items():
-        poly = GradedPolynomial._from_accumulator(left.backend, bucket)
+        poly = from_accumulator(left.backend, bucket)
         if not poly.is_zero():
             out[key] = poly
     return ChernPolynomial(left.nvars, bound, left.backend, out)

@@ -42,13 +42,13 @@ from fglcalc import (
     log_backend,
     product_class,
     pushforward,
-    recompose,
     relation_generator,
     support_decompose,
     telescope_sum,
 )
 from fglcalc.cycles import BlowupStep, DoublePointDatum
 
+from oracles import recompose
 from test_cli import GOLDEN_RUNS, _golden, run_cli
 
 

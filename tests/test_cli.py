@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fglcalc.ring
-from fglcalc.cli import MAX_COMPONENTS, MAX_ORDER, MAX_WORK, main
+from fglcalc.cli import MAX_COMPONENTS, MAX_ORDER, MAX_WORK, build_parser, main
 from fglcalc.stats import meter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -70,6 +70,43 @@ GOLDEN_RUNS = [
     ("relgen_fgl_free.json",
      ["cycles", "relgen", "--backend", "free", _data("relgen_fgl.json")]),
 ]
+
+
+# every subcommand, and whether it reads a JSON input
+SUBCOMMANDS = [
+    ("fgl", "inverse", False),
+    ("fgl", "nseries", True),
+    ("fgl", "multilinear", True),
+    ("fgl", "decompose", True),
+    ("snc", "divclass", True),
+    ("snc", "prodclass", True),
+    ("snc", "normalform", True),
+    ("snc", "check-properties", True),
+    ("cycles", "dpr", True),
+    ("cycles", "blowup-tower", True),
+    ("cycles", "relgen", True),
+]
+
+
+@pytest.mark.parametrize("group,command,reads_input", SUBCOMMANDS,
+                         ids=[f"{g} {c}" for g, c, _ in SUBCOMMANDS])
+def test_every_subcommand_takes_the_common_options_and_its_input(group, command, reads_input):
+    parser = build_parser()
+    common = [group, command, "--order", "5", "--backend", "log", "--pretty", "--output", "o.json"]
+    with_input, without = common + ["{}"], common
+    args = parser.parse_args(with_input if reads_input else without)
+    assert (args.group, args.command) == (group, command)
+    assert (args.order, args.backend, args.pretty, args.output) == (5, "log", True, "o.json")
+    assert ("input" in args) == reads_input
+    if reads_input:
+        assert args.input == "{}"
+    # a missing input, or one the command does not read, is a usage error
+    with pytest.raises(SystemExit) as excinfo, contextlib.redirect_stderr(io.StringIO()):
+        parser.parse_args(without if reads_input else with_input)
+    assert excinfo.value.code == 2
+    defaults = parser.parse_args([group, command] + (["-"] if reads_input else []))
+    assert (defaults.order, defaults.backend, defaults.pretty, defaults.output) == (
+        None, "free", False, None)
 
 
 @pytest.mark.parametrize("golden_name,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])

@@ -14,6 +14,7 @@ from fglcalc import (
     DimensionMismatchError,
     DimWitness,
     DoublePointDatum,
+    FormalGroupLaw,
     LabelMorphism,
     OrderError,
     SectWitness,
@@ -22,6 +23,7 @@ from fglcalc import (
     SpaceLabel,
     TensorWitness,
     ValidationError,
+    divisor_class,
     log_backend,
 )
 
@@ -108,10 +110,39 @@ def test_records_of_different_classes_are_unequal():
         for right in records[i + 1:]:
             assert left != right and right != left
     # the same field values in two classes still differ
-    component = SncComponent("free", None)
-    assert (component.name, component.quasiprojective) == (FREE.kind, FREE.log_order)
-    assert component != FREE and FREE != component
-    assert len({component, FREE}) == 2
+    component, backend = SncComponent("log", True), log_backend(1)
+    assert (component.name, component.quasiprojective) == (backend.kind, backend.log_order)
+    assert component != backend and backend != component
+    assert len({component, backend}) == 2
+
+
+# a flag or nu of the wrong type, which would otherwise be stored as given
+FLAG_CHECKS = [
+    (lambda: SncComponent("D1", []), "'quasiprojective' must be a boolean"),
+    (lambda: SncComponent("D1", None), "'quasiprojective' must be a boolean"),
+    (lambda: SpaceLabel("x", 2, smooth="no"), "label field 'smooth' must be a boolean"),
+    (lambda: SpaceLabel("x", 2, quasiprojective=1), "label field 'quasiprojective' must be a boolean"),
+    (lambda: SpaceLabel("x", 2, complete=None), "label field 'complete' must be a boolean"),
+    (lambda: SpaceLabel("x", 2, nu=1.0), "'nu' must be an integer when present"),
+    (lambda: SpaceLabel("x", 2, nu=True), "'nu' must be an integer when present"),
+    (lambda: LabelMorphism(Y, X, proper=0), "morphism field 'proper' must be a boolean"),
+]
+
+
+@pytest.mark.parametrize("build, message", FLAG_CHECKS, ids=[c[1] for c in FLAG_CHECKS])
+def test_record_flags_are_checked_at_construction(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert type(excinfo.value) is ValidationError
+    assert str(excinfo.value) == message
+
+
+def test_an_unhashable_flag_is_a_validation_error_not_a_type_error():
+    # it used to reach require_valid's cache key as a list
+    with pytest.raises(ValidationError, match="'quasiprojective' must be a boolean"):
+        divisor_class(SncConfiguration(2, (SncComponent("D1", []),), [[1]]), (1,),
+                      FormalGroupLaw(FREE, 2))
+    assert SpaceLabel("x", 2, nu=3).nu == 3 and SpaceLabel("x", 2).nu is None
 
 
 @pytest.mark.parametrize("cls, fields, args, _", RECORDS, ids=IDS)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from fglcalc import (
     MULTIPLICATIVE,
     BackendMismatchError,
     CoefficientBackend,
+    FormalGroupLaw,
     Generator,
     GradedPolynomial,
     OrderError,
@@ -27,7 +29,9 @@ from fglcalc import (
     log_backend,
     m_gen,
 )
+import fglcalc.ring
 from fglcalc.ring import MAX_EXPONENT
+from fglcalc.stats import meter
 
 import oracles
 
@@ -128,7 +132,6 @@ def test_graded_degree_markers():
     assert (a11 * a11).graded_degree() == 2
     assert (a11 * a11 + a12).graded_degree() == 2
     assert (a11 + a12).graded_degree() == INHOMOGENEOUS == "inhomogeneous"
-    assert not (a11 + a12).is_homogeneous()
     assert GradedPolynomial.one(FREE).graded_degree() == 0
 
 
@@ -429,3 +432,62 @@ def test_exponent_over_the_limit_is_rejected_at_every_boundary():
         GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": big}}], FREE)
     top = GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": MAX_EXPONENT}}], FREE)
     assert top.to_json() == [{"coeff": "1", "monomial": {"A(1,1)": MAX_EXPONENT}}]
+
+
+# -- the shared product kernel ------------------------------------------------
+
+_KERNEL_BACKENDS = [FREE, log_backend(6), ADDITIVE, MULTIPLICATIVE]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_KERNEL_BACKENDS), _tuple_polynomials, _tuple_polynomials)
+@example(FREE, {((a_gen(1, 1), MAX_EXPONENT),): 1}, {((a_gen(1, 1), 1), (m_gen(2), 1)): 2})
+def test_polynomial_product_matches_the_pair_loop_on_every_backend(backend, p, q):
+    p_terms, q_terms = _tuple_terms(p), _tuple_terms(q)
+    left, right = GradedPolynomial(backend, p), GradedPolynomial(backend, q)
+    over = any(e > MAX_EXPONENT for m1 in p_terms for m2 in q_terms
+               for _, e in oracles.tuple_mono_mul(m1, m2))
+    before = meter.products
+    if over:
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            left * right
+        return
+    product = left * right
+    assert product.backend == backend
+    assert oracles.tuple_terms(product) == oracles.tuple_poly_mul(p_terms, q_terms)
+    assert meter.products - before == len(p_terms) * len(q_terms)
+
+
+def _products(run) -> int:
+    before = meter.products
+    run()
+    return meter.products - before
+
+
+def test_the_kernel_makes_the_products_the_pair_loops_made(monkeypatch):
+    free, log = FormalGroupLaw(FREE, 8), FormalGroupLaw(log_backend(7), 8)
+    free.series, log.series
+    # the inverse runs the kernel directly, so ring.mul counts stay as they were
+    mul_calls = []
+    original = GradedPolynomial.__mul__
+    monkeypatch.setattr(GradedPolynomial, "__mul__",
+                        lambda self, other: mul_calls.append(1) or original(self, other))
+    assert _products(free.inverse) == 311
+    assert _products(log.inverse) == 735
+    assert mul_calls == []
+    monkeypatch.undo()
+    assert _products(lambda: fglcalc.ring._log_coefficient_table.__wrapped__(15)) == 190_009
+    p = (GradedPolynomial.generator(a_gen(1, 1), FREE)
+         + GradedPolynomial.generator(a_gen(1, 2), FREE) + 3)
+    assert _products(lambda: (p * p) * p) == 27
+
+
+def test_the_work_budget_stops_a_deep_log_table_and_caches_nothing():
+    table = fglcalc.ring._log_coefficient_table
+    cached = table.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="work budget of 1000000 "):
+        with meter.budget(1_000_000):
+            FormalGroupLaw(log_backend(31), 32).series
+    assert time.perf_counter() - start < 5
+    assert table.cache_info().currsize == cached
