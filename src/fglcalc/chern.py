@@ -35,7 +35,7 @@ class ChernPolynomial(TruncatedSeries):
     def __init__(self, nvars: int, dim_bound: int, backend: CoefficientBackend, terms=None):
         if not is_integer(nvars):
             raise ValidationError(f"symbol count must be an integer, got {nvars!r}")
-        if dim_bound < 0:
+        if is_integer(dim_bound) and dim_bound < 0:  # the series rejects a non-integer
             raise ValidationError("dim_bound must be >= 0")
         super().__init__(_symbols(nvars), dim_bound, backend, terms)
 
@@ -66,7 +66,7 @@ class ChernPolynomial(TruncatedSeries):
     @classmethod
     def symbol(cls, i: int, nvars: int, dim_bound: int, backend) -> ChernPolynomial:
         """The symbol c_i (1-based); zero when the bound cannot hold degree 1."""
-        if not (is_integer(i) and 1 <= i <= nvars):
+        if not (is_integer(i) and is_integer(nvars) and 1 <= i <= nvars):
             raise ValidationError(f"symbol index {i} outside 1..{nvars}")
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(nvars, dim_bound, backend, {exps: 1})

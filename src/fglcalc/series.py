@@ -20,11 +20,13 @@ items() and coefficient() decode the keys into GradedPolynomial
 coefficients on demand.
 
 Composition (substitute) runs the same kernel throughout.  The terms are
-grouped by their exponents in every variable but the first; each group's
-sum of first-variable powers is accumulated and cut at the degree its rest
-factor leaves, and the group is then multiplied by that rest factor
-straight into the result.  Powers of the images are series products, each
-cut at the highest degree any group reads from it.
+grouped by their exponents in every variable but the first, once per target
+layout, and the groups are kept on the series, so on a law's F.  Each
+group's sum of first-variable powers is cut at the degree its rest factor
+leaves and multiplied by it straight into the result; for a bare variable
+as first image, as in each step of the fold [n]u, the sum is the group
+moved onto it, kept too, and costs no product.  Powers of the images are
+series products, each cut at the highest degree any group reads from it.
 
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
@@ -141,6 +143,13 @@ def _repack(terms: dict, src: _Layout, dst: _Layout, top: int, move=None) -> dic
     return out
 
 
+def _exponent_vector(exps) -> tuple:
+    try:
+        return tuple(exps)
+    except TypeError:
+        raise ValidationError(f"bad exponent vector {exps!r}") from None
+
+
 def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int, offset: int = 0) -> dict:
     """terms in layout dst, the degrees above top dropped, each key plus offset."""
     if src is not dst:
@@ -152,7 +161,7 @@ def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int, offset: int = 
 class TruncatedSeries:
     """Polynomial truncation of a power series at a fixed total degree."""
 
-    __slots__ = ("variables", "order", "backend", "_terms", "_layout", "_sorted")
+    __slots__ = ("variables", "order", "backend", "_terms", "_layout", "_sorted", "_plans")
 
     def __init__(self, variables, order: int, backend: CoefficientBackend, terms=None):
         variables = tuple(variables)
@@ -170,9 +179,11 @@ class TruncatedSeries:
         layout = _layout(len(variables), order)
         clean = {}
         if terms:
+            if not isinstance(terms, dict):
+                raise ValidationError("series terms must be a dict from exponent vectors to coefficients")
             r, shift = len(variables), layout.shift
             for exps, poly in terms.items():
-                exps = tuple(exps)
+                exps = _exponent_vector(exps)
                 if len(exps) != r or not all(is_integer(e) and e >= 0 for e in exps):
                     raise ValidationError(f"bad exponent vector {exps}")
                 if sum(exps) > order:
@@ -189,7 +200,7 @@ class TruncatedSeries:
         self.backend = backend
         self._terms = clean
         self._layout = layout
-        self._sorted = None
+        self._sorted = self._plans = None
 
     @classmethod
     def _raw(cls, variables, order, backend, terms, layout):
@@ -200,7 +211,7 @@ class TruncatedSeries:
         self.backend = backend
         self._terms = terms
         self._layout = layout
-        self._sorted = None
+        self._sorted = self._plans = None
         return self
 
     @classmethod
@@ -246,7 +257,7 @@ class TruncatedSeries:
 
     def coefficient(self, exps) -> GradedPolynomial:
         """Coefficient polynomial of the monomial with the given exponents."""
-        exps = tuple(exps)
+        exps = _exponent_vector(exps)
         if len(exps) != len(self.variables):
             raise ValidationError("exponent vector length mismatch")
         if not all(isinstance(e, int) and e >= 0 for e in exps) or sum(exps) > self.order:
@@ -366,6 +377,8 @@ class TruncatedSeries:
 
     def _images(self, assignment) -> tuple:
         """substitute's checks: the images in variable order and their lowest degrees."""
+        if not isinstance(assignment, dict):
+            raise ValidationError("substitute takes a dict from variable names to series")
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise ValidationError(f"no substitution given for {missing}")
@@ -381,7 +394,7 @@ class TruncatedSeries:
                 f"substitution needs matching orders ({images[0].order} vs {self.order})"
             )
         # lowest degrees; a zero image never gets below the order
-        low = [s._rows()[0][0] & s._layout.mask if s._terms else self.order + 1 for s in images]
+        low = [s._rows()[0][0][0] & s._layout.mask if s._terms else self.order + 1 for s in images]
         for v, d in zip(self.variables, low):
             if d == 0:
                 raise ConstantTermError(f"series for {v!r} has a constant term")
@@ -400,7 +413,9 @@ class TruncatedSeries:
         factor R = s_1^e_1 s_2^e_2 ...  R has no term below its lowest
         degree d, so the inner sum is accumulated only up to degree
         order - d, and every power of an image only up to the highest degree
-        any group reads from it.
+        any group reads from it.  The groups are kept on this series per
+        target layout; with s_0 a bare variable each inner sum is its group
+        moved onto it, kept too, and makes no product.
         """
         images, low = self._images(assignment)
         target = images[0]
@@ -410,18 +425,24 @@ class TruncatedSeries:
         # columns[rest][e0]: the terms with exponents (e0, rest), as ring
         # monomials moved to the target layout at degree 0
         src = self._layout
-        first = src.width * src.r  # the first variable's field
-        rest_mask = ((1 << first) - 1) ^ src.mask
-        columns: dict = {}
-        for k, c in self._terms.items():
-            column = columns.get(k & rest_mask)
-            if column is None:
-                column = columns[k & rest_mask] = {}
-            e0 = (k >> first) & src.mask
-            part = column.get(e0)
-            if part is None:
-                part = column[e0] = {}
-            part[k >> src.shift << shift] = c
+        plans = self._plans = self._plans or {}
+        columns = plans.get(layout)
+        if columns is None:
+            columns = plans[layout] = {}
+            first = src.width * src.r  # the first variable's field
+            rest_mask = ((1 << first) - 1) ^ src.mask
+            for k, c in self._terms.items():
+                column = columns.setdefault(k & rest_mask, {})
+                column.setdefault((k >> first) & src.mask, {})[k >> src.shift << shift] = c
+        # a bare variable first image: moved[rest] holds the column's e0 parts
+        # times the variable's power e0, its inner sum without a product
+        unit = next((u for u in layout.units if target._terms == {u: 1}), None)
+        moved = plans.get((layout, unit))
+        if moved is None and unit is not None:
+            moved = plans[layout, unit] = {
+                rest: {m + e0 * unit: c for e0, part in column.items() for m, c in part.items()}
+                for rest, column in columns.items()
+            }
         # need[i][e]: the degree up to which some column uses images[i]**e
         need = [{} for _ in images]
         groups = []
@@ -439,7 +460,7 @@ class TruncatedSeries:
                     room = order - inner_low - rest_low + e * low[i]
                     if need[i].get(e, -1) < room:
                         need[i][e] = room
-            groups.append((rest, column, inner_low))
+            groups.append((rest, column, inner_low, moved and moved[rest_key]))
 
         one = target._raw(target.variables, order, backend, {0: 1}, layout)
         powers = [[one, s] for s in images]
@@ -456,7 +477,7 @@ class TruncatedSeries:
             return cache[e]
 
         acc: dict = {}
-        for rest, column, inner_low in groups:
+        for rest, column, inner_low, left in groups:
             factors = [(power(i, e), e * low[i]) for i, e in enumerate(rest, 1) if e]
             if not factors:
                 inner, room = acc, order
@@ -479,12 +500,17 @@ class TruncatedSeries:
                     rows = _sorted_rows(rest_factor, mask, shift, top)
                 if not rows[0]:
                     continue  # the rest factor vanishes below the order
-                inner, room = {}, order - (rows[0][0] & mask)
-            for e0, part in column.items():
-                if e0 * low[0] <= room:
-                    _multiply(inner, part, power(0, e0)._rows(), room, mask, shift)
-            if factors:
-                _multiply(acc, _nonzero(inner), rows, order, mask, shift)
+                inner, room = {}, order - (rows[0][0][0] & mask)
+            if left is None:
+                for e0, part in column.items():
+                    if e0 * low[0] <= room:
+                        _multiply(inner, part, power(0, e0)._rows(), room, mask, shift)
+                left = _nonzero(inner) if factors else None
+            elif not factors:
+                for k, c in left.items():
+                    acc[k] = acc.get(k, 0) + c
+            if factors:  # the kernel cuts each row of a moved column
+                _multiply(acc, left, rows, order, mask, shift)
         return target._raw(target.variables, order, backend, _nonzero(acc), layout)
 
     # -- serialization ----------------------------------------------------

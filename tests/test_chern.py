@@ -91,6 +91,16 @@ def test_counts_bounds_and_symbol_indices_are_exact_integers():
             ChernPolynomial.symbol(bad, 2, 2, FREE)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ChernPolynomial(2, "x", FREE),
+    lambda: ChernPolynomial.constant(1, 2, "x", FREE),
+    lambda: ChernPolynomial.symbol(1, 2, "x", FREE),
+], ids=["constructor", "constant", "symbol"])
+def test_a_non_integer_bound_raises_a_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_arithmetic_laws_randomized():
     rng = random.Random(3)
     for _ in range(40):

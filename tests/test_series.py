@@ -201,6 +201,20 @@ def test_substitute_requires_all_variables():
         f.substitute({"u": s})
 
 
+_U = TruncatedSeries.variable("u", ("u",), 4, FREE)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _U.substitute(None),
+    lambda: _U.coefficient(None),
+    lambda: TruncatedSeries(("u",), 4, FREE, [((1,), 1)]),
+    lambda: TruncatedSeries(("u",), 4, FREE, {1: 1}),
+], ids=["substitute(None)", "coefficient(None)", "list terms", "int exponent key"])
+def test_malformed_series_arguments_raise_validation_errors(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 # -- the law and its axioms -------------------------------------------------
 
 def test_law_series_shape():
@@ -549,6 +563,39 @@ def test_small_multiples_come_from_the_shared_prefix():
     assert calls == [2]  # the one two-variable sum of the combination
 
 
+def _counted(run) -> int:
+    before = meter.products
+    run()
+    return meter.products - before
+
+
+@pytest.mark.parametrize("backend, positive, negative, combination", [
+    (FREE, 2593, 8153, 5943), (log_backend(7), 5755, 11707, 8773),
+], ids=["free", "log"])
+def test_a_bare_first_image_moves_terms_without_products(backend, positive, negative, combination):
+    # every step F([k]u, u) of the positive fold has the bare u first, so
+    # each column is moved onto u, where multiplying it by the powers of u
+    # would make 2845 (free) and 7491 (log) products.  The negative fold
+    # and the combination's sums have no bare first image
+    law = FormalGroupLaw(backend, 8)
+    law.series, law.inverse()
+    assert _counted(lambda: law.n_series(8)) == positive
+    assert _counted(lambda: law.n_series(-8)) == negative
+    assert _counted(lambda: law.linear_combination([2, -1, 3])) == combination
+
+
+def test_two_laws_share_no_series_and_no_substitution_plan():
+    first, second = FormalGroupLaw(FREE, 8), FormalGroupLaw(FREE, 8)
+    first.n_series(3)
+    assert first.series is not second.series
+    assert first.series._plans and second.series._plans is None
+    second.n_series(3)
+    plans = first.series._plans
+    assert plans.keys() == second.series._plans.keys()
+    assert all(second.series._plans[key] is not plans[key] for key in plans)
+    assert first.n_series(3) == second.n_series(3)
+
+
 def test_caches_return_identical_objects():
     law = FormalGroupLaw(FREE, order=4)
     assert law.n_series(2) is law.n_series(2)
@@ -876,6 +923,44 @@ def test_sum_matches_the_fixed_orientation_oracle(case):
     slow = oracles.sum_fixed_orientation(law, s, t)
     assert fast == slow
     assert fast.to_json() == slow.to_json()
+
+
+@st.composite
+def _law_substitutions(draw):
+    """(F, [assignment, ...]): one law's F and a few substitutions into it, each
+    into 1-3 variables; an image is a bare variable, another single term
+    (-x, 2x, x^2 or A(1,1) x), zero or a sparse series, and F(x, x) reuses
+    one image."""
+    kind = draw(st.sampled_from(sorted(_BACKENDS)))
+    backend = _BACKENDS[kind]
+    law = _law(kind, draw(st.integers(1, 6)))
+    order, a11 = law.order, GradedPolynomial.generator(a_gen(1, 1), backend)
+    assignments = []
+    for r in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        target = ("x", "y", "z")[:r]
+
+        def image():
+            x = TruncatedSeries.variable(target[draw(st.integers(0, r - 1))], target, order, backend)
+            return draw(st.sampled_from([
+                x, x, -x, x.scale(2), x * x, x.scale(a11), TruncatedSeries.zero(target, order, backend),
+                draw(_series(target, order, backend, low=1, max_terms=4)),
+            ]))
+
+        u = image()
+        assignments.append({"u": u, "v": u if draw(st.booleans()) else image()})
+    return law.series, assignments
+
+
+@given(_law_substitutions())
+def test_law_substitution_matches_the_two_level_oracle(case):
+    # one law's F keeps its column split per target layout and each bare
+    # variable's moved columns, and interleaved targets reuse them
+    f, assignments = case
+    for assignment in assignments:
+        fast = f.substitute(assignment)
+        slow = oracles.substitute_two_level(f, assignment)
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
 
 
 @st.composite
