@@ -57,6 +57,8 @@ class ChernPolynomial(TruncatedSeries):
 
     @classmethod
     def constant(cls, value, nvars, dim_bound, backend) -> ChernPolynomial:
+        if not is_integer(nvars):  # checked before it sizes the exponent vector
+            raise ValidationError(f"symbol count must be an integer, got {nvars!r}")
         return cls(nvars, dim_bound, backend, {(0,) * nvars: value})
 
     @classmethod

@@ -143,11 +143,11 @@ def _repack(terms: dict, src: _Layout, dst: _Layout, top: int, move=None) -> dic
     return out
 
 
-def _exponent_vector(exps) -> tuple:
+def _as_tuple(value, error: str) -> tuple:
     try:
-        return tuple(exps)
+        return tuple(value)
     except TypeError:
-        raise ValidationError(f"bad exponent vector {exps!r}") from None
+        raise ValidationError(f"{error} {value!r}") from None
 
 
 def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int, offset: int = 0) -> dict:
@@ -164,7 +164,7 @@ class TruncatedSeries:
     __slots__ = ("variables", "order", "backend", "_terms", "_layout", "_sorted", "_plans")
 
     def __init__(self, variables, order: int, backend: CoefficientBackend, terms=None):
-        variables = tuple(variables)
+        variables = _as_tuple(variables, "variables must be nonempty strings, got")
         if not variables:
             raise ValidationError("a series needs at least one variable")
         if not all(isinstance(v, str) and v for v in variables):
@@ -183,7 +183,7 @@ class TruncatedSeries:
                 raise ValidationError("series terms must be a dict from exponent vectors to coefficients")
             r, shift = len(variables), layout.shift
             for exps, poly in terms.items():
-                exps = _exponent_vector(exps)
+                exps = _as_tuple(exps, "bad exponent vector")
                 if len(exps) != r or not all(is_integer(e) and e >= 0 for e in exps):
                     raise ValidationError(f"bad exponent vector {exps}")
                 if sum(exps) > order:
@@ -220,13 +220,13 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, variables, order, backend) -> TruncatedSeries:
-        variables = tuple(variables)
+        variables = _as_tuple(variables, "variables must be nonempty strings, got")
         return cls(variables, order, backend, {(0,) * len(variables): 1})
 
     @classmethod
     def variable(cls, name: str, variables, order, backend) -> TruncatedSeries:
         """The series consisting of the single variable `name`."""
-        variables = tuple(variables)
+        variables = _as_tuple(variables, "variables must be nonempty strings, got")
         if name not in variables:
             raise ValidationError(f"{name!r} is not among {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
@@ -257,7 +257,7 @@ class TruncatedSeries:
 
     def coefficient(self, exps) -> GradedPolynomial:
         """Coefficient polynomial of the monomial with the given exponents."""
-        exps = _exponent_vector(exps)
+        exps = _as_tuple(exps, "bad exponent vector")
         if len(exps) != len(self.variables):
             raise ValidationError("exponent vector length mismatch")
         if not all(isinstance(e, int) and e >= 0 for e in exps) or sum(exps) > self.order:
@@ -634,8 +634,11 @@ class FormalGroupLaw:
         """F(s, t) for two series with zero constant term over this backend.
 
         F is symmetric (a_ij = a_ji), so after the checks in the given order
-        the smaller image goes first, where substitute runs every inner sum."""
+        the smaller image goes first, where substitute runs every inner sum.
+        F(x, 0) = x, so a zero image returns the other one."""
         self.series._images({"u": s, "v": t})
+        if not t._terms or not s._terms:
+            return t if not s._terms else s
         if len(t._terms) < len(s._terms):
             s, t = t, s
         return self.series.substitute({"u": s, "v": t})
@@ -780,7 +783,7 @@ class FormalGroupLaw:
         if variables is None:
             variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
         else:
-            variables = tuple(variables)
+            variables = _as_tuple(variables, "variables must be nonempty strings, got")
             if len(variables) != len(ns):
                 raise ValidationError("one variable per multiplicity required")
             if not all(isinstance(v, str) and v for v in variables):
@@ -799,6 +802,25 @@ class FormalGroupLaw:
         return result
 
 
+def _support_parts(series: TruncatedSeries, keep=None) -> dict:
+    """{J: the terms of support J, less the key of prod_{i in J} u_i}, for J in keep if given."""
+    layout = series._layout
+    series_mask, units = layout.series_mask, layout.units
+    seen: dict = {}  # series part -> (its support's terms, the key of prod_{i in it} u_i), or None
+    parts: dict = {}
+    for k, c in series._terms.items():
+        hit = seen.get(k & series_mask, 0)
+        if hit == 0:
+            support = layout.support(k & series_mask)
+            hit = None
+            if keep is None or support in keep:
+                hit = (parts.setdefault(support, {}), sum(units[i - 1] for i in support))
+            seen[k & series_mask] = hit
+        if hit is not None:
+            hit[0][k - hit[1]] = c  # one to one within a support
+    return parts
+
+
 def support_decompose(series: TruncatedSeries) -> dict:
     """Split a series into parts with prescribed variable support.
 
@@ -812,22 +834,10 @@ def support_decompose(series: TruncatedSeries) -> dict:
     is divided out); the constant term, if any, sits at J = frozenset().
     Only nonzero parts appear.
     """
-    layout = series._layout
-    series_mask, units = layout.series_mask, layout.units
-    seen: dict = {}  # series part -> (its support, the key of prod_{i in it} u_i)
-    parts: dict = {}
-    for k, c in series._terms.items():
-        hit = seen.get(k & series_mask)
-        if hit is None:
-            support = layout.support(k & series_mask)
-            hit = seen[k & series_mask] = (support, sum(units[i - 1] for i in support))
-        part = parts.get(hit[0])
-        if part is None:
-            part = parts[hit[0]] = {}
-        part[k - hit[1]] = c  # one to one within a support
+    parts = _support_parts(series)
     return {
         support: TruncatedSeries._raw(
-            series.variables, series.order, series.backend, parts[support], layout
+            series.variables, series.order, series.backend, parts[support], series._layout
         )
         for support in sorted(parts, key=lambda J: (len(J), sorted(J)))
     }

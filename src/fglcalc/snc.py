@@ -12,7 +12,9 @@ face dimension ambient_dim - |J|.  divisor_class and product_class produce
 such vectors from multiplicity data and a formal group law; normal_form
 rewrites stray c_j factors into deeper faces (a section moves a hyperplane
 class into the zero locus) until every entry only involves decisions its
-face can see.
+face can see.  The vectors stay packed term dicts throughout: a series
+becomes one in a single pass over its keys, the divisor operator adds each
+product's keys into its face's terms, and normal_form moves each term once.
 
 A term of support J and total degree D reaches the face J in c-degree
 D - |J|, so only face supports and degrees up to ambient_dim matter.  Faces
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chern import ChernPolynomial, _symbols, evaluate_at_chern
+from .chern import ChernPolynomial, _symbols
 from .errors import (
     BackendMismatchError,
     ConfigurationError,
@@ -36,15 +38,12 @@ from .errors import (
     check_flags,
     is_integer,
 )
-from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
-from .series import (
-    FormalGroupLaw,
-    TruncatedSeries,
-    _layout,
-    _repack,
-    _times_symbols,
-    support_decompose,
-)
+from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree, _nonzero
+from .series import FormalGroupLaw, TruncatedSeries, _cut_terms, _layout, _repack, _support_parts
+
+# re-exported, not called here: fglcalc.snc.<name> stays the same function
+from .chern import evaluate_at_chern  # noqa: F401
+from .series import _times_symbols  # noqa: F401
 
 
 class SncComponent(Record):
@@ -215,6 +214,12 @@ class FaceClassVector:
                     clean[face] = cp
         self._entries = clean
 
+    @classmethod
+    def _raw(cls, config: SncConfiguration, entries: dict) -> FaceClassVector:
+        self = object.__new__(cls)  # entries: face -> nonzero class at its dimension, unchecked
+        self.config, self._entries = config, entries
+        return self
+
     def faces(self):
         return sorted(self._entries, key=lambda J: (len(J), sorted(J)))
 
@@ -289,8 +294,9 @@ def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) 
         if not ns:
             raise ValidationError("need at least one multiplicity")
         order = config.ambient_dim  # at most law.order, by _check_law
-        low = law if order == law.order else law._lower.setdefault(
-            order, FormalGroupLaw(law.backend, order))
+        low = law if order == law.order else law._lower.get(order)
+        if low is None:
+            low = law._lower[order] = FormalGroupLaw(law.backend, order)
         variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
         result = low._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
@@ -301,11 +307,18 @@ def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) 
 
 
 def _face_classes(config: SncConfiguration, series: TruncatedSeries) -> FaceClassVector:
-    """The support parts of a face-reduced series, each cut at its face dimension."""
-    return FaceClassVector(config, {
-        J: evaluate_at_chern(part, config.face_dim(J))
-        for J, part in support_decompose(series).items()
-    })
+    """The support parts of series on faces, at the symbols, in one pass over its keys.
+
+    series is at order ambient_dim, so each is within its face dimension."""
+    src = series._layout
+    r, entries = config.r, {}
+    for J, terms in _support_parts(series, config.faces).items():
+        dim = config.face_dim(J)
+        dst = _layout(r, dim)
+        if dst is not src:  # the fields narrow below order 32
+            terms = _repack(terms, src, dst, dim)
+        entries[J] = ChernPolynomial._raw(_symbols(r), dim, series.backend, terms, dst)
+    return FaceClassVector._raw(config, entries)
 
 
 def divisor_class(config: SncConfiguration, multiplicities, law: FormalGroupLaw) -> FaceClassVector:
@@ -329,37 +342,39 @@ def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLa
     second with union K, of F_J * F_I * prod_{i in J and I} u_i at the
     dimension of D_K.  That is the support-K part of F^{(n)} * F^{(p)}, taken
     in one product.  Only face supports and total degrees up to ambient_dim
-    (c-degree up to dim D_K) reach a face, so both factors and the product
-    are reduced modulo the non-face supports and the higher degrees.
+    (c-degree up to dim D_K) reach a face, so both factors are reduced
+    modulo the non-face supports and the higher degrees, and the product's
+    non-face terms are dropped as its face classes are read.
     """
     require_valid(config)
     ns = _check_multiplicities(config, n_mults, "first multiplicities")
     ps = _check_multiplicities(config, p_mults, "second multiplicities")
     _check_law(config, law)
     product = _face_combination(config, ns, law) * _face_combination(config, ps, law)
-    return _face_classes(config, _on_faces(product, config.faces))
+    return _face_classes(config, product)
 
 
 def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalGroupLaw) -> FaceClassVector:
     """Intersect an existing face-class vector with the divisor sum n_i D_i.
 
-    Each entry at a face I is multiplied by every support part F_J of the
-    divisor's face-reduced combination (times the symbols shared between J
-    and I) and deposited on the union face, truncated to its dimension.
-    Both factors are cut before multiplying; each cut is made once per
-    part and degree, since many pairs share it.  The entries may carry
-    stray symbols, so they are not lifted into one series product.
+    An entry beta at a face I and the divisor's class F_J at a face J give
+    F_J * beta * prod_{i in J and I} c_i on the union K, cut at dim D_K: one
+    chern product at order dim D_K - |J and I|, of F_J cut there (once per
+    degree) and a view that shares beta's sorted rows, whose keys plus the
+    key of the shared symbols are added straight into K's terms.  The
+    entries may carry stray symbols, so they are not lifted into one series
+    product.
     """
     config = vector.config
     require_valid(config)
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
-    parts_n = support_decompose(_face_combination(config, ns, law))
-    factors: dict = {}  # (J, degree) -> F_J at the symbols, cut there
-    entries: dict = {}
-    for I, beta in vector.items():
-        cuts: dict = {}  # degree -> beta cut there
-        for J, part_n in parts_n.items():
+    classes = _face_classes(config, _face_combination(config, ns, law))._entries
+    r, symbols = config.r, _symbols(config.r)
+    acc: dict = {}  # face -> (its layout, its terms)
+    lefts: dict = {}  # (J, degree, layout) -> F_J cut there
+    for I, beta in vector._entries.items():
+        for J, factor in classes.items():
             K = J | I
             if K not in config.faces:
                 continue
@@ -368,19 +383,21 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
             top = bound - len(common)
             if top < 0:
                 continue  # every term lies above the face dimension
-            factor = factors.get((J, top))
-            if factor is None:
-                factor = factors[J, top] = evaluate_at_chern(part_n, top)
-            cut = cuts.get(top)
-            if cut is None:
-                cut = cuts[top] = beta.truncate(top)
-            term = factor * cut
-            if common:
-                term = _times_symbols(term, common, bound)
-            if K in entries:
-                term = entries[K] + term
-            entries[K] = term
-    return FaceClassVector(config, entries)
+            layout, terms = acc.setdefault(K, (_layout(r, bound), {}))
+            left = lefts.get((J, top, layout))
+            if left is None:  # top is dim D_J - |I|: every I of one size shares the cut
+                left = lefts[J, top, layout] = ChernPolynomial._raw(
+                    symbols, top, law.backend, _cut_terms(factor._terms, factor._layout, layout, top), layout)
+            right = beta._cut(top) if beta._layout is layout else ChernPolynomial._raw(  # around order 32
+                symbols, top, beta.backend, _cut_terms(beta._terms, beta._layout, layout, top), layout)
+            offset = sum(layout.units[i - 1] for i in common)
+            get = terms.get
+            for k, c in (left * right)._terms.items():
+                terms[k + offset] = get(k + offset, 0) + c
+    return FaceClassVector._raw(config, {
+        K: ChernPolynomial._raw(symbols, config.face_dim(K), law.backend, terms, layout)
+        for K, (layout, terms) in acc.items() if _nonzero(terms)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -466,44 +483,36 @@ def normal_form(vector: FaceClassVector) -> FaceClassVector:
     A term at face J containing c_j with j outside J is rewritten as the
     same term at J + {j} with one power of c_j removed (a section of O(D_j)
     moves the class into D_j); if J + {j} is not a face the term vanishes.
-    Each move shrinks the dimension bound, so deep terms die by truncation.
-    The rewriting is confluent: absorptions at distinct indices commute and
-    a missing face kills the term under every order.
+    Absorptions at distinct indices commute, so with S the stray indices a
+    term moves to J + S in one step, or vanishes unless J + S is a face
+    (faces are downward closed).  Each absorption drops the degree and the
+    dimension bound by one, so a term within dim D_J stays within each bound.
     """
     config = vector.config
     require_valid(config)
     r = config.r
-
-    def destination(face, exps):
-        # (face, exponents) where terms at face with exps end up, or None
-        while True:
-            stray = next((j for j in range(1, r + 1) if exps[j - 1] and j not in face), None)
-            if stray is None:
-                return (face, exps) if sum(exps) <= config.face_dim(face) else None
-            face = face | {stray}
-            if face not in config.faces:
-                return None
-            exps = tuple(e - 1 if k == stray else e for k, e in enumerate(exps, start=1))
-            if sum(exps) > config.face_dim(face):
-                return None
-
-    acc: dict = {}  # face -> (backend, packed terms at the face dimension)
-    for J, cp in vector.items():
+    acc: dict = {}  # face -> (backend, its layout, packed terms at the face dimension)
+    for J, cp in vector._entries.items():
         src = cp._layout
-        series_mask, src_shift = src.series_mask, src.shift
+        series_mask, src_shift, units = src.series_mask, src.shift, src.units
         moves: dict = {}  # series part -> (bucket, new series part, its shift), or None
         for k, c in cp._terms.items():
             move = moves.get(k & series_mask, 0)
             if move == 0:
-                dest = destination(J, src.exponents(k & series_mask))
-                if dest is not None:
-                    face, exps = dest
-                    backend, bucket = acc.setdefault(face, (cp.backend, {}))
+                part = k & series_mask
+                stray = src.support(part) - J
+                face = J | stray
+                move = None
+                if face in config.faces:
+                    backend, dst, bucket = acc.setdefault(
+                        face, (cp.backend, _layout(r, config.face_dim(face)), {}))
                     if backend != cp.backend:
                         raise BackendMismatchError("mixed backends in a class vector")
-                    dst = _layout(r, config.face_dim(face))
-                    dest = (bucket, dst.encode(exps), dst.shift)
-                move = moves[k & series_mask] = dest
+                    part -= sum(units[j - 1] for j in stray)
+                    if dst is not src:
+                        part = dst.encode(src.exponents(part))
+                    move = (bucket, part, dst.shift)
+                moves[k & series_mask] = move
             if move is not None:
                 bucket, part, shift = move
                 key = part + (k >> src_shift << shift)
@@ -512,12 +521,10 @@ def normal_form(vector: FaceClassVector) -> FaceClassVector:
                     bucket[key] = total
                 else:
                     del bucket[key]
-
-    entries = {}
-    for face, (backend, terms) in acc.items():
-        dim = config.face_dim(face)
-        entries[face] = ChernPolynomial._raw(_symbols(r), dim, backend, terms, _layout(r, dim))
-    return FaceClassVector(config, entries)
+    return FaceClassVector._raw(config, {
+        face: ChernPolynomial._raw(_symbols(r), config.face_dim(face), backend, terms, layout)
+        for face, (backend, layout, terms) in acc.items() if terms
+    })
 
 
 def class_dimension(vector: FaceClassVector):

@@ -29,7 +29,13 @@ chern_mul_by_pairs and chern_substitute_by_terms are the chern product and
 substitution from before chern polynomials became series: a double loop
 over term pairs, and a sum of term products.  normal_form_in_order
 absorbs stray symbols in a chosen order, to check that the package's fixed
-order does not matter.  log_coefficient_table_by_lists is the log table
+order does not matter.  face_classes_by_parts,
+apply_divisor_operator_by_pairs and normal_form_by_steps are snc's class
+vectors from before they stayed packed: support_decompose and one
+evaluate_at_chern per part, checked by the public FaceClassVector
+constructor; one cut, one chern product, one shift by the shared symbols
+and one chern sum per pair of an entry and a divisor part; and each stray
+symbol absorbed one step at a time, the lowest index first.  log_coefficient_table_by_lists is the log table
 from before the series layer built it: l, its powers and its reversion as
 lists of coefficients, and F = g(l(u) + l(v)) from a hand-written loop
 over the powers of l(u) + l(v) keyed by (u, v) exponent pairs.
@@ -50,6 +56,7 @@ from operator import add, itemgetter, mul
 
 import fglcalc.ring
 from fglcalc import (
+    BackendMismatchError,
     ChernPolynomial,
     FaceClassVector,
     GradedPolynomial,
@@ -60,9 +67,10 @@ from fglcalc import (
     m_gen,
     support_decompose,
 )
+from fglcalc.chern import _symbols
 from fglcalc.ring import MAX_EXPONENT
 from fglcalc.series import _layout, _repack, _times_symbols
-from fglcalc.snc import _check_law, _check_multiplicities, require_valid
+from fglcalc.snc import _check_law, _check_multiplicities, _face_combination, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
 # tuples are right-padded with zeros as needed
@@ -733,6 +741,115 @@ def normal_form_in_order(vector, rank):
         face: ChernPolynomial(r, config.face_dim(face), next(iter(terms.values())).backend, terms)
         for face, terms in acc.items()
     })
+
+
+# -- snc's class vectors as separate chern polynomials ---------------------------
+
+def face_classes_by_parts(config, series):
+    """fglcalc.snc._face_classes: the face parts of series, each read at the symbols."""
+    return FaceClassVector(config, {
+        J: evaluate_at_chern(part, config.face_dim(J))
+        for J, part in support_decompose(series).items()
+        if J in config.faces
+    })
+
+
+def apply_divisor_operator_by_pairs(vector, multiplicities, law):
+    """fglcalc.apply_divisor_operator with one chern sum per pair.
+
+    Each entry at a face I is multiplied by every support part F_J of the
+    divisor's face-reduced combination (times the symbols shared between J
+    and I) and deposited on the union face, truncated to its dimension.
+    Both factors are cut before multiplying; each cut is made once per
+    part and degree, since many pairs share it.
+    """
+    config = vector.config
+    require_valid(config)
+    ns = _check_multiplicities(config, multiplicities)
+    _check_law(config, law)
+    parts_n = support_decompose(_face_combination(config, ns, law))
+    factors: dict = {}  # (J, degree) -> F_J at the symbols, cut there
+    entries: dict = {}
+    for I, beta in vector.items():
+        cuts: dict = {}  # degree -> beta cut there
+        for J, part_n in parts_n.items():
+            K = J | I
+            if K not in config.faces:
+                continue
+            bound = config.face_dim(K)
+            common = J & I
+            top = bound - len(common)
+            if top < 0:
+                continue  # every term lies above the face dimension
+            factor = factors.get((J, top))
+            if factor is None:
+                factor = factors[J, top] = evaluate_at_chern(part_n, top)
+            cut = cuts.get(top)
+            if cut is None:
+                cut = cuts[top] = beta.truncate(top)
+            term = factor * cut
+            if common:
+                term = _times_symbols(term, common, bound)
+            if K in entries:
+                term = entries[K] + term
+            entries[K] = term
+    return FaceClassVector(config, entries)
+
+
+def normal_form_by_steps(vector):
+    """fglcalc.normal_form, each stray symbol absorbed in its own step.
+
+    The lowest stray index moves first; the face and the degree are checked
+    after every step.
+    """
+    config = vector.config
+    require_valid(config)
+    r = config.r
+
+    def destination(face, exps):
+        # (face, exponents) where terms at face with exps end up, or None
+        while True:
+            stray = next((j for j in range(1, r + 1) if exps[j - 1] and j not in face), None)
+            if stray is None:
+                return (face, exps) if sum(exps) <= config.face_dim(face) else None
+            face = face | {stray}
+            if face not in config.faces:
+                return None
+            exps = tuple(e - 1 if k == stray else e for k, e in enumerate(exps, start=1))
+            if sum(exps) > config.face_dim(face):
+                return None
+
+    acc: dict = {}  # face -> (backend, packed terms at the face dimension)
+    for J, cp in vector.items():
+        src = cp._layout
+        series_mask, src_shift = src.series_mask, src.shift
+        moves: dict = {}  # series part -> (bucket, new series part, its shift), or None
+        for k, c in cp._terms.items():
+            move = moves.get(k & series_mask, 0)
+            if move == 0:
+                dest = destination(J, src.exponents(k & series_mask))
+                if dest is not None:
+                    face, exps = dest
+                    backend, bucket = acc.setdefault(face, (cp.backend, {}))
+                    if backend != cp.backend:
+                        raise BackendMismatchError("mixed backends in a class vector")
+                    dst = _layout(r, config.face_dim(face))
+                    dest = (bucket, dst.encode(exps), dst.shift)
+                move = moves[k & series_mask] = dest
+            if move is not None:
+                bucket, part, shift = move
+                key = part + (k >> src_shift << shift)
+                total = bucket.get(key, 0) + c
+                if total:
+                    bucket[key] = total
+                else:
+                    del bucket[key]
+
+    entries = {}
+    for face, (backend, terms) in acc.items():
+        dim = config.face_dim(face)
+        entries[face] = ChernPolynomial._raw(_symbols(r), dim, backend, terms, _layout(r, dim))
+    return FaceClassVector(config, entries)
 
 
 def _poly_list_mul(a, b, top, backend):

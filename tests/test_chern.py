@@ -101,6 +101,14 @@ def test_a_non_integer_bound_raises_a_validation_error(build):
         build()
 
 
+@pytest.mark.parametrize("nvars", ["x", 1.5])
+def test_constant_checks_the_symbol_count_first(nvars):
+    # the count is checked before it sizes the constant's exponent vector
+    for build in (ChernPolynomial.constant, lambda *args: ChernPolynomial.one(*args[1:])):
+        with pytest.raises(ValidationError, match="symbol count must be an integer"):
+            build(1, nvars, 2, FREE)
+
+
 def test_arithmetic_laws_randomized():
     rng = random.Random(3)
     for _ in range(40):

@@ -215,6 +215,17 @@ def test_malformed_series_arguments_raise_validation_errors(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TruncatedSeries(5, 2, FREE),
+    lambda: TruncatedSeries.variable("u", 5, 2, FREE),
+    lambda: TruncatedSeries.one(None, 2, FREE),
+    lambda: FormalGroupLaw(FREE, 3).linear_combination([1], 5),
+], ids=["constructor", "variable", "one", "linear_combination"])
+def test_variables_that_are_not_a_sequence_raise_validation_errors(build):
+    with pytest.raises(ValidationError, match="variables must be nonempty strings"):
+        build()
+
+
 # -- the law and its axioms -------------------------------------------------
 
 def test_law_series_shape():
@@ -1039,6 +1050,28 @@ def test_sum_raises_what_the_fixed_orientation_raises():
                 add(s, t)
             raised.append((type(err.value), str(err.value)))
         assert raised[0] == raised[1] == (kind, message)
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_a_zero_image_returns_the_other_one(kind):
+    # F(x, 0) = F(0, x) = x, taken without a substitution and after the checks
+    law, backend = _law(kind, 4), _BACKENDS[kind]
+    s = TruncatedSeries(("x", "y"), 4, backend, {(1, 0): 1, (1, 1): 2, (0, 3): -1})
+    zero = TruncatedSeries.zero(("x", "y"), 4, backend)
+    for a, b in ((s, zero), (zero, s), (zero, zero)):
+        result = law.sum(a, b)
+        assert result is (b if a is zero else a)
+        assert result.to_json() == oracles.sum_fixed_orientation(law, a, b).to_json()
+    one = TruncatedSeries.one(("x", "y"), 4, backend)
+    with pytest.raises(ConstantTermError, match="series for 'u'"):
+        law.sum(s + one, zero)
+    with pytest.raises(ConstantTermError, match="series for 'v'"):
+        law.sum(zero, s + one)
+    with pytest.raises(OrderError):
+        law.sum(s, zero.truncate(3))
+    other = ADDITIVE if backend is not ADDITIVE else FREE
+    with pytest.raises(BackendMismatchError):
+        law.sum(s, TruncatedSeries.zero(("x", "y"), 4, other))
 
 
 class _OracleSumLaw(FormalGroupLaw):

@@ -1,6 +1,9 @@
 """Configurations, divisor classes, the operator, and the normal form."""
 
+import functools
 import itertools
+import json
+import pathlib
 import random
 from collections import Counter
 
@@ -12,6 +15,7 @@ from fglcalc import (
     ADDITIVE,
     ANY_DEGREE,
     FREE,
+    BackendMismatchError,
     MULTIPLICATIVE,
     ChernPolynomial,
     ConfigurationError,
@@ -38,6 +42,7 @@ from fglcalc import (
 )
 
 from fglcalc import series, snc
+from fglcalc.stats import meter
 
 import oracles
 
@@ -456,6 +461,125 @@ def test_product_class_matches_oracle_five_components_free():
     expected = oracles.product_class_full_order(cfg, ns, ps, law)
     assert not expected.is_zero()
     assert product_class(cfg, ns, ps, law) == expected
+
+
+# -- the packed class vectors against their oracles --------------------------
+
+@functools.lru_cache(maxsize=None)
+def _snc_law(kind, order):
+    backend = {"free": FREE, "log": log_backend(order), "additive": ADDITIVE, "mult": MULTIPLICATIVE}[kind]
+    return FormalGroupLaw(backend, order)
+
+
+def _drawn_mults(data, r):
+    return tuple(data.draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)))
+
+
+def _drawn_vector(data, cfg, backend):
+    """Entries with stray symbols; some terms meet their moved copy, negated, and cancel."""
+    coeffs = [GradedPolynomial.constant(c, backend) for c in (1, -1, 3)]
+    faces = sorted(cfg.faces, key=sorted)
+    entries = {}
+    for face in data.draw(st.lists(st.sampled_from(faces), max_size=4, unique=True)):
+        entries[face] = {
+            tuple(data.draw(st.integers(0, 2)) for _ in range(cfg.r)): data.draw(st.sampled_from(coeffs))
+            for _ in range(data.draw(st.integers(1, 4)))
+        }
+    for face, terms in list(entries.items()):
+        for exps, coeff in list(terms.items()):
+            stray = {j for j, e in enumerate(exps, 1) if e and j not in face}
+            if stray and face | stray in cfg.faces and data.draw(st.booleans()):
+                moved = tuple(e - (j in stray) for j, e in enumerate(exps, 1))
+                entries.setdefault(face | stray, {})[moved] = -coeff
+    return FaceClassVector(cfg, {
+        face: ChernPolynomial(cfg.r, cfg.face_dim(face), backend, terms)
+        for face, terms in entries.items()
+    })
+
+
+def _same(vector, expected):
+    assert vector == expected
+    assert vector.to_json() == expected.to_json()
+
+
+@given(st.data())
+def test_packed_class_vectors_match_the_pair_and_step_oracles(data):
+    """divisor_class, product_class, the operator and the normal form against
+    face_classes_by_parts, apply_divisor_operator_by_pairs and
+    normal_form_by_steps: random downward-closed complexes with r <= 4 on
+    FREE and log, and two components on ADDITIVE and MULTIPLICATIVE at
+    ambient_dim 32 and 33, where the combination's key fields are 6 bits
+    wide and (at 32) every face's, or (at 33) the edge's only, are 5.  On
+    ADDITIVE each F_J is a constant, whose key is 0 in every layout."""
+    kind = data.draw(st.sampled_from(["free", "log", "additive", "mult"]))
+    if kind in ("additive", "mult"):
+        r, ambient = 2, data.draw(st.sampled_from([32, 33]))
+        cfg = _full_config(ambient, r)
+    else:
+        r, ambient = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        faces = {frozenset({i}) for i in range(1, r + 1)}
+        for size in range(2, min(r, ambient) + 1):
+            for c in itertools.combinations(range(1, r + 1), size):
+                face = frozenset(c)
+                if all(face - {i} in faces for i in face) and data.draw(st.booleans()):
+                    faces.add(face)
+        cfg = _config(ambient, r, faces)
+    law = _snc_law(kind, ambient)
+    ns, ps = _drawn_mults(data, r), _drawn_mults(data, r)
+    combination = snc._face_combination(cfg, ps, law)
+    _same(divisor_class(cfg, ps, law), oracles.face_classes_by_parts(cfg, combination))
+    product = snc._face_combination(cfg, ns, law) * combination
+    _same(product_class(cfg, ns, ps, law), oracles.face_classes_by_parts(cfg, product))
+    for vector in (divisor_class(cfg, ps, law), _drawn_vector(data, cfg, law.backend)):
+        image = apply_divisor_operator(vector, ns, law)
+        _same(image, oracles.apply_divisor_operator_by_pairs(vector, ns, law))
+        for v in (vector, image):
+            _same(normal_form(v), oracles.normal_form_by_steps(v))
+
+
+def test_the_operator_refuses_a_vector_over_another_backend():
+    cfg = _full_config(3, 2)
+    vector = divisor_class(cfg, (1, 1), FormalGroupLaw(ADDITIVE, 3))
+    with pytest.raises(BackendMismatchError):
+        apply_divisor_operator(vector, (1, 0), FormalGroupLaw(FREE, 3))
+
+
+def test_normal_form_refuses_two_backends_only_where_they_meet():
+    full, apart = _full_config(3, 2), _config(3, 2, [[1], [2]])
+
+    def vector(cfg, *entries):  # (face, symbol index or 0 for 1, backend)
+        return FaceClassVector(cfg, {
+            frozenset(face): ChernPolynomial.symbol(i, 2, cfg.face_dim(face), b) if i
+            else ChernPolynomial.one(2, cfg.face_dim(face), b)
+            for face, i, b in entries
+        })
+
+    clean = vector(full, ([1], 0, FREE), ([2], 0, ADDITIVE))
+    assert normal_form(clean) == clean
+    # c2 at {1} and c1 at {2} both move to {1, 2}, a face of full only
+    assert normal_form(vector(apart, ([1], 2, FREE), ([2], 1, ADDITIVE))).is_zero()
+    for entries in (
+        (([1], 2, FREE), ([2], 1, ADDITIVE)),
+        (([1], 2, FREE), ([1, 2], 0, ADDITIVE)),
+    ):
+        for form in (normal_form, oracles.normal_form_by_steps):
+            with pytest.raises(BackendMismatchError):
+                form(vector(full, *entries))
+
+
+def test_check_properties_product_count_is_pinned():
+    # the law as the CLI builds it for the golden check-properties run, its F
+    # (and the shared log table) built first; the zero multiplicities of D and
+    # E are formal sums with zero, F(x, 0) = x, which make no products (7
+    # products before the early return)
+    path = pathlib.Path(__file__).parent / "data" / "snc_check.json"
+    data = json.loads(path.read_text())
+    cfg = SncConfiguration.from_json(data)
+    law = FormalGroupLaw(log_backend(3), 4)
+    law.series
+    before = meter.products
+    check_properties(cfg, tuple(data["D"]), tuple(data["E"]), law)
+    assert meter.products - before == 3
 
 
 # -- operator and vector mechanics ------------------------------------------
