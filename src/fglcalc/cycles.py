@@ -378,6 +378,8 @@ def _summed(pairs, backend: CoefficientBackend | None = None) -> CycleSum:
 
 def pushforward(total: CycleSum, morphism: LabelMorphism) -> CycleSum:
     """Compose every cycle with a proper arrow out of the common target."""
+    if not (isinstance(total, CycleSum) and isinstance(morphism, LabelMorphism)):
+        raise CycleError("pushforward takes a CycleSum and a LabelMorphism")
     if not morphism.proper:
         raise CycleError("pushforward requires a proper morphism")
     for cycle in total._terms:

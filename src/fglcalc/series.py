@@ -31,12 +31,9 @@ series products, each cut at the highest degree any group reads from it.
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
 multi-variable combinations F^{(n_1, ..., n_r)}.  Results are cached on the
-instance; the iterated sums fold left to right.  [n]u reads one fold prefix
-per sign, [0]u, [1]u = u, [2]u = F(u, u), ..., kept on the law and run at
-most up to [order]u; beyond it the coefficient of u^k is a polynomial of
-degree <= k in n, which integer Lagrange weights recover exactly from the
-prefix.  That needs no associativity, so it equals the left fold on the
-free law too.
+instance; the iterated sums fold left to right.  [n]u reads one fold of u
+kept on the law, interpolated past [order]u, and [-n]u is [n]u composed
+with chi(u); n_series says why both equal the left fold on every law.
 """
 
 from __future__ import annotations
@@ -611,7 +608,7 @@ class FormalGroupLaw:
         self.order = order
         self._series: TruncatedSeries | None = None
         self._inverse: TruncatedSeries | None = None
-        self._prefixes: dict = {}  # [0]u, [±1]u, [±2]u, ... by sign, see n_series
+        self._prefix: list = []  # [0]u, [1]u, [2]u, ..., see n_series
         self._n_series: dict = {}
         self._linear: dict = {}
         self._lower: dict = {}  # this law at lower orders, for fglcalc.snc
@@ -701,13 +698,12 @@ class FormalGroupLaw:
         self._inverse = TruncatedSeries._raw(("u",), self.order, self.backend, chi, layout)
         return self._inverse
 
-    def _fold_prefix(self, sign: int, length: int) -> list:
-        """[0]u, [sign]u, [2 sign]u, ... in u, the left fold extended to length terms."""
-        prefix = self._prefixes.get(sign)
-        if prefix is None:
-            u = TruncatedSeries.variable("u", ("u",), self.order, self.backend)
-            zero = TruncatedSeries.zero(("u",), self.order, self.backend)
-            prefix = self._prefixes[sign] = [zero, self.inverse() if sign < 0 else u]
+    def _fold_prefix(self, length: int) -> list:
+        """[0]u, [1]u, [2]u, ... in u, the left fold of u extended to length terms."""
+        prefix = self._prefix
+        if not prefix:
+            prefix += [TruncatedSeries.zero(("u",), self.order, self.backend),
+                       TruncatedSeries.variable("u", ("u",), self.order, self.backend)]
         while len(prefix) < length:
             prefix.append(self.sum(prefix[-1], prefix[1]))
         return prefix
@@ -720,19 +716,20 @@ class FormalGroupLaw:
         associative, so a regrouping such as F([2]u, [2]u) differs from
         [4]u there.
 
-        The fold is run once per sign and kept, and only up to [order]u.
-        A larger m = |n| is interpolated.  One fold step x -> F(x, s), with
-        s = u or chi(u), changes the coefficient c_k of u^k by a sum of
-        products of lower coefficients whose indices add up to at most
-        k - 1, so by induction c_k is a polynomial of degree <= k in the
-        number of steps, on every backend and without associativity.  It is
-        therefore fixed by its values at 0, 1, ..., k, and Lagrange's
-        formula gives
+        The fold of u is run once and kept, and only up to [order]u.  A
+        larger n is interpolated.  One fold step x -> F(x, u) changes the
+        coefficient c_k of u^k by a sum of products of lower coefficients
+        whose indices add up to at most k - 1, so by induction c_k is a
+        polynomial of degree <= k in the number of steps, on every backend
+        and without associativity.  It is therefore fixed by its values at
+        0, 1, ..., k, and Lagrange's formula gives
 
-            c_k(m) = sum_{j=1..k} (-1)^(k-j) C(m, j) C(m-j-1, k-j) c_k(j)
+            c_k(n) = sum_{j=1..k} (-1)^(k-j) C(n, j) C(n-j-1, k-j) c_k(j)
 
         (the j = 0 term vanishes, since [0]u = 0).  The weights are integers,
-        so the result is exact, equal to the fold term for term.
+        so the result is exact, equal to the fold term for term.  [-n]u is
+        [n]u o chi: composition is associative whatever F is, so F(A, B) o
+        chi = F(A o chi, B o chi), and by induction [n]u o chi is the fold.
         """
         # checked before the cache, where True and 2.0 would hit 1 and 2
         if not is_integer(n):
@@ -740,20 +737,21 @@ class FormalGroupLaw:
         cached = self._n_series.get(n)
         if cached is not None:
             return cached
-        m, order = abs(n), self.order
-        prefix = self._fold_prefix(-1 if n < 0 else 1, min(m, order) + 1)
-        if m <= order:
-            result = prefix[m]
+        order = self.order
+        if n < 0:
+            result = self.inverse() if n == -1 else self.n_series(-n).substitute({"u": self.inverse()})
+        elif n <= order:
+            result = self._fold_prefix(n + 1)[n]
         else:
+            prefix = self._fold_prefix(order + 1)
             # in one variable the degree field is the exponent k of u^k
             layout = prefix[1]._layout
-            mask = layout.mask
-            weights = [[(-1) ** (k - j) * comb(m, j) * comb(m - j - 1, k - j)
+            weights = [[(-1) ** (k - j) * comb(n, j) * comb(n - j - 1, k - j)
                         for j in range(k + 1)] for k in range(order + 1)]
             acc: dict = {}
             for j in range(1, order + 1):
                 for packed, c in prefix[j]._terms.items():
-                    k = packed & mask
+                    k = packed & layout.mask
                     if k >= j:
                         acc[packed] = acc.get(packed, 0) + weights[k][j] * c
             result = TruncatedSeries._raw(("u",), order, self.backend, _nonzero(acc), layout)
@@ -782,14 +780,10 @@ class FormalGroupLaw:
             raise ValidationError("multiplicities must be integers")
         if variables is None:
             variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
-        else:
-            variables = _as_tuple(variables, "variables must be nonempty strings, got")
+        else:  # the names pass the series constructor's checks
+            variables = TruncatedSeries(variables, 0, self.backend).variables
             if len(variables) != len(ns):
                 raise ValidationError("one variable per multiplicity required")
-            if not all(isinstance(v, str) and v for v in variables):
-                raise ValidationError(f"variables must be nonempty strings, got {variables!r}")
-            if len(set(variables)) != len(variables):
-                raise ValidationError(f"duplicate variable names in {variables}")
         key = (ns, variables)
         cached = self._linear.get(key)
         if cached is not None:
@@ -834,6 +828,8 @@ def support_decompose(series: TruncatedSeries) -> dict:
     is divided out); the constant term, if any, sits at J = frozenset().
     Only nonzero parts appear.
     """
+    if not isinstance(series, TruncatedSeries):
+        raise ValidationError(f"support_decompose takes a series, got {series!r}")
     parts = _support_parts(series)
     return {
         support: TruncatedSeries._raw(

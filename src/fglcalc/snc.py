@@ -183,6 +183,8 @@ def _check_multiplicities(config, multiplicities, what="multiplicities"):
 
 
 def _check_law(config, law: FormalGroupLaw):
+    if not isinstance(law, FormalGroupLaw):
+        raise ValidationError(f"expected a FormalGroupLaw, got {law!r}")
     if law.order < config.ambient_dim:
         raise OrderError(
             f"law order {law.order} is below ambient_dim {config.ambient_dim}"
@@ -206,6 +208,8 @@ class FaceClassVector:
                     raise ValidationError("entries must be ChernPolynomial values")
                 if cp.nvars != config.r:
                     raise ValidationError("entry symbol count must match component count")
+                if cp.backend != next(iter(entries.values())).backend:
+                    raise BackendMismatchError("mixed backends in a class vector")
                 if cp.dim_bound != config.face_dim(face):
                     raise ValidationError(
                         f"entry at {sorted(face)} must be truncated at {config.face_dim(face)}"
@@ -504,10 +508,8 @@ def normal_form(vector: FaceClassVector) -> FaceClassVector:
                 face = J | stray
                 move = None
                 if face in config.faces:
-                    backend, dst, bucket = acc.setdefault(
+                    _, dst, bucket = acc.setdefault(
                         face, (cp.backend, _layout(r, config.face_dim(face)), {}))
-                    if backend != cp.backend:
-                        raise BackendMismatchError("mixed backends in a class vector")
                     part -= sum(units[j - 1] for j in stray)
                     if dst is not src:
                         part = dst.encode(src.exponents(part))

@@ -20,7 +20,9 @@ and divisor_class_full_combination decompose the combination at the
 law's full order with every support kept, where the package works in the
 Stanley-Reisner quotient; substitute_by_terms composes series one term at
 a time; n_series_by_fold builds [n]u with the full left fold of |n| - 1
-law sums, where the package interpolates from a short shared fold prefix.
+law sums, where the package interpolates from a short shared fold prefix
+of u and composes [-n]u as [n]u with chi(u), so the left fold of chi(u)
+is run here only.
 series_mul_two_level and substitute_two_level are the series product and
 composition from before a series became one dict of packed keys: terms
 keyed by exponent vectors with GradedPolynomial coefficients, one
@@ -642,7 +644,8 @@ def n_series_by_fold(law, n):
     """fglcalc.FormalGroupLaw.n_series as the full left fold.
 
     [n]u = F(...F(F(u, u), u)..., u) with |n| - 1 law sums, and [-n]u the
-    same fold of chi(u); nothing is cached.
+    same fold of chi(u), which the package no longer runs: it composes
+    [n]u with chi(u) instead.  Nothing is cached.
     """
     u = TruncatedSeries.variable("u", ("u",), law.order, law.backend)
     if n == 0:

@@ -350,6 +350,16 @@ def test_pushforward_requires_proper_and_matching_target():
         pushforward(rel, LabelMorphism(Z, X))
 
 
+@pytest.mark.parametrize("total, morphism", [
+    (None, None),
+    (CycleSum(None, {}), None),
+    (None, LabelMorphism(X, SpaceLabel("Z", 4))),
+], ids=["neither", "no morphism", "no sum"])
+def test_pushforward_of_other_arguments_raises_a_cycle_error(total, morphism):
+    with pytest.raises(CycleError, match="pushforward takes"):
+        pushforward(total, morphism)
+
+
 def test_pushforward_functoriality():
     rel = double_point_relation(_dpr_labels())
     Z, W = SpaceLabel("Z", 4), SpaceLabel("W", 5)

@@ -209,7 +209,9 @@ _U = TruncatedSeries.variable("u", ("u",), 4, FREE)
     lambda: _U.coefficient(None),
     lambda: TruncatedSeries(("u",), 4, FREE, [((1,), 1)]),
     lambda: TruncatedSeries(("u",), 4, FREE, {1: 1}),
-], ids=["substitute(None)", "coefficient(None)", "list terms", "int exponent key"])
+    lambda: support_decompose(5),
+], ids=["substitute(None)", "coefficient(None)", "list terms", "int exponent key",
+        "support_decompose(5)"])
 def test_malformed_series_arguments_raise_validation_errors(build):
     with pytest.raises(ValidationError):
         build()
@@ -580,19 +582,26 @@ def _counted(run) -> int:
     return meter.products - before
 
 
-@pytest.mark.parametrize("backend, positive, negative, combination", [
-    (FREE, 2593, 8153, 5943), (log_backend(7), 5755, 11707, 8773),
+@pytest.mark.parametrize("backend, positive, negative, combination, fresh_negative", [
+    (FREE, 2593, 644, 5943, 3237), (log_backend(7), 5755, 412, 8773, 6167),
 ], ids=["free", "log"])
-def test_a_bare_first_image_moves_terms_without_products(backend, positive, negative, combination):
-    # every step F([k]u, u) of the positive fold has the bare u first, so
-    # each column is moved onto u, where multiplying it by the powers of u
-    # would make 2845 (free) and 7491 (log) products.  The negative fold
-    # and the combination's sums have no bare first image
+def test_a_bare_first_image_moves_terms_without_products(
+    backend, positive, negative, combination, fresh_negative
+):
+    # every step F([k]u, u) of the fold has the bare u first, so each
+    # column is moved onto u, where multiplying it by the powers of u would
+    # make 2845 (free) and 7491 (log) products.  [-8]u is [8]u composed with
+    # chi, so with [8]u built it pays for that one composition only, and on
+    # a fresh law for the fold as well.  The combination's sums have no
+    # bare first image
     law = FormalGroupLaw(backend, 8)
     law.series, law.inverse()
     assert _counted(lambda: law.n_series(8)) == positive
     assert _counted(lambda: law.n_series(-8)) == negative
     assert _counted(lambda: law.linear_combination([2, -1, 3])) == combination
+    fresh = FormalGroupLaw(backend, 8)
+    fresh.inverse()
+    assert _counted(lambda: fresh.n_series(-8)) == fresh_negative
 
 
 def test_two_laws_share_no_series_and_no_substitution_plan():
@@ -1131,6 +1140,28 @@ def test_n_series_matches_the_fold_oracle(kind, order, n):
     slow = oracles.n_series_by_fold(FormalGroupLaw(backend, order), n)
     assert fast == slow
     assert fast.to_json() == slow.to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def _folded(kind, order, n):
+    return oracles.n_series_by_fold(FormalGroupLaw(_BACKENDS[kind], order), n)
+
+
+@given(
+    st.sampled_from(["free", "log"]),
+    st.integers(1, 8),
+    st.lists(st.integers(-20, 20), max_size=8),
+)
+@example("free", 8, [3, -1, 0, 1, -5, -20, 20, -2])
+@example("log", 8, [-20, 1, -1, 0, 9, -9, 2, -2])
+def test_n_series_in_any_call_order_matches_the_fold_oracle(kind, order, ns):
+    # one law serves every call, so [-n]u may compose a fold prefix an
+    # earlier call left half built, or an interpolated [n]u it cached
+    law = FormalGroupLaw(_BACKENDS[kind], order)
+    for n in ns:
+        fast, slow = law.n_series(n), _folded(kind, order, n)
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
 
 
 @given(

@@ -544,27 +544,26 @@ def test_the_operator_refuses_a_vector_over_another_backend():
         apply_divisor_operator(vector, (1, 0), FormalGroupLaw(FREE, 3))
 
 
-def test_normal_form_refuses_two_backends_only_where_they_meet():
-    full, apart = _full_config(3, 2), _config(3, 2, [[1], [2]])
+def test_a_class_vector_refuses_two_backends():
+    full = _full_config(3, 2)
 
-    def vector(cfg, *entries):  # (face, symbol index or 0 for 1, backend)
-        return FaceClassVector(cfg, {
-            frozenset(face): ChernPolynomial.symbol(i, 2, cfg.face_dim(face), b) if i
-            else ChernPolynomial.one(2, cfg.face_dim(face), b)
+    def vector(*entries):  # (face, symbol index or 0 for 1, backend)
+        return FaceClassVector(full, {
+            frozenset(face): ChernPolynomial.symbol(i, 2, full.face_dim(face), b) if i
+            else ChernPolynomial.one(2, full.face_dim(face), b)
             for face, i, b in entries
         })
 
-    clean = vector(full, ([1], 0, FREE), ([2], 0, ADDITIVE))
-    assert normal_form(clean) == clean
-    # c2 at {1} and c1 at {2} both move to {1, 2}, a face of full only
-    assert normal_form(vector(apart, ([1], 2, FREE), ([2], 1, ADDITIVE))).is_zero()
+    single = vector(([1], 0, FREE), ([2], 1, FREE))
+    assert normal_form(single) == vector(([1], 0, FREE), ([1, 2], 0, FREE))
+    # on faces that stay apart, and where normal_form would bring them together
     for entries in (
+        (([1], 0, FREE), ([2], 0, ADDITIVE)),
         (([1], 2, FREE), ([2], 1, ADDITIVE)),
         (([1], 2, FREE), ([1, 2], 0, ADDITIVE)),
     ):
-        for form in (normal_form, oracles.normal_form_by_steps):
-            with pytest.raises(BackendMismatchError):
-                form(vector(full, *entries))
+        with pytest.raises(BackendMismatchError):
+            vector(*entries)
 
 
 def test_check_properties_product_count_is_pinned():
@@ -606,6 +605,17 @@ def test_vector_constructor_validation():
         FaceClassVector(_config(2, 2, [[1], [2]]), {frozenset({1, 2}): good})
     with pytest.raises(ValidationError):
         FaceClassVector(cfg, {frozenset({1}): ChernPolynomial.one(3, 1, FREE)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: divisor_class(cfg, [1, 1], "free"),
+    lambda cfg: product_class(cfg, [1, 1], [1, 0], "free"),
+    lambda cfg: apply_divisor_operator(FaceClassVector(cfg), [1, 1], None),
+    lambda cfg: check_properties(cfg, [1, 1], [1, 0], FREE),
+], ids=["divisor_class", "product_class", "apply_divisor_operator", "check_properties"])
+def test_a_law_argument_that_is_not_a_law_raises_a_validation_error(call):
+    with pytest.raises(ValidationError, match="FormalGroupLaw"):
+        call(_full_config(2, 2))
 
 
 def test_vector_json_round_trip():
