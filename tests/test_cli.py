@@ -394,6 +394,14 @@ def test_relgen_fgl_room_at_the_limit_is_accepted():
     assert json.loads(out)["terms"]
 
 
+@pytest.mark.parametrize("kind", [True, 1.5, ["dim"], {"dim": 1}, None],
+                         ids=["bool", "float", "list", "object", "null"])
+def test_relgen_kind_that_is_not_a_name_exits_2(kind):
+    rc, out, _ = run_cli(["cycles", "relgen", json.dumps({"kind": kind, "witness": {}})])
+    assert rc == 2
+    assert json.loads(out)["detail"] == "'kind' must be one of dim, sect, fgl"
+
+
 def _components(r):
     return {
         "ambient_dim": 2,

@@ -393,3 +393,92 @@ def test_exterior_product_rejects_decorations():
     b = CycleSum.single(_cyc("C", 2))
     with pytest.raises(CycleError):
         exterior_product(a, b)
+
+
+# -- record JSON ------------------------------------------------------------
+
+_Y, _X, _D = {"name": "Y", "dim": 2}, {"name": "X", "dim": 3}, {"name": "D", "dim": 1}
+_DPR = {"smooth_fiber": _Y, "component_a": _Y, "component_b": _Y, "intersection": _D,
+        "projective_bundle": _Y, "target": _X}
+_STEP = {"base": _Y, "blowup": _Y, "exceptional": _Y, "projective_bundle": _Y}
+_DIM = {"source": _Y, "target": _X, "base": _D, "pulled_back": ["P1", "P2"], "extra": ["M"]}
+_SECT = {"source": _Y, "target": _X, "zero_locus": _D, "bundles": ["L"], "restricted": []}
+_FGL = {"source": _Y, "target": _X, "bundles": ["K"], "left": "L", "right": "M", "tensor": "LM"}
+
+
+def _without(data, *keys):
+    return {k: v for k, v in data.items() if k not in keys}
+
+
+def _with(data, **changes):
+    return {**data, **changes}
+
+
+def _sum_of(cycle):
+    return {"terms": [{"coeff": 1, "cycle": cycle}]}
+
+
+# decoder, input, and its exit-2 text; the last three rows carry two faults
+# each and fix which one is reported: a missing key before a non-list, a
+# non-list before a bad label, and the first missing key in field order
+RECORD_JSON_ERRORS = [
+    (SpaceLabel.from_json, 5, "label JSON needs 'name' and 'dim'"),
+    (SpaceLabel.from_json, {"name": "Y"}, "label JSON needs 'name' and 'dim'"),
+    (SpaceLabel.from_json, {"name": "", "dim": 2}, "label name must be a nonempty string"),
+    (DecoratedCycle.from_json, [], "cycle JSON needs 'source' and 'target'"),
+    (DecoratedCycle.from_json, {"source": _Y}, "cycle JSON needs 'source' and 'target'"),
+    (DecoratedCycle.from_json, {"source": _Y, "target": _X, "bundles": "L"},
+     "'bundles' must be a list"),
+    (DecoratedCycle.from_json, {"source": _Y, "target": {"dim": 3}},
+     "label JSON needs 'name' and 'dim'"),
+    (CycleSum.from_json, _sum_of({"source": {"name": "Y"}, "target": _X}),
+     "label JSON needs 'name' and 'dim'"),
+    (CycleSum.from_json, _sum_of({"source": _Y, "target": _X, "bundles": None}),
+     "'bundles' must be a list"),
+    (DoublePointDatum.from_json, "dpr", "double point JSON must be an object"),
+    (DoublePointDatum.from_json, _without(_DPR, "target"), "double point JSON lacks ['target']"),
+    (DoublePointDatum.from_json, _without(_DPR, "target", "component_b"),
+     "double point JSON lacks ['component_b', 'target']"),
+    (DoublePointDatum.from_json, _with(_DPR, intersection=[]),
+     "label JSON needs 'name' and 'dim'"),
+    (BlowupStep.from_json, None, "blowup step JSON must be an object"),
+    (BlowupStep.from_json, _without(_STEP, "exceptional"),
+     "blowup step JSON lacks ['exceptional']"),
+    (DimWitness.from_json, 3, "witness JSON must be an object"),
+    (DimWitness.from_json, _without(_DIM, "base"), "dim witness lacks 'base'"),
+    (DimWitness.from_json, _with(_DIM, pulled_back="P1"), "'pulled_back' must be a list of names"),
+    (DimWitness.from_json, _with(_DIM, extra=None), "'extra' must be a list of names"),
+    (DimWitness.from_json, _with(_DIM, base={"name": "C"}), "label JSON needs 'name' and 'dim'"),
+    (SectWitness.from_json, [_SECT], "witness JSON must be an object"),
+    (SectWitness.from_json, _without(_SECT, "zero_locus"), "sect witness lacks 'zero_locus'"),
+    (SectWitness.from_json, _with(_SECT, bundles="L"), "'bundles' must be a list of names"),
+    (SectWitness.from_json, _with(_SECT, restricted=5), "'restricted' must be a list of names"),
+    (TensorWitness.from_json, "fgl", "witness JSON must be an object"),
+    (TensorWitness.from_json, _without(_FGL, "right"), "fgl witness lacks 'right'"),
+    (TensorWitness.from_json, _with(_FGL, bundles={}), "'bundles' must be a list of names"),
+    (TensorWitness.from_json, _with(_FGL, source=7), "label JSON needs 'name' and 'dim'"),
+    (DimWitness.from_json, _with(_without(_DIM, "target"), extra="M"), "dim witness lacks 'target'"),
+    (SectWitness.from_json, _with(_SECT, source={}, restricted="K"),
+     "'restricted' must be a list of names"),
+    (TensorWitness.from_json, _without(_FGL, "tensor", "source"), "fgl witness lacks 'source'"),
+]
+
+
+@pytest.mark.parametrize("decode, data, message", RECORD_JSON_ERRORS,
+                         ids=[f"{i}-{row[2]}" for i, row in enumerate(RECORD_JSON_ERRORS)])
+def test_record_json_errors_keep_their_text(decode, data, message):
+    with pytest.raises(ValidationError) as excinfo:
+        decode(data)
+    assert type(excinfo.value) is ValidationError
+    assert str(excinfo.value) == message
+
+
+def test_record_json_fills_the_defaults_and_takes_a_null_restriction():
+    Y, C, Z = SpaceLabel("Y", 2), SpaceLabel("D", 1), SpaceLabel("X", 3)
+    assert DecoratedCycle.from_json({"source": _Y, "target": _X}) == DecoratedCycle(Y, Z)
+    assert DimWitness.from_json(_without(_DIM, "extra")) == DimWitness(Y, Z, C, ("P1", "P2"))
+    sect = SectWitness.from_json(_with(_SECT, restricted=None))
+    assert sect == SectWitness(Y, Z, C, ("L",))
+    assert SectWitness.from_json(_without(_SECT, "restricted")) == sect
+    assert TensorWitness.from_json(_without(_FGL, "bundles")) == TensorWitness(
+        Y, Z, (), "L", "M", "LM")
