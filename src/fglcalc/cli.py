@@ -231,19 +231,18 @@ def _cmd_cycles_tower(args, data):
     }
 
 
+WITNESSES = {"dim": DimWitness, "sect": SectWitness, "fgl": TensorWitness}
+
+
 def _cmd_cycles_relgen(args, data):
     kind = data.get("kind")
-    if kind not in ("dim", "sect", "fgl"):
+    if not isinstance(kind, str) or kind not in WITNESSES:  # a list kind is unhashable
         raise ValidationError("'kind' must be one of dim, sect, fgl")
     if "witness" not in data:
         raise ValidationError("relgen needs a 'witness'")
-    wdata = data["witness"]
-    if kind == "dim":
-        gen = relation_generator(kind, DimWitness.from_json(wdata))
-    elif kind == "sect":
-        gen = relation_generator(kind, SectWitness.from_json(wdata))
-    else:
-        witness = TensorWitness.from_json(wdata)
+    witness = WITNESSES[kind].from_json(data["witness"])
+    backend = None
+    if kind == "fgl":
         # the law's terms fill room = source dim - bundle count, with
         # quadratically many terms of length room; cap it like an order
         room = witness.source.dim - len(witness.bundles)
@@ -251,8 +250,7 @@ def _cmd_cycles_relgen(args, data):
             raise ValidationError(f"fgl witness leaves {room} dimensions for the law, "
                                   f"above the order limit {MAX_ORDER}")
         backend = _make_backend(args.backend, _order(args))
-        gen = relation_generator(kind, witness, backend)
-    return gen.to_json()
+    return relation_generator(kind, witness, backend).to_json()
 
 
 # ---------------------------------------------------------------------------

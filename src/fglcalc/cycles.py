@@ -38,11 +38,43 @@ from .ring import (
     lazard_coefficient,
 )
 
+# the kinds of a record field read from JSON, and the default of a required one
+LABEL, NAMES, REQUIRED = "label", "names", object()
+
+
+def _from_json(cls, data):
+    """The record of class cls described by the JSON object data, read through cls._json.
+
+    The table holds the text for data that is not an object, the text for
+    missing keys (formatted with their list, missing, and the first of them,
+    first), the text for a name list that is not a list (formatted with its
+    key), and a (key, default or REQUIRED, kind) entry per field in
+    __slots__ order.  The checks run in that order: an object, every
+    required key present, every NAMES value a list unless it is the field's
+    default, then each LABEL read by SpaceLabel.from_json in field order.
+    """
+    not_object, lacks, not_list, fields = cls._json
+    if not isinstance(data, dict):
+        raise ValidationError(not_object)
+    missing = [key for key, default, _ in fields if default is REQUIRED and key not in data]
+    if missing:
+        raise ValidationError(lacks.format(missing=missing, first=missing[0]))
+    values = [data.get(key, default) for key, default, _ in fields]
+    for (key, default, kind), value in zip(fields, values):
+        if kind == NAMES and value is not default and not isinstance(value, list):
+            raise ValidationError(not_list.format(key=key))
+    return cls(*(SpaceLabel.from_json(value) if kind == LABEL else value
+                 for (_, _, kind), value in zip(fields, values)))
+
 
 class SpaceLabel(Record):
     """Name plus the little geometry the calculus actually consumes."""
 
     __slots__ = ("name", "dim", "smooth", "quasiprojective", "complete", "nu")
+    _json = ("label JSON needs 'name' and 'dim'", "label JSON needs 'name' and 'dim'", None, (
+        ("name", REQUIRED, None), ("dim", REQUIRED, None), ("smooth", True, None),
+        ("quasiprojective", True, None), ("complete", False, None), ("nu", None, None)))
+    from_json = classmethod(_from_json)
 
     def __init__(self, name: str, dim: int, smooth: bool = True,
                  quasiprojective: bool = True, complete: bool = False,
@@ -70,19 +102,6 @@ class SpaceLabel(Record):
             out["nu"] = self.nu
         return out
 
-    @classmethod
-    def from_json(cls, data) -> SpaceLabel:
-        if not isinstance(data, dict) or "name" not in data or "dim" not in data:
-            raise ValidationError("label JSON needs 'name' and 'dim'")
-        return cls(
-            data["name"],
-            data["dim"],
-            data.get("smooth", True),
-            data.get("quasiprojective", True),
-            data.get("complete", False),
-            data.get("nu"),
-        )
-
 
 def _label_key(label: SpaceLabel):
     return (
@@ -105,6 +124,10 @@ class DecoratedCycle(Record):
     """
 
     __slots__ = ("source", "target", "bundles")
+    _json = ("cycle JSON needs 'source' and 'target'", "cycle JSON needs 'source' and 'target'",
+             "{key!r} must be a list",
+             (("source", REQUIRED, LABEL), ("target", REQUIRED, LABEL), ("bundles", (), NAMES)))
+    from_json = classmethod(_from_json)
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple = ()):
         if not source.smooth:
@@ -130,19 +153,6 @@ class DecoratedCycle(Record):
             "target": self.target.to_json(),
             "bundles": list(self.bundles),
         }
-
-    @classmethod
-    def from_json(cls, data) -> DecoratedCycle:
-        if not isinstance(data, dict) or "source" not in data or "target" not in data:
-            raise ValidationError("cycle JSON needs 'source' and 'target'")
-        bundles = data.get("bundles", [])
-        if not isinstance(bundles, list):
-            raise ValidationError("'bundles' must be a list")
-        return cls(
-            SpaceLabel.from_json(data["source"]),
-            SpaceLabel.from_json(data["target"]),
-            tuple(bundles),
-        )
 
     def __str__(self):
         inside = f"{self.source.name} -> {self.target.name}"
@@ -434,49 +444,47 @@ class DoublePointDatum(Record):
 
     __slots__ = ("smooth_fiber", "component_a", "component_b", "intersection",
                  "projective_bundle", "target")
+    _json = ("double point JSON must be an object", "double point JSON lacks {missing}", None,
+             tuple((key, REQUIRED, LABEL) for key in __slots__))
+    from_json = classmethod(_from_json)
 
     def __init__(self, smooth_fiber: SpaceLabel, component_a: SpaceLabel,
                  component_b: SpaceLabel, intersection: SpaceLabel,
                  projective_bundle: SpaceLabel, target: SpaceLabel):
         super().__init__(smooth_fiber, component_a, component_b, intersection,
                          projective_bundle, target)
-        d = self.smooth_fiber.dim
-        for part in ("component_a", "component_b", "projective_bundle"):
-            if getattr(self, part).dim != d:
-                raise DimensionMismatchError(
-                    f"{part} must have dimension {d}, got {getattr(self, part).dim}"
-                )
-        if self.intersection.dim != d - 1:
-            raise DimensionMismatchError(
-                f"intersection must have dimension {d - 1}, got {self.intersection.dim}"
-            )
-        for part in ("smooth_fiber", "component_a", "component_b", "intersection",
-                     "projective_bundle"):
-            label = getattr(self, part)
-            if not label.smooth:
-                raise CycleError(f"{part} must be smooth")
+        _check_parts(self, (("component_a", 0), ("component_b", 0), ("projective_bundle", 0),
+                            ("intersection", 1)), self.__slots__[:5])
 
-    @classmethod
-    def from_json(cls, data) -> DoublePointDatum:
-        if not isinstance(data, dict):
-            raise ValidationError("double point JSON must be an object")
-        fields = ("smooth_fiber", "component_a", "component_b", "intersection",
-                  "projective_bundle", "target")
-        missing = [f for f in fields if f not in data]
-        if missing:
-            raise ValidationError(f"double point JSON lacks {missing}")
-        return cls(*(SpaceLabel.from_json(data[f]) for f in fields))
+
+def _check_parts(record, dims, smooth):
+    """Raise unless each (part, drop) in dims has the first field's dimension
+    less drop, then unless each part named in smooth is smooth."""
+    d = getattr(record, record.__slots__[0]).dim
+    for part, drop in dims:
+        if getattr(record, part).dim != d - drop:
+            raise DimensionMismatchError(
+                f"{part} must have dimension {d - drop}, got {getattr(record, part).dim}"
+            )
+    for part in smooth:
+        if not getattr(record, part).smooth:
+            raise CycleError(f"{part} must be smooth")
+
+
+def _relation(general, piece_a, piece_b, bundle, target: SpaceLabel) -> CycleSum:
+    """[general] - [piece_a] - [piece_b] + [bundle] over target: a degeneration's relation."""
+    return CycleSum(None, {
+        DecoratedCycle(general, target): 1,
+        DecoratedCycle(piece_a, target): -1,
+        DecoratedCycle(piece_b, target): -1,
+        DecoratedCycle(bundle, target): 1,
+    })
 
 
 def double_point_relation(datum: DoublePointDatum) -> CycleSum:
     """[general fiber] - [A] - [B] + [P^1-bundle over A meet B], over the target."""
-    X = datum.target
-    return CycleSum(None, {
-        DecoratedCycle(datum.smooth_fiber, X): 1,
-        DecoratedCycle(datum.component_a, X): -1,
-        DecoratedCycle(datum.component_b, X): -1,
-        DecoratedCycle(datum.projective_bundle, X): 1,
-    })
+    return _relation(datum.smooth_fiber, datum.component_a, datum.component_b,
+                     datum.projective_bundle, datum.target)
 
 
 class BlowupStep(Record):
@@ -489,39 +497,20 @@ class BlowupStep(Record):
     """
 
     __slots__ = ("base", "blowup", "exceptional", "projective_bundle")
+    _json = ("blowup step JSON must be an object", "blowup step JSON lacks {missing}", None,
+             tuple((key, REQUIRED, LABEL) for key in __slots__))
+    from_json = classmethod(_from_json)
 
     def __init__(self, base: SpaceLabel, blowup: SpaceLabel, exceptional: SpaceLabel,
                  projective_bundle: SpaceLabel):
         super().__init__(base, blowup, exceptional, projective_bundle)
-        d = self.base.dim
-        for part in ("blowup", "exceptional", "projective_bundle"):
-            if getattr(self, part).dim != d:
-                raise DimensionMismatchError(
-                    f"{part} must have dimension {d}, got {getattr(self, part).dim}"
-                )
-        for part in ("base", "blowup", "exceptional", "projective_bundle"):
-            if not getattr(self, part).smooth:
-                raise CycleError(f"{part} must be smooth")
-
-    @classmethod
-    def from_json(cls, data) -> BlowupStep:
-        if not isinstance(data, dict):
-            raise ValidationError("blowup step JSON must be an object")
-        fields = ("base", "blowup", "exceptional", "projective_bundle")
-        missing = [f for f in fields if f not in data]
-        if missing:
-            raise ValidationError(f"blowup step JSON lacks {missing}")
-        return cls(*(SpaceLabel.from_json(data[f]) for f in fields))
+        _check_parts(self, (("blowup", 0), ("exceptional", 0), ("projective_bundle", 0)),
+                     self.__slots__)
 
 
 def blowup_relation(step: BlowupStep, target: SpaceLabel) -> CycleSum:
     """[base] - [blowup] - [exceptional piece] + [its P^1-bundle], over target."""
-    return CycleSum(None, {
-        DecoratedCycle(step.base, target): 1,
-        DecoratedCycle(step.blowup, target): -1,
-        DecoratedCycle(step.exceptional, target): -1,
-        DecoratedCycle(step.projective_bundle, target): 1,
-    })
+    return _relation(step.base, step.blowup, step.exceptional, step.projective_bundle, target)
 
 
 def blowup_tower_relations(steps, target: SpaceLabel) -> list:
@@ -557,28 +546,15 @@ class DimWitness(Record):
     """
 
     __slots__ = ("source", "target", "base", "pulled_back", "extra")
+    _json = ("witness JSON must be an object", "dim witness lacks {first!r}",
+             "{key!r} must be a list of names",
+             (("source", REQUIRED, LABEL), ("target", REQUIRED, LABEL), ("base", REQUIRED, LABEL),
+              ("pulled_back", REQUIRED, NAMES), ("extra", (), NAMES)))
+    from_json = classmethod(_from_json)
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, base: SpaceLabel,
                  pulled_back: tuple, extra: tuple = ()):
         super().__init__(source, target, base, tuple(pulled_back), tuple(extra))
-
-    @classmethod
-    def from_json(cls, data) -> DimWitness:
-        if not isinstance(data, dict):
-            raise ValidationError("witness JSON must be an object")
-        for f in ("source", "target", "base", "pulled_back"):
-            if f not in data:
-                raise ValidationError(f"dim witness lacks {f!r}")
-        for f in ("pulled_back", "extra"):
-            if f in data and not isinstance(data[f], list):
-                raise ValidationError(f"{f!r} must be a list of names")
-        return cls(
-            SpaceLabel.from_json(data["source"]),
-            SpaceLabel.from_json(data["target"]),
-            SpaceLabel.from_json(data["base"]),
-            data["pulled_back"],
-            data.get("extra", ()),
-        )
 
 
 class SectWitness(Record):
@@ -589,60 +565,32 @@ class SectWitness(Record):
     """
 
     __slots__ = ("source", "target", "zero_locus", "bundles", "restricted")
+    _json = ("witness JSON must be an object", "sect witness lacks {first!r}",
+             "{key!r} must be a list of names",
+             (("source", REQUIRED, LABEL), ("target", REQUIRED, LABEL),
+              ("zero_locus", REQUIRED, LABEL), ("bundles", REQUIRED, NAMES),
+              ("restricted", None, NAMES)))
+    from_json = classmethod(_from_json)
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, zero_locus: SpaceLabel,
                  bundles: tuple, restricted: tuple | None = None):
         super().__init__(source, target, zero_locus, tuple(bundles),
                          None if restricted is None else tuple(restricted))
 
-    @classmethod
-    def from_json(cls, data) -> SectWitness:
-        if not isinstance(data, dict):
-            raise ValidationError("witness JSON must be an object")
-        for f in ("source", "target", "zero_locus", "bundles"):
-            if f not in data:
-                raise ValidationError(f"sect witness lacks {f!r}")
-        if not isinstance(data["bundles"], list):
-            raise ValidationError("'bundles' must be a list of names")
-        restricted = data.get("restricted")
-        if restricted is not None and not isinstance(restricted, list):
-            raise ValidationError("'restricted' must be a list of names")
-        return cls(
-            SpaceLabel.from_json(data["source"]),
-            SpaceLabel.from_json(data["target"]),
-            SpaceLabel.from_json(data["zero_locus"]),
-            data["bundles"],
-            restricted,
-        )
-
 
 class TensorWitness(Record):
     """A tensor product decoration to be expanded through the group law."""
 
     __slots__ = ("source", "target", "bundles", "left", "right", "tensor")
+    _json = ("witness JSON must be an object", "fgl witness lacks {first!r}",
+             "{key!r} must be a list of names",
+             (("source", REQUIRED, LABEL), ("target", REQUIRED, LABEL), ("bundles", (), NAMES),
+              ("left", REQUIRED, None), ("right", REQUIRED, None), ("tensor", REQUIRED, None)))
+    from_json = classmethod(_from_json)
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple,
                  left: str, right: str, tensor: str):
         super().__init__(source, target, tuple(bundles), left, right, tensor)
-
-    @classmethod
-    def from_json(cls, data) -> TensorWitness:
-        if not isinstance(data, dict):
-            raise ValidationError("witness JSON must be an object")
-        for f in ("source", "target", "left", "right", "tensor"):
-            if f not in data:
-                raise ValidationError(f"fgl witness lacks {f!r}")
-        bundles = data.get("bundles", [])
-        if not isinstance(bundles, list):
-            raise ValidationError("'bundles' must be a list of names")
-        return cls(
-            SpaceLabel.from_json(data["source"]),
-            SpaceLabel.from_json(data["target"]),
-            bundles,
-            data["left"],
-            data["right"],
-            data["tensor"],
-        )
 
 
 DIM = "dim"

@@ -11,8 +11,10 @@ entry per pair of a series monomial and a ring monomial.  A key holds, from
 low to high bits, the total degree, one exponent field per variable (the
 first variable highest), each max(5, order.bit_length()) bits wide, and
 then the ring's packed monomial (fglcalc.ring).  So every order below 32
-has one layout per variable count, and truncate and the shift by a product
-of variables keep the keys.  Multiplying two terms is adding their keys: a
+has one layout per variable count and truncate keeps the keys; dividing by
+a product of variables (_support_parts) or multiplying by one (the offset
+of snc.apply_divisor_operator) is one key subtraction or addition per
+term.  Multiplying two terms is adding their keys: a
 product keeps only degrees <= order, and no exponent exceeds the degree, so
 no field carries into the next.  Products run ring's product kernel
 (fglcalc.ring._multiply) with the layout's degree mask and monomial shift.
@@ -147,12 +149,12 @@ def _as_tuple(value, error: str) -> tuple:
         raise ValidationError(f"{error} {value!r}") from None
 
 
-def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int, offset: int = 0) -> dict:
-    """terms in layout dst, the degrees above top dropped, each key plus offset."""
+def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int) -> dict:
+    """terms in layout dst, the degrees above top dropped."""
     if src is not dst:
         terms = _repack(terms, src, dst, top)
     mask = dst.mask
-    return {k + offset: c for k, c in terms.items() if k & mask <= top}
+    return {k: c for k, c in terms.items() if k & mask <= top}
 
 
 class TruncatedSeries:
@@ -837,11 +839,3 @@ def support_decompose(series: TruncatedSeries) -> dict:
         )
         for support in sorted(parts, key=lambda J: (len(J), sorted(J)))
     }
-
-
-def _times_symbols(series: TruncatedSeries, support, order: int) -> TruncatedSeries:
-    """series times prod_{i in support} u_i (1-based), at order: kept keys plus that product's."""
-    dst = _layout(len(series.variables), order)
-    offset = sum(dst.units[i - 1] for i in support)
-    terms = _cut_terms(series._terms, series._layout, dst, order - len(support), offset)
-    return series._raw(series.variables, order, series.backend, terms, dst)

@@ -71,7 +71,7 @@ from fglcalc import (
 )
 from fglcalc.chern import _symbols
 from fglcalc.ring import MAX_EXPONENT
-from fglcalc.series import _layout, _repack, _times_symbols
+from fglcalc.series import _layout, _repack
 from fglcalc.snc import _check_law, _check_multiplicities, _face_combination, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
@@ -362,7 +362,7 @@ def recompose(parts: dict, variables, order, backend) -> TruncatedSeries:
     """Inverse of fglcalc.support_decompose: sum of G_J * prod_{i in J} u_i."""
     total = TruncatedSeries.zero(variables, order, backend)
     for support, part in parts.items():
-        total = total + _times_symbols(part, support, order)
+        total = total + times_symbols_by_repack(part, support, order)
     return total
 
 
@@ -482,7 +482,8 @@ def truncate_by_repack(series, order):
 
 
 def times_symbols_by_repack(series, support, order):
-    """fglcalc.series._times_symbols with every exponent vector moved one by one."""
+    """series times prod_{i in support} u_i (1-based), at order: every exponent
+    vector moved one by one, as snc.apply_divisor_operator's offset does per key."""
     src, dst = series._layout, _layout(len(series.variables), order)
     terms = _repack(series._terms, src, dst, order, lambda exps: tuple(
         e + 1 if i in support else e for i, e in enumerate(exps, 1)
@@ -792,7 +793,7 @@ def apply_divisor_operator_by_pairs(vector, multiplicities, law):
                 cut = cuts[top] = beta.truncate(top)
             term = factor * cut
             if common:
-                term = _times_symbols(term, common, bound)
+                term = times_symbols_by_repack(term, common, bound)
             if K in entries:
                 term = entries[K] + term
             entries[K] = term

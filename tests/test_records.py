@@ -236,6 +236,20 @@ def test_construction_checks_keep_their_errors(build, error, message):
     assert str(excinfo.value) == message
 
 
+JSON_RECORDS = [SpaceLabel, DecoratedCycle, DoublePointDatum, BlowupStep, DimWitness,
+                SectWitness, TensorWitness]
+
+
+@pytest.mark.parametrize("cls", JSON_RECORDS, ids=[cls.__name__ for cls in JSON_RECORDS])
+def test_record_json_tables_follow_the_slots(cls):
+    # perfbench's tracer patches vars(cls)["from_json"], so each class keeps
+    # its own binding of the shared decoder
+    assert "from_json" in vars(cls)
+    # the decoder constructs positionally: a reordered table would swap fields
+    fields = cls._json[3]
+    assert tuple(key for key, _, _ in fields) == cls.__slots__
+
+
 def test_reprs():
     assert repr(FREE) == "CoefficientBackend(free)"
     assert repr(log_backend(3)) == "CoefficientBackend(log, order=3)"

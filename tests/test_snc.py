@@ -41,7 +41,7 @@ from fglcalc import (
     validate_config,
 )
 
-from fglcalc import series, snc
+from fglcalc import snc
 from fglcalc.stats import meter
 
 import oracles
@@ -89,15 +89,16 @@ def _random_mults(rng, r, lo=-2, hi=2):
 # -- validation -------------------------------------------------------------
 
 def test_the_monomial_shift_is_the_series_one():
-    # one copy of the shift by prod u_i; the name stays importable from snc
-    assert snc._times_symbols is series._times_symbols
+    # the oracles' shift by prod u_i, which recompose and the operator by
+    # pairs read
     names, support = ("u1", "u2", "u3"), frozenset({2, 3})
     terms = {(1, 0, 2): 5, (2, 0, 0): 1}
     shifted = {(1, 1, 3): 5, (2, 1, 1): 1}
     # orders up to 31 keep the exponent fields; 31 to 33 widens them and 33
     # to 31 narrows them
     for source, order in ((3, 5), (5, 5), (5, 4), (31, 33), (33, 31)):
-        result = series._times_symbols(TruncatedSeries(names, source, FREE, terms), support, order)
+        result = oracles.times_symbols_by_repack(
+            TruncatedSeries(names, source, FREE, terms), support, order)
         assert result == TruncatedSeries(names, order, FREE, shifted)
 
 
