@@ -418,6 +418,8 @@ def exterior_product(left: CycleSum, right: CycleSum) -> CycleSum:
 
     Defined for undecorated cycles only; decorated inputs are rejected.
     """
+    if not (isinstance(left, CycleSum) and isinstance(right, CycleSum)):
+        raise CycleError("exterior_product takes two CycleSums")
     left._check(right)
     for s in (left, right):
         for cycle in s._terms:
@@ -458,8 +460,11 @@ class DoublePointDatum(Record):
 
 
 def _check_parts(record, dims, smooth):
-    """Raise unless each (part, drop) in dims has the first field's dimension
-    less drop, then unless each part named in smooth is smooth."""
+    """Raise unless every field is a label, then unless each (part, drop) in dims
+    has the first field's dimension less drop, then unless each part in smooth is smooth."""
+    for part in record.__slots__:
+        if not isinstance(getattr(record, part), SpaceLabel):
+            raise CycleError(f"{part} must be a SpaceLabel")
     d = getattr(record, record.__slots__[0]).dim
     for part, drop in dims:
         if getattr(record, part).dim != d - drop:
@@ -483,6 +488,8 @@ def _relation(general, piece_a, piece_b, bundle, target: SpaceLabel) -> CycleSum
 
 def double_point_relation(datum: DoublePointDatum) -> CycleSum:
     """[general fiber] - [A] - [B] + [P^1-bundle over A meet B], over the target."""
+    if not isinstance(datum, DoublePointDatum):
+        raise CycleError("double_point_relation takes a DoublePointDatum")
     return _relation(datum.smooth_fiber, datum.component_a, datum.component_b,
                      datum.projective_bundle, datum.target)
 
@@ -510,18 +517,21 @@ class BlowupStep(Record):
 
 def blowup_relation(step: BlowupStep, target: SpaceLabel) -> CycleSum:
     """[base] - [blowup] - [exceptional piece] + [its P^1-bundle], over target."""
+    if not (isinstance(step, BlowupStep) and isinstance(target, SpaceLabel)):
+        raise CycleError("blowup_relation takes a BlowupStep and a SpaceLabel")
     return _relation(step.base, step.blowup, step.exceptional, step.projective_bundle, target)
 
 
 def blowup_tower_relations(steps, target: SpaceLabel) -> list:
     """Relations of consecutive tower stages; steps must chain base-to-blowup."""
     steps = list(steps)
+    relations = [blowup_relation(step, target) for step in steps]  # checks each step first
     for prev, nxt in zip(steps, steps[1:]):
         if prev.blowup != nxt.base:
             raise CycleError(
                 f"tower breaks between {prev.blowup.name!r} and {nxt.base.name!r}"
             )
-    return [blowup_relation(step, target) for step in steps]
+    return relations
 
 
 def sum_relations(relations) -> CycleSum:
@@ -593,11 +603,6 @@ class TensorWitness(Record):
         super().__init__(source, target, tuple(bundles), left, right, tensor)
 
 
-DIM = "dim"
-SECT = "sect"
-FGL = "fgl"
-
-
 def relation_generator(kind: str, witness, backend: CoefficientBackend | None = None) -> CycleSum:
     """One generator of the relations imposed on the cycle group.
 
@@ -607,7 +612,7 @@ def relation_generator(kind: str, witness, backend: CoefficientBackend | None = 
                  copies of L and M; needs a backend, and terms whose bundle
                  count would exceed dim Y are dropped (they vanish anyway)
     """
-    if kind == DIM:
+    if kind == "dim":
         if not isinstance(witness, DimWitness):
             raise WitnessError("dim relation needs a DimWitness")
         if not witness.pulled_back:
@@ -624,7 +629,7 @@ def relation_generator(kind: str, witness, backend: CoefficientBackend | None = 
         )
         return CycleSum(None, {cycle: 1})
 
-    if kind == SECT:
+    if kind == "sect":
         if not isinstance(witness, SectWitness):
             raise WitnessError("sect relation needs a SectWitness")
         if not witness.bundles:
@@ -642,7 +647,7 @@ def relation_generator(kind: str, witness, backend: CoefficientBackend | None = 
         downstairs = DecoratedCycle(witness.zero_locus, witness.target, restricted)
         return CycleSum(None, {upstairs: 1, downstairs: -1})
 
-    if kind == FGL:
+    if kind == "fgl":
         if not isinstance(witness, TensorWitness):
             raise WitnessError("fgl relation needs a TensorWitness")
         if backend is None:

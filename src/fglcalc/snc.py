@@ -124,8 +124,15 @@ class SncConfiguration(Record):
         return cls(data["ambient_dim"], tuple(comps), _normalize_faces(data["faces"]))
 
 
+def _check_config(config):
+    # ahead of require_valid too: its cache would hash a list before any check
+    if not isinstance(config, SncConfiguration):
+        raise ValidationError(f"expected an SncConfiguration, got {config!r}")
+
+
 def validate_config(config: SncConfiguration) -> list:
     """Structural violations as {"rule": ..., "face": [...]} dicts; [] if valid."""
+    _check_config(config)
     violations = []
     r = config.r
     if config.ambient_dim < 0:
@@ -197,11 +204,14 @@ class FaceClassVector:
     __slots__ = ("config", "_entries")
 
     def __init__(self, config: SncConfiguration, entries=None):
+        _check_config(config)
+        if entries is not None and not isinstance(entries, dict):
+            raise ValidationError("class vector entries must be a dict from faces to classes")
         self.config = config
         clean = {}
         if entries:
             for face, cp in entries.items():
-                face = frozenset(face)
+                face = _face(face)
                 if face not in config.faces:
                     raise ValidationError(f"{sorted(face)} is not a face")
                 if not isinstance(cp, ChernPolynomial):
@@ -272,6 +282,11 @@ class FaceClassVector:
         return f"FaceClassVector({{{body}}})"
 
 
+def _check_vector(vector):
+    if not isinstance(vector, FaceClassVector):
+        raise ValidationError(f"expected a FaceClassVector, got {vector!r}")
+
+
 # ---------------------------------------------------------------------------
 # class construction
 
@@ -333,6 +348,7 @@ def divisor_class(config: SncConfiguration, multiplicities, law: FormalGroupLaw)
     the configuration contribute nothing.  The combination is read modulo
     the non-face supports and the total degrees above ambient_dim.
     """
+    _check_config(config)
     require_valid(config)
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
@@ -350,6 +366,7 @@ def product_class(config: SncConfiguration, n_mults, p_mults, law: FormalGroupLa
     modulo the non-face supports and the higher degrees, and the product's
     non-face terms are dropped as its face classes are read.
     """
+    _check_config(config)
     require_valid(config)
     ns = _check_multiplicities(config, n_mults, "first multiplicities")
     ps = _check_multiplicities(config, p_mults, "second multiplicities")
@@ -369,6 +386,7 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
     entries may carry stray symbols, so they are not lifted into one series
     product.
     """
+    _check_vector(vector)
     config = vector.config
     require_valid(config)
     ns = _check_multiplicities(config, multiplicities)
@@ -409,8 +427,9 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
 
 def restricted_component_indices(config: SncConfiguration, index: int) -> list:
     """Original indices of the components that meet D_index, ascending."""
-    if not 1 <= index <= config.r:
-        raise ValidationError(f"component index {index} outside 1..{config.r}")
+    _check_config(config)
+    if not is_integer(index) or not 1 <= index <= config.r:
+        raise ValidationError(f"component index {index!r} outside 1..{config.r}")
     return [
         j
         for j in range(1, config.r + 1)
@@ -426,6 +445,7 @@ def restrict_to_component(config: SncConfiguration, index: int, multiplicities):
     drops by one.  Returns (configuration, multiplicities) with entries
     reindexed along the kept components.
     """
+    _check_config(config)
     require_valid(config)
     ms = tuple(multiplicities)
     if len(ms) != config.r:
@@ -453,6 +473,8 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
     components.  Dimension bounds already agree, since restricting drops the
     ambient dimension and adding the index grows the face by one.
     """
+    _check_vector(vector)
+    _check_config(config)
     require_valid(config)
     kept = restricted_component_indices(config, index)
     sub = vector.config
@@ -492,6 +514,7 @@ def normal_form(vector: FaceClassVector) -> FaceClassVector:
     (faces are downward closed).  Each absorption drops the degree and the
     dimension bound by one, so a term within dim D_J stays within each bound.
     """
+    _check_vector(vector)
     config = vector.config
     require_valid(config)
     r = config.r
@@ -535,6 +558,7 @@ def class_dimension(vector: FaceClassVector):
     Returns ANY_DEGREE for the empty vector and INHOMOGENEOUS when terms
     disagree.
     """
+    _check_vector(vector)
     dims = set()
     for J, cp in vector.items():
         base = vector.config.face_dim(J)
@@ -561,6 +585,7 @@ def check_properties(config: SncConfiguration, n_mults, p_mults, law: FormalGrou
     operator     normal form of the product equals the divisor operator
                  applied to the second divisor's class
     """
+    _check_config(config)
     require_valid(config)
     ns = _check_multiplicities(config, n_mults, "first multiplicities")
     ps = _check_multiplicities(config, p_mults, "second multiplicities")

@@ -360,6 +360,29 @@ def test_pushforward_of_other_arguments_raises_a_cycle_error(total, morphism):
         pushforward(total, morphism)
 
 
+_STEP0 = BlowupStep(SpaceLabel("Y0", 3), SpaceLabel("Y1", 3), SpaceLabel("E0", 3),
+                    SpaceLabel("P0", 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: double_point_relation(None), "double_point_relation takes"),
+    (lambda: double_point_relation(_STEP0), "double_point_relation takes"),
+    (lambda: blowup_relation(None, X), "blowup_relation takes"),
+    (lambda: blowup_relation(_STEP0, "X"), "blowup_relation takes"),
+    (lambda: blowup_tower_relations([None, None], X), "blowup_relation takes"),
+    (lambda: blowup_tower_relations([_STEP0, _STEP0], None), "blowup_relation takes"),
+    (lambda: telescope_sum([_STEP0, 5], X), "blowup_relation takes"),
+    (lambda: exterior_product(None, None), "exterior_product takes"),
+    (lambda: exterior_product(CycleSum(None, {}), 1), "exterior_product takes"),
+    (lambda: DoublePointDatum(None, X, X, X, X, X), "smooth_fiber must be a SpaceLabel"),
+    (lambda: BlowupStep(X, X, X, "P"), "projective_bundle must be a SpaceLabel"),
+], ids=["dpr none", "dpr step", "blowup none", "blowup target", "tower", "tower target",
+        "telescope", "exterior none", "exterior int", "datum label", "step label"])
+def test_relation_builders_of_other_arguments_raise_a_cycle_error(call, message):
+    with pytest.raises(CycleError, match=message):
+        call()
+
+
 def test_pushforward_functoriality():
     rel = double_point_relation(_dpr_labels())
     Z, W = SpaceLabel("Z", 4), SpaceLabel("W", 5)

@@ -999,8 +999,9 @@ def _cuts(draw):
 @given(_cuts())
 def test_truncate_and_the_symbol_shift_match_the_repacking_oracles(case):
     series, order, support, target = case
-    # the shift itself is a key offset inside snc.apply_divisor_operator; here
-    # the oracle that stands for it meets the shifted exponents read back in
+    # the package shifts by prod u_i only as a key offset inside
+    # snc.apply_divisor_operator; the oracle the tests use for that shift must
+    # agree with the shifted exponents read in by the constructor
     shifted = TruncatedSeries(series.variables, target, series.backend, {
         tuple(e + 1 if i in support else e for i, e in enumerate(exps, 1)): poly
         for exps, poly in series.items()

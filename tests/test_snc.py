@@ -619,6 +619,44 @@ def test_a_law_argument_that_is_not_a_law_raises_a_validation_error(call):
         call(_full_config(2, 2))
 
 
+_CP = ChernPolynomial.one(2, 1, FREE)
+_VECTOR = "expected a FaceClassVector"
+_CONFIG = "expected an SncConfiguration"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg, law: FaceClassVector(cfg, {5: _CP}), "face 5 is not a list of component indices"),
+    (lambda cfg, law: FaceClassVector(cfg, [(frozenset({1}), _CP)]),
+     "class vector entries must be a dict from faces to classes"),
+    (lambda cfg, law: FaceClassVector(None, {}), _CONFIG),
+    (lambda cfg, law: FaceClassVector([1], {}), _CONFIG),
+    (lambda cfg, law: normal_form(None), _VECTOR),
+    (lambda cfg, law: apply_divisor_operator(None, [1, 1], law), _VECTOR),
+    (lambda cfg, law: lift_restricted_class(None, cfg, 1), _VECTOR),
+    (lambda cfg, law: lift_restricted_class(FaceClassVector(cfg), [], 1), _CONFIG),
+    (lambda cfg, law: class_dimension({}), _VECTOR),
+    (lambda cfg, law: divisor_class(None, [1, 1], law), _CONFIG),
+    (lambda cfg, law: divisor_class([cfg], [1, 1], law), _CONFIG),
+    (lambda cfg, law: product_class({}, [1, 1], [1, 0], law), _CONFIG),
+    (lambda cfg, law: check_properties([], [1, 1], [1, 0], law), _CONFIG),
+    (lambda cfg, law: validate_config(None), _CONFIG),
+    (lambda cfg, law: restricted_component_indices(None, 1), _CONFIG),
+    (lambda cfg, law: restrict_to_component([], 1, [1, 1]), _CONFIG),
+    (lambda cfg, law: restrict_to_component(cfg, "1", [1, 1]), "component index '1' outside 1..2"),
+    (lambda cfg, law: restricted_component_indices(cfg, True), "component index True outside 1..2"),
+    (lambda cfg, law: restricted_component_indices(cfg, 3), "component index 3 outside 1..2"),
+], ids=["face 5", "entry pairs", "no config", "list config", "normal_form", "operator", "lift",
+        "lift config", "class_dimension", "divisor_class", "unhashable config", "product_class",
+        "check_properties", "validate_config", "indices", "restrict", "string index",
+        "bool index", "index out of range"])
+def test_snc_entry_points_refuse_other_arguments(call, message):
+    # each raises a ValidationError with its message, never a bare TypeError
+    # or AttributeError, and a list reaches no cache as a key
+    with pytest.raises(ValidationError) as excinfo:
+        call(_full_config(2, 2), FormalGroupLaw(FREE, 2))
+    assert str(excinfo.value).startswith(message)
+
+
 def test_vector_json_round_trip():
     law = FormalGroupLaw(FREE, order=3)
     cfg = _full_config(3, 2)
