@@ -1,5 +1,6 @@
 """End-to-end command line behavior: golden bytes, exit codes, input modes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -535,3 +536,57 @@ def test_mutated_inputs_exit_0_1_or_2(which, rounds, data):
         doc = _mutate(doc, data)
     rc, _, _ = run_cli(argv + ["-"], stdin_text=json.dumps(doc))
     assert rc in (0, 1, 2)
+
+
+# -- the parser main builds reads every argv as the full parser does -----------
+
+def _parse_once(call, argv, monkeypatch):
+    """Exit code, stdout, stderr and the top-level namespace of one call."""
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, args=None, namespace=None):
+        result = parse_args(self, args, namespace)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = call(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    monkeypatch.undo()
+    return rc, out.getvalue(), err.getvalue(), seen[0] if seen else None
+
+
+def _argv_table():
+    table = [[], ["-h"], ["snc", "bogus"], ["bogus"], ["bogus", "x"], ["fgl", "divclass"],
+             ["--order", "3", "fgl", "inverse"], ["fgl", "--order", "3", "inverse"]]
+    for group in ("fgl", "snc", "cycles"):
+        table += [[group], [group, "-h"]]
+    for group, command, reads_input in SUBCOMMANDS:
+        given = [group, command] + (["{}"] if reads_input else [])
+        table += [
+            [group, command, "--help"],
+            [group, command],  # a missing input, or none for inverse
+            given + ["extra"],
+            given + ["--order", "abc"],
+            given + ["--backend", "bad"],
+            given + ["--ord", "3"],
+            given + ["--order=3"],
+            given + ["-x"],
+        ]
+    return table
+
+
+@pytest.mark.parametrize("argv", _argv_table(), ids=" ".join)
+def test_main_parses_every_argv_as_the_full_parser(argv, monkeypatch):
+    rc, out, err, namespace = _parse_once(lambda a: build_parser().parse_args(a), argv,
+                                          monkeypatch)
+    main_rc, main_out, main_err, main_namespace = _parse_once(main, argv, monkeypatch)
+    if namespace is not None:  # a valid argv: main went on to run the command
+        assert main_namespace == namespace
+    else:
+        assert (main_rc, main_out, main_err) == (rc, out, err)
