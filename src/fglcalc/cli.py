@@ -98,6 +98,10 @@ def _make_law(args) -> FormalGroupLaw:
     return FormalGroupLaw(_make_backend(args.backend, order), order)
 
 
+class _UnreadableInput(Exception):
+    """Well-formed JSON that Python cannot turn into values."""
+
+
 def _read_input(args) -> dict:
     raw = args.input
     if raw == "-":
@@ -107,7 +111,13 @@ def _read_input(args) -> dict:
     else:
         with open(raw, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # only an integer literal past int's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise _UnreadableInput(f"an integer has more than {limit} digits") from None
     if not isinstance(data, dict):
         raise ValidationError("top-level input must be a JSON object")
     return data
@@ -282,14 +292,38 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# (group, command) of every command, the two names a call starts with
+_NAMES = {(group, c[0]) for group, (_, commands) in COMMANDS.items() for c in commands}
+
+
+def _braced(names) -> str:
+    return "{" + ",".join(names) + "}"
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command, or only of the one argv names.
+
+    When the first two arguments of argv are a group and one of its
+    commands, only the top, group and command parsers are built; their
+    metavars keep the full tree's usage lines.  Any other argv builds every
+    parser, so help and usage errors read as they always have.
+    """
+    chosen = tuple(argv[:2])
+    if chosen not in _NAMES:
+        chosen = None
     parser = argparse.ArgumentParser(prog="fglcalc", description=(
         "Exact formal group law calculus over graded coefficient rings."))
-    groups = parser.add_subparsers(dest="group", required=True)
+    groups = parser.add_subparsers(dest="group", required=True,
+                                   metavar=chosen and _braced(COMMANDS))
     for group, (group_help, commands) in COMMANDS.items():
+        if chosen and group != chosen[0]:
+            continue
         sub = groups.add_parser(group, help=group_help)
-        sub = sub.add_subparsers(dest="command", required=True)
+        sub = sub.add_subparsers(dest="command", required=True,
+                                 metavar=chosen and _braced(c[0] for c in commands))
         for name, handler, reads_input, command_help in commands:
+            if chosen and name != chosen[1]:
+                continue
             p = sub.add_parser(name, help=command_help)
             p.add_argument("--order", type=int, default=None, help=(
                 f"truncation order, at most {MAX_ORDER} (default: FGL_ORDER env var, then 8)"))
@@ -310,8 +344,7 @@ def _render(payload, pretty: bool) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(sys.argv[1:3] if argv is None else argv).parse_args(argv)
     try:
         data = _read_input(args) if "input" in args else None
         with meter.budget(MAX_WORK):
@@ -325,7 +358,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"fglcalc: malformed JSON input: {exc}\n")
         return 1
-    except OSError as exc:
+    except (OSError, _UnreadableInput) as exc:
         sys.stderr.write(f"fglcalc: cannot read input: {exc}\n")
         return 1
     text = _render(payload, args.pretty)

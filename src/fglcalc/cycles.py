@@ -18,6 +18,7 @@ compare and hash by their fields.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -130,6 +131,8 @@ class DecoratedCycle(Record):
     from_json = classmethod(_from_json)
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple = ()):
+        if not (isinstance(source, SpaceLabel) and isinstance(target, SpaceLabel)):
+            raise CycleError("a cycle's source and target must be SpaceLabels")
         if not source.smooth:
             raise CycleError(f"cycle source {source.name!r} must be smooth")
         if not source.quasiprojective:
@@ -459,12 +462,16 @@ class DoublePointDatum(Record):
                             ("intersection", 1)), self.__slots__[:5])
 
 
+def _check_labels(record, parts):
+    for part in parts:
+        if not isinstance(getattr(record, part), SpaceLabel):
+            raise CycleError(f"{part} must be a SpaceLabel")
+
+
 def _check_parts(record, dims, smooth):
     """Raise unless every field is a label, then unless each (part, drop) in dims
     has the first field's dimension less drop, then unless each part in smooth is smooth."""
-    for part in record.__slots__:
-        if not isinstance(getattr(record, part), SpaceLabel):
-            raise CycleError(f"{part} must be a SpaceLabel")
+    _check_labels(record, record.__slots__)
     d = getattr(record, record.__slots__[0]).dim
     for part, drop in dims:
         if getattr(record, part).dim != d - drop:
@@ -524,6 +531,8 @@ def blowup_relation(step: BlowupStep, target: SpaceLabel) -> CycleSum:
 
 def blowup_tower_relations(steps, target: SpaceLabel) -> list:
     """Relations of consecutive tower stages; steps must chain base-to-blowup."""
+    if not isinstance(steps, Iterable):
+        raise CycleError("blowup_tower_relations takes an iterable of BlowupSteps")
     steps = list(steps)
     relations = [blowup_relation(step, target) for step in steps]  # checks each step first
     for prev, nxt in zip(steps, steps[1:]):
@@ -565,6 +574,7 @@ class DimWitness(Record):
     def __init__(self, source: SpaceLabel, target: SpaceLabel, base: SpaceLabel,
                  pulled_back: tuple, extra: tuple = ()):
         super().__init__(source, target, base, tuple(pulled_back), tuple(extra))
+        _check_labels(self, self.__slots__[:3])
 
 
 class SectWitness(Record):
@@ -586,6 +596,7 @@ class SectWitness(Record):
                  bundles: tuple, restricted: tuple | None = None):
         super().__init__(source, target, zero_locus, tuple(bundles),
                          None if restricted is None else tuple(restricted))
+        _check_labels(self, self.__slots__[:3])
 
 
 class TensorWitness(Record):
@@ -601,6 +612,7 @@ class TensorWitness(Record):
     def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple,
                  left: str, right: str, tensor: str):
         super().__init__(source, target, tuple(bundles), left, right, tensor)
+        _check_labels(self, self.__slots__[:2])
 
 
 def relation_generator(kind: str, witness, backend: CoefficientBackend | None = None) -> CycleSum:

@@ -160,10 +160,15 @@ def generator_from_name(name: str) -> Generator:
     m = _GEN_NAME.match(name)
     if m is None:
         raise ValidationError(f"unrecognized generator name {name!r}")
-    if m.group(1) is not None:
-        return a_gen(int(m.group(1)), int(m.group(2)))
-    if m.group(3) is not None:
-        return m_gen(int(m.group(3)))
+    try:
+        if m.group(1) is not None:
+            return a_gen(int(m.group(1)), int(m.group(2)))
+        if m.group(3) is not None:
+            return m_gen(int(m.group(3)))
+    except ValidationError:
+        raise
+    except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
+        raise ValidationError(f"unrecognized generator name {name!r}") from None
     return b_gen()
 
 
@@ -283,17 +288,19 @@ def _coerce_scalar(value):
     raise ValidationError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _json_coefficient(value):
     """An exact rational from JSON: an integer, or a string like "-3/4"."""
     if is_integer(value):
         return value
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError as exc:
+    match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        num, den = match.groups()
+        try:  # int() refuses digit strings past sys.get_int_max_str_digits()
+            return int(num) if den is None else Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad coefficient {value!r}") from exc
     raise ValidationError(
         f"bad coefficient {value!r}: use an integer or a string like \"-3/4\""

@@ -238,7 +238,7 @@ class FaceClassVector:
         return sorted(self._entries, key=lambda J: (len(J), sorted(J)))
 
     def entry(self, face) -> ChernPolynomial | None:
-        return self._entries.get(frozenset(face))
+        return self._entries.get(_face(face))
 
     def items(self):
         return [(J, self._entries[J]) for J in self.faces()]
@@ -262,6 +262,7 @@ class FaceClassVector:
 
     @classmethod
     def from_json(cls, config: SncConfiguration, data, backend) -> FaceClassVector:
+        _check_config(config)  # the entries read config.r
         if not isinstance(data, dict) or "entries" not in data:
             raise ValidationError("class vector JSON needs 'entries'")
         if not isinstance(data["entries"], list):

@@ -50,7 +50,9 @@ multiply_into is the polynomial product from before ring's product kernel
 served polynomials and series alike: a pair loop over packed monomials
 with an overflow test per product and no work meter, which the two-level
 and chern oracles use.  recompose inverts fglcalc.support_decompose with the
-package's own shift by a product of variables.
+package's own shift by a product of variables.  json_coefficient_by_fraction
+reads a coefficient string with Fraction's own text parser, where the
+package converts the digits its pattern already matched.
 """
 
 from fractions import Fraction
@@ -934,3 +936,11 @@ def log_coefficient_table_by_lists(order: int):
         for j in range(1, top - i + 1):
             table.setdefault((i, j), zero)
     return table
+
+
+def json_coefficient_by_fraction(text):
+    """A coefficient string such as "-3/4" as Fraction parses it, as the package did."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"bad coefficient {text!r}") from exc

@@ -231,6 +231,33 @@ def test_float_coefficient_exits_2():
     assert json.loads(out)["error"] == "validation"
 
 
+_LONG = "1" * 5000  # past int()'s 4,300-digit limit on a digit string
+
+
+def _series_doc(coeff="1", monomial=None):
+    return json.dumps({"variables": ["u"], "order": 3, "terms": [
+        {"exponents": [1], "coeff": coeff, "monomial": monomial or {}}]})
+
+
+@pytest.mark.parametrize("argv,stdin_text,code", [
+    (["fgl", "nseries", "--order", "3", "-"], '{"n": %s}' % _LONG, 1),
+    (["cycles", "dpr", "-"],
+     open(_data("dpr.json")).read().replace('"dim": 3', '"dim": ' + _LONG), 1),
+    (["fgl", "decompose", "--order", "3", "-"], _series_doc(_LONG), 2),
+    (["fgl", "decompose", "--order", "3", "-"], _series_doc("1/" + _LONG), 2),
+    (["fgl", "decompose", "--order", "3", "-"], _series_doc(monomial={f"A({_LONG},1)": 1}), 2),
+], ids=["integer", "label dim", "coefficient", "denominator", "generator index"])
+def test_over_long_digit_strings_exit_1_or_2(argv, stdin_text, code):
+    rc, out, err = run_cli(argv, stdin_text=stdin_text)
+    assert rc == code
+    if code == 1:
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot read input" in err
+    else:
+        assert err == ""
+        assert json.loads(out)["detail"].startswith(("bad coefficient", "unrecognized generator"))
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["fgl", "nseries"], {"n": 1025}),
     (["fgl", "nseries"], {"n": -100000}),

@@ -383,6 +383,24 @@ def test_relation_builders_of_other_arguments_raise_a_cycle_error(call, message)
         call()
 
 
+_SOURCE = SpaceLabel("Y", 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DecoratedCycle(None, X), "source and target must be SpaceLabels"),
+    (lambda: DecoratedCycle(_SOURCE, None), "source and target must be SpaceLabels"),
+    (lambda: DimWitness(_SOURCE, X, None, ("a", "b")), "base must be a SpaceLabel"),
+    (lambda: DimWitness(_SOURCE, "X", _SOURCE, ("a", "b")), "target must be a SpaceLabel"),
+    (lambda: SectWitness(_SOURCE, X, None, ("a",)), "zero_locus must be a SpaceLabel"),
+    (lambda: TensorWitness(None, X, (), "L", "M", "T"), "source must be a SpaceLabel"),
+    (lambda: blowup_tower_relations(None, X), "takes an iterable of BlowupSteps"),
+], ids=["cycle source", "cycle target", "dim base", "dim target", "sect zero locus",
+        "fgl source", "tower steps"])
+def test_cycle_records_of_other_fields_raise_a_cycle_error(call, message):
+    with pytest.raises(CycleError, match=message):
+        call()
+
+
 def test_pushforward_functoriality():
     rel = double_point_relation(_dpr_labels())
     Z, W = SpaceLabel("Z", 4), SpaceLabel("W", 5)

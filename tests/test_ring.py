@@ -222,6 +222,26 @@ def test_json_accepts_integers_and_rational_strings():
     )
 
 
+_RATIONAL_TEXTS = st.one_of(
+    st.sampled_from(["007", "-0", "0/7", "1/0", "-0/0", "-12/08", "000/001"]),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+)
+
+
+def _read_coefficient(read, text):
+    try:
+        return fglcalc.ring._coerce_scalar(read(text))
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(_RATIONAL_TEXTS)
+def test_json_coefficient_text_matches_the_fraction_oracle(text):
+    # the same value, or the same error text for a zero denominator
+    assert _read_coefficient(fglcalc.ring._json_coefficient, text) == _read_coefficient(
+        oracles.json_coefficient_by_fraction, text)
+
+
 def test_json_rejects_bool_monomial_exponent():
     with pytest.raises(ValidationError):
         GradedPolynomial.from_json([{"coeff": "1", "monomial": {"A(1,1)": True}}], FREE)

@@ -657,6 +657,13 @@ def test_snc_entry_points_refuse_other_arguments(call, message):
     assert str(excinfo.value).startswith(message)
 
 
+def test_vector_entry_and_json_refuse_other_arguments():
+    with pytest.raises(ValidationError, match="face 5 is not a list of component indices"):
+        FaceClassVector(_full_config(2, 2)).entry(5)
+    with pytest.raises(ValidationError, match=_CONFIG):
+        FaceClassVector.from_json(None, {"entries": [{"face": [1], "class": []}]}, FREE)
+
+
 def test_vector_json_round_trip():
     law = FormalGroupLaw(FREE, order=3)
     cfg = _full_config(3, 2)
