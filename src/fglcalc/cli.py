@@ -301,13 +301,9 @@ def _braced(names) -> str:
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command, or only of the one argv names.
-
-    When the first two arguments of argv are a group and one of its
-    commands, only the top, group and command parsers are built; their
-    metavars keep the full tree's usage lines.  Any other argv builds every
-    parser, so help and usage errors read as they always have.
-    """
+    """Every command's parser, or only the top, group and command parsers when
+    argv starts with a group and one of its commands; their metavars keep the
+    full tree's usage line, so help and usage errors read the same either way."""
     chosen = tuple(argv[:2])
     if chosen not in _NAMES:
         chosen = None

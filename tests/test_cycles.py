@@ -376,27 +376,18 @@ _STEP0 = BlowupStep(SpaceLabel("Y0", 3), SpaceLabel("Y1", 3), SpaceLabel("E0", 3
     (lambda: exterior_product(CycleSum(None, {}), 1), "exterior_product takes"),
     (lambda: DoublePointDatum(None, X, X, X, X, X), "smooth_fiber must be a SpaceLabel"),
     (lambda: BlowupStep(X, X, X, "P"), "projective_bundle must be a SpaceLabel"),
-], ids=["dpr none", "dpr step", "blowup none", "blowup target", "tower", "tower target",
-        "telescope", "exterior none", "exterior int", "datum label", "step label"])
-def test_relation_builders_of_other_arguments_raise_a_cycle_error(call, message):
-    with pytest.raises(CycleError, match=message):
-        call()
-
-
-_SOURCE = SpaceLabel("Y", 2)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: DecoratedCycle(None, X), "source and target must be SpaceLabels"),
-    (lambda: DecoratedCycle(_SOURCE, None), "source and target must be SpaceLabels"),
-    (lambda: DimWitness(_SOURCE, X, None, ("a", "b")), "base must be a SpaceLabel"),
-    (lambda: DimWitness(_SOURCE, "X", _SOURCE, ("a", "b")), "target must be a SpaceLabel"),
-    (lambda: SectWitness(_SOURCE, X, None, ("a",)), "zero_locus must be a SpaceLabel"),
-    (lambda: TensorWitness(None, X, (), "L", "M", "T"), "source must be a SpaceLabel"),
     (lambda: blowup_tower_relations(None, X), "takes an iterable of BlowupSteps"),
-], ids=["cycle source", "cycle target", "dim base", "dim target", "sect zero locus",
-        "fgl source", "tower steps"])
-def test_cycle_records_of_other_fields_raise_a_cycle_error(call, message):
+    (lambda: DecoratedCycle(None, X), "source and target must be SpaceLabels"),
+    (lambda: DecoratedCycle(X, None), "source and target must be SpaceLabels"),
+    (lambda: DimWitness(X, X, None, ("a", "b")), "base must be a SpaceLabel"),
+    (lambda: DimWitness(X, "X", X, ("a", "b")), "target must be a SpaceLabel"),
+    (lambda: SectWitness(X, X, None, ("a",)), "zero_locus must be a SpaceLabel"),
+    (lambda: TensorWitness(None, X, (), "L", "M", "T"), "source must be a SpaceLabel"),
+], ids=["dpr none", "dpr step", "blowup none", "blowup target", "tower", "tower target",
+        "telescope", "exterior none", "exterior int", "datum label", "step label",
+        "tower steps", "cycle source", "cycle target", "dim base", "dim target",
+        "sect zero locus", "fgl source"])
+def test_relation_builders_of_other_arguments_raise_a_cycle_error(call, message):
     with pytest.raises(CycleError, match=message):
         call()
 

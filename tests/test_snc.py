@@ -645,23 +645,19 @@ _CONFIG = "expected an SncConfiguration"
     (lambda cfg, law: restrict_to_component(cfg, "1", [1, 1]), "component index '1' outside 1..2"),
     (lambda cfg, law: restricted_component_indices(cfg, True), "component index True outside 1..2"),
     (lambda cfg, law: restricted_component_indices(cfg, 3), "component index 3 outside 1..2"),
+    (lambda cfg, law: FaceClassVector(cfg).entry(5), "face 5 is not a list of component indices"),
+    (lambda cfg, law: FaceClassVector.from_json(None, {"entries": [{"face": [1], "class": []}]},
+                                                FREE), _CONFIG),
 ], ids=["face 5", "entry pairs", "no config", "list config", "normal_form", "operator", "lift",
         "lift config", "class_dimension", "divisor_class", "unhashable config", "product_class",
         "check_properties", "validate_config", "indices", "restrict", "string index",
-        "bool index", "index out of range"])
+        "bool index", "index out of range", "entry face", "json config"])
 def test_snc_entry_points_refuse_other_arguments(call, message):
     # each raises a ValidationError with its message, never a bare TypeError
     # or AttributeError, and a list reaches no cache as a key
     with pytest.raises(ValidationError) as excinfo:
         call(_full_config(2, 2), FormalGroupLaw(FREE, 2))
     assert str(excinfo.value).startswith(message)
-
-
-def test_vector_entry_and_json_refuse_other_arguments():
-    with pytest.raises(ValidationError, match="face 5 is not a list of component indices"):
-        FaceClassVector(_full_config(2, 2)).entry(5)
-    with pytest.raises(ValidationError, match=_CONFIG):
-        FaceClassVector.from_json(None, {"entries": [{"face": [1], "class": []}]}, FREE)
 
 
 def test_vector_json_round_trip():
