@@ -223,6 +223,45 @@ def test_inline_json_array_exits_2():
     assert json.loads(out)["detail"] == "top-level input must be a JSON object"
 
 
+def test_normalform_adds_the_classes_of_a_face_and_drops_a_cancelled_face():
+    def cls(*terms):
+        return {"dim_bound": 1, "terms": [
+            {"c_exponents": exps, "coeff": [{"coeff": coeff, "monomial": {}}]}
+            for exps, coeff in terms]}
+    data = {"ambient_dim": 2, "components": [{"name": "D1"}, {"name": "D2"}],
+            "faces": [[1], [2], [1, 2]], "classes": [
+                {"face": [1], "class": cls(([1, 0], "2"), ([1, 0], "-1"))},
+                {"face": [1], "class": cls(([0, 0], "3"))},
+                {"face": [2], "class": cls(([0, 0], "1"))},
+                {"face": [2], "class": cls(([0, 0], "-1"))}]}
+    rc, out, err = run_cli(["snc", "normalform", "--order", "3", json.dumps(data)])
+    assert (rc, err) == (0, "")
+    assert out == (
+        '{"entries":[{"face":[1],"class":{"dim_bound":1,"terms":['
+        '{"c_exponents":[0,0],"coeff":[{"coeff":"3","monomial":{}}]},'
+        '{"c_exponents":[1,0],"coeff":[{"coeff":"1","monomial":{}}]}]}}]}\n'
+    )
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["fgl", "multilinear", '{"multiplicities": []}'], "'multiplicities' must be nonempty"),
+    (["fgl", "decompose", '{"multiplicities": []}'], "'multiplicities' must be nonempty"),
+    (["cycles", "blowup-tower", '{"target": {"name": "X", "dim": 3}, "steps": []}'],
+     "'steps' must be a nonempty list"),
+    (["cycles", "relgen", '{"kind": "dim"}'], "relgen needs a 'witness'"),
+], ids=["multilinear", "decompose", "blowup-tower", "relgen"])
+def test_empty_or_missing_parts_exit_2(argv, detail):
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (2, "")
+    assert json.loads(out)["detail"] == detail
+
+
+def test_unwritable_output_exits_1(tmp_path):
+    rc, out, err = run_cli(["fgl", "inverse", "--order", "3", "--output", str(tmp_path)])
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("fglcalc: cannot write output:")
+
+
 def test_float_coefficient_exits_2():
     data = json.load(open(_data("snc_classes.json")))
     data["classes"][0]["class"]["terms"][0]["coeff"][0]["coeff"] = 0.1

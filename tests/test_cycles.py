@@ -272,6 +272,16 @@ def test_fgl_relation_adds_the_terms_of_equal_bundle_names():
     assert str(rel) == "-[Y -> X; L] - A(1,1)*[Y -> X; L, L] - 2*A(1,2)*[Y -> X; L, L, L]"
 
 
+def test_cycle_sum_text_and_repr():
+    T = SpaceLabel("T", 3)
+    xt, yt = _cyc("X", 2, target=T), _cyc("Y", 2, target=T)
+    a11 = GradedPolynomial.generator(a_gen(1, 1), FREE)
+    assert str(CycleSum.zero()) == "0"
+    assert str(CycleSum(FREE, {xt: 1 + a11, yt: -a11})) == "(1 + A(1,1))*[X -> T] - A(1,1)*[Y -> T]"
+    total = CycleSum(None, {xt: 1, _cyc("Y", 2, ("L",), target=T): 2})
+    assert repr(total) == "CycleSum([X -> T] + 2*[Y -> T; L])"
+
+
 def test_fgl_relation_truncates_at_the_dimension():
     w = TensorWitness(SpaceLabel("Y", 4), X, ("N",), "L", "M", "LM")
     gen = relation_generator("fgl", w, FREE)

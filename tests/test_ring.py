@@ -155,6 +155,7 @@ def test_text_form_frozen_examples():
     a11 = GradedPolynomial.generator(a_gen(1, 1), FREE)
     assert (a11 + 1).to_text() == "1 + A(1,1)"
     assert (-a11).to_text() == "-A(1,1)"
+    assert repr(a11 - 2) == "GradedPolynomial(-2 + A(1,1))"
 
 
 def test_text_round_trip_randomized():

@@ -68,6 +68,10 @@ def test_constructor_truncates_silently():
     assert s.coefficient((3,)).is_zero()
 
 
+def test_zero_renders_as_zero():
+    assert str(TruncatedSeries.zero(("u",), 2, FREE)) == "0"
+
+
 def test_constructor_validation():
     with pytest.raises(ValidationError):
         TruncatedSeries((), 3, FREE)
