@@ -36,6 +36,9 @@ from .ring import (
     INHOMOGENEOUS,
     CoefficientBackend,
     GradedPolynomial,
+    SparseSum,
+    _signed_sum,
+    _term_text,
     lazard_coefficient,
 )
 
@@ -180,7 +183,7 @@ class LabelMorphism(Record):
         return LabelMorphism(self.source, other.target, self.proper and other.proper)
 
 
-class CycleSum:
+class CycleSum(SparseSum):
     """Formal linear combination of decorated cycles.
 
     Coefficients are plain integers (backend None) or GradedPolynomial over
@@ -224,9 +227,6 @@ class CycleSum:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, cycle: DecoratedCycle):
         zero = 0 if self.backend is None else GradedPolynomial.zero(self.backend)
         return self._terms.get(cycle, zero)
@@ -256,42 +256,16 @@ class CycleSum:
             return NotImplemented
         return self.backend == other.backend and self._terms == other._terms
 
-    __hash__ = None
-
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: CycleSum):
+    def _operand(self, other):
+        if not isinstance(other, CycleSum):
+            return NotImplemented
         if self.backend != other.backend:
             raise BackendMismatchError("cycle sums over different backends")
+        return other
 
-    def __add__(self, other):
-        if not isinstance(other, CycleSum):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for cycle, coeff in other._terms.items():
-            acc = out.get(cycle)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[cycle] = acc
-            else:
-                out.pop(cycle, None)
-        return CycleSum._raw(self.backend, out)
-
-    @classmethod
-    def _raw(cls, backend, terms):
-        self = object.__new__(cls)
-        self.backend = backend
-        self._terms = terms
-        return self
-
-    def __neg__(self):
-        return CycleSum._raw(self.backend, {c: -k for c, k in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CycleSum):
-            return NotImplemented
-        return self + (-other)
+    __add__ = SparseSum.__add__
 
     def __mul__(self, scalar):
         if isinstance(scalar, CycleSum):
@@ -300,14 +274,7 @@ class CycleSum:
             scalar = self._coerce(scalar)
         except ValidationError:
             return NotImplemented
-        if not scalar:
-            return CycleSum.zero(self.backend)
-        out = {}
-        for cycle, coeff in self._terms.items():
-            acc = coeff * scalar
-            if acc:
-                out[cycle] = acc
-        return CycleSum._raw(self.backend, out)
+        return self._scaled(scalar)
 
     __rmul__ = __mul__
 
@@ -344,32 +311,12 @@ class CycleSum:
         return _summed(pairs, backend)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for cycle, coeff in self.items():
-            # a constant's to_text() is the text of the integer
-            polynomial = isinstance(coeff, GradedPolynomial)
-            text = coeff.to_text() if polynomial else str(coeff)
-            if text == "1":
-                piece = str(cycle)
-            elif text == "-1":
-                piece = f"-{cycle}"
-            elif polynomial and coeff.term_count() > 1:
-                piece = f"({text})*{cycle}"
-            else:
-                piece = f"{text}*{cycle}"
-            chunks.append(piece)
-        text = chunks[0]
-        for piece in chunks[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
-
-    def __repr__(self):
-        return f"CycleSum({self!s})"
+        # a constant polynomial renders as the text of its value
+        return _signed_sum(
+            _term_text(str(coeff), str(cycle),
+                       isinstance(coeff, GradedPolynomial) and coeff.term_count() > 1)
+            for cycle, coeff in self.items()
+        )
 
 
 def _summed(pairs, backend: CoefficientBackend | None = None) -> CycleSum:
@@ -423,7 +370,7 @@ def exterior_product(left: CycleSum, right: CycleSum) -> CycleSum:
     """
     if not (isinstance(left, CycleSum) and isinstance(right, CycleSum)):
         raise CycleError("exterior_product takes two CycleSums")
-    left._check(right)
+    left._operand(right)  # the backends must match
     for s in (left, right):
         for cycle in s._terms:
             if cycle.bundles:

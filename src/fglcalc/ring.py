@@ -389,9 +389,100 @@ def _nonzero(acc: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# sparse sums
+
+def _term_text(coeff: str, body: str, grouped: bool = False) -> str:
+    """A coefficient's text times a rendered body; grouped puts a sum in parentheses."""
+    if grouped:
+        coeff = f"({coeff})"
+    if not body:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + body
+    return f"{coeff}*{body}"
+
+
+def _signed_sum(pieces) -> str:
+    """Rendered terms joined by " + ", or by " - " before a negative one; none is "0"."""
+    text = ""
+    for piece in pieces:
+        if not text:
+            text = piece
+        elif piece.startswith("-"):
+            text += " - " + piece[1:]
+        else:
+            text += " + " + piece
+    return text or "0"
+
+
+class SparseSum:
+    """A finite formal sum: the dict self._terms from keys to nonzero coefficients.
+
+    The arithmetic that GradedPolynomial, fglcalc.series.TruncatedSeries and
+    fglcalc.cycles.CycleSum share.  A subclass supplies _operand(other),
+    other checked against self or NotImplemented, and _like(terms), a value
+    of its own kind and shape with other terms, if _raw(backend, terms)
+    does not make one.  Each subclass binds __add__ in its own class dict,
+    where perfbench's tracer wraps it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, backend, terms):
+        # internal fast path: terms already normalized, no zero values
+        self = object.__new__(cls)
+        self.backend = backend
+        self._terms = terms
+        return self
+
+    def _like(self, terms):
+        return self._raw(self.backend, terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self._terms)
+        get = out.get
+        for k, c in other._terms.items():
+            acc = get(k)
+            if acc is None:  # copied: 0 + c would be one more polynomial addition
+                out[k] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def _scaled(self, scalar):
+        # nonzero times nonzero is nonzero over every coefficient domain here
+        return self._like({k: c * scalar for k, c in self._terms.items()} if scalar else {})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s})"
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
-class GradedPolynomial:
+class GradedPolynomial(SparseSum):
     """Sparse polynomial over interned generators, tagged with its backend.
 
     The constructor takes a dict from monomials, given as tuples of
@@ -408,14 +499,6 @@ class GradedPolynomial:
             for pairs, coeff in terms.items():
                 _add_term(clean, _encode(pairs), _coerce_scalar(coeff))
         self._terms = clean
-
-    @classmethod
-    def _raw(cls, backend, terms):
-        # internal fast path: terms already normalized, no zero values
-        self = object.__new__(cls)
-        self.backend = backend
-        self._terms = terms
-        return self
 
     @classmethod
     def zero(cls, backend) -> GradedPolynomial:
@@ -435,9 +518,6 @@ class GradedPolynomial:
         return cls._raw(backend, {1 << (FIELD_BITS * gen.index): 1})
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self):
         return bool(self._terms)
@@ -472,35 +552,18 @@ class GradedPolynomial:
             return self._terms == ({0: _coerce_scalar(other)} if other else {})
         return NotImplemented
 
-    __hash__ = None
+    def _operand(self, other):
+        if isinstance(other, GradedPolynomial):
+            _require_same_backend(self.backend, other.backend)
+            return other
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return GradedPolynomial.constant(other, self.backend)
+        return NotImplemented
 
-    def __neg__(self):
-        return GradedPolynomial._raw(self.backend, {m: -c for m, c in self._terms.items()})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        _require_same_backend(self.backend, other.backend)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return GradedPolynomial._raw(self.backend, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    __add__ = __radd__ = SparseSum.__add__
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
@@ -515,40 +578,15 @@ class GradedPolynomial:
             scalar = _coerce_scalar(other)
         except ValidationError:
             return NotImplemented
-        if not scalar:
-            return GradedPolynomial.zero(self.backend)
-        return GradedPolynomial._raw(self.backend, {m: c * scalar for m, c in self._terms.items()})
+        return self._scaled(scalar)
 
     __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, GradedPolynomial):
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return GradedPolynomial.constant(other, self.backend)
-        return NotImplemented
 
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form, e.g. "4*m(1)^2 - 3*m(2)"; zero renders "0"."""
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono, coeff in self.sorted_terms():
-            body = _mono_text(mono)
-            mag = abs(coeff)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if coeff > 0 else "-" + piece)
-            else:
-                chunks.append((" + " if coeff > 0 else " - ") + piece)
-        return "".join(chunks)
+        return _signed_sum(_term_text(str(c), _mono_text(m)) for m, c in self.sorted_terms())
 
     @classmethod
     def from_text(cls, text: str, backend: CoefficientBackend) -> GradedPolynomial:
@@ -614,9 +652,6 @@ class GradedPolynomial:
 
     def __str__(self):
         return self.to_text()
-
-    def __repr__(self):
-        return f"GradedPolynomial({self.to_text()})"
 
 
 # ---------------------------------------------------------------------------

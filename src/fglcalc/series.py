@@ -53,12 +53,15 @@ from .errors import (
 from .ring import (
     CoefficientBackend,
     GradedPolynomial,
+    SparseSum,
     _check_backend,
     _coerce_scalar,
     _multiply,
     _nonzero,
     _polynomial_rows,
+    _signed_sum,
     _sorted_rows,
+    _term_text,
     lazard_coefficient,
 )
 
@@ -157,7 +160,7 @@ def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int) -> dict:
     return {k: c for k, c in terms.items() if k & mask <= top}
 
 
-class TruncatedSeries:
+class TruncatedSeries(SparseSum):
     """Polynomial truncation of a power series at a fixed total degree."""
 
     __slots__ = ("variables", "order", "backend", "_terms", "_layout", "_sorted", "_plans")
@@ -213,6 +216,9 @@ class TruncatedSeries:
         self._sorted = self._plans = None
         return self
 
+    def _like(self, terms):
+        return self._raw(self.variables, self.order, self.backend, terms, self._layout)
+
     @classmethod
     def zero(cls, variables, order, backend) -> TruncatedSeries:
         return cls(variables, order, backend)
@@ -250,9 +256,6 @@ class TruncatedSeries:
         return cut
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coefficient(self, exps) -> GradedPolynomial:
         """Coefficient polynomial of the monomial with the given exponents."""
@@ -298,8 +301,6 @@ class TruncatedSeries:
             and self._terms == other._terms
         )
 
-    __hash__ = None
-
     def _check_compatible(self, other: TruncatedSeries):
         if self.backend != other.backend:
             raise BackendMismatchError("mixed backends in series arithmetic")
@@ -312,30 +313,13 @@ class TruncatedSeries:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __neg__(self):
-        return self._raw(
-            self.variables, self.order, self.backend,
-            {k: -c for k, c in self._terms.items()}, self._layout,
-        )
-
-    def __add__(self, other):
+    def _operand(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        get = out.get
-        for k, c in other._terms.items():
-            total = get(k, 0) + c
-            if total:
-                out[k] = total
-            else:
-                del out[k]
-        return self._raw(self.variables, self.order, self.backend, out, self._layout)
+        return other
 
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
+    __add__ = SparseSum.__add__
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -355,11 +339,8 @@ class TruncatedSeries:
             acc: dict = {}
             _multiply(acc, self._terms, _sorted_rows(right, layout.mask, layout.shift, self.order),
                       self.order, layout.mask, layout.shift)
-            terms = _nonzero(acc)
-        else:
-            factor = _coerce_scalar(factor)
-            terms = {k: c * factor for k, c in self._terms.items()} if factor else {}
-        return self._raw(self.variables, self.order, self.backend, terms, layout)
+            return self._like(_nonzero(acc))
+        return self._scaled(_coerce_scalar(factor))
 
     def truncate(self, order: int) -> TruncatedSeries:
         """The same series cut to total degree <= order, at that order.
@@ -555,35 +536,12 @@ class TruncatedSeries:
         return cls(variables, order, backend, terms)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for exps, poly in self.items():
-            body = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, exps)
-                if e
-            )
-            if poly.term_count() == 1 and not body:
-                piece = poly.to_text()
-            elif poly.term_count() == 1:
-                text = poly.to_text()
-                piece = body if text == "1" else (
-                    "-" + body if text == "-1" else f"{text}*{body}"
-                )
-            else:
-                piece = f"({poly.to_text()})" + (f"*{body}" if body else "")
-            chunks.append(piece)
-        text = chunks[0]
-        for piece in chunks[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self!s})"
+        return _signed_sum(
+            _term_text(poly.to_text(), "*".join(
+                v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, exps) if e
+            ), poly.term_count() > 1)
+            for exps, poly in self.items()
+        )
 
 
 # ---------------------------------------------------------------------------

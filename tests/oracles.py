@@ -52,7 +52,9 @@ with an overflow test per product and no work meter, which the two-level
 and chern oracles use.  recompose inverts fglcalc.support_decompose with the
 package's own shift by a product of variables.  json_coefficient_by_fraction
 reads a coefficient string with Fraction's own text parser, where the
-package converts the digits its pattern already matched.
+package converts the digits its pattern already matched.  add_by_merge is
+the sum of two term dicts as polynomials, series and cycle sums each ran
+it before they shared one base: an absent key starts from 0.
 """
 
 from fractions import Fraction
@@ -944,3 +946,15 @@ def json_coefficient_by_fraction(text):
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValidationError(f"bad coefficient {text!r}") from exc
+
+
+def add_by_merge(left: dict, right: dict) -> dict:
+    """The term dict of a sum, cancelled terms dropped, with 0 + c for a new key."""
+    out = dict(left)
+    for k, c in right.items():
+        total = out.get(k, 0) + c
+        if total:
+            out[k] = total
+        else:
+            del out[k]
+    return out

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fglcalc import (
     ADDITIVE,
@@ -34,6 +36,10 @@ from fglcalc import (
     relation_generator,
     telescope_sum,
 )
+
+import oracles
+from test_chern import _chern
+from test_series import _BACKENDS, _coefficients, _series
 
 X = SpaceLabel("X", 3)
 
@@ -280,6 +286,43 @@ def test_cycle_sum_text_and_repr():
     assert str(CycleSum(FREE, {xt: 1 + a11, yt: -a11})) == "(1 + A(1,1))*[X -> T] - A(1,1)*[Y -> T]"
     total = CycleSum(None, {xt: 1, _cyc("Y", 2, ("L",), target=T): 2})
     assert repr(total) == "CycleSum([X -> T] + 2*[Y -> T; L])"
+
+
+@st.composite
+def _sparse_sum_pairs(draw):
+    """Two sums of one kind and shape: polynomials, series, chern polynomials or cycle sums."""
+    backend = _BACKENDS[draw(st.sampled_from(sorted(_BACKENDS)))]
+    kind = draw(st.sampled_from(["polynomial", "series", "chern", "int cycles", "cycles"]))
+    if kind == "polynomial":
+        return draw(_coefficients(backend)), draw(_coefficients(backend))
+    if kind == "series":
+        variables, order = ("u", "v")[: draw(st.integers(1, 2))], draw(st.integers(0, 4))
+        return draw(_series(variables, order, backend)), draw(_series(variables, order, backend))
+    if kind == "chern":
+        nvars, bound = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+        return draw(_chern(nvars, bound, backend)), draw(_chern(nvars, bound, backend))
+    if kind == "int cycles":
+        backend, coefficients = None, st.integers(-2, 2)
+    else:
+        coefficients = _coefficients(backend)
+    cycles = st.sampled_from([_cyc("Y", 2), _cyc("Y", 2, ("L",)), _cyc("Z", 1), _cyc("Z", 3)])
+    return tuple(CycleSum(backend, draw(st.dictionaries(cycles, coefficients, max_size=4)))
+                 for _ in range(2))
+
+
+@given(_sparse_sum_pairs())
+def test_sparse_sums_add_as_the_per_class_merge(pair):
+    a, b = pair
+    kind = type(a)
+    total, difference = a + b, a - b
+    assert total._terms == oracles.add_by_merge(a._terms, b._terms)
+    assert difference._terms == oracles.add_by_merge(a._terms, {k: -c for k, c in b._terms.items()})
+    assert -(-a) == a
+    assert (a - a).is_zero()
+    nothing = a * 0 if kind in (GradedPolynomial, CycleSum) else a.scale(0)
+    assert nothing.is_zero()
+    for value in (total, difference, -a, nothing):
+        assert type(value) is kind and value.backend == a.backend
 
 
 def test_fgl_relation_truncates_at_the_dimension():
