@@ -603,20 +603,23 @@ class GradedPolynomial(SparseSum):
             raise ValidationError(f"cannot parse polynomial text {text!r}")
         terms: dict = {}
         for sign, body in pieces:
-            coeff = Fraction(-1 if sign == "-" else 1)
+            coeff = -1 if sign == "-" else 1
             pairs = []
             for factor in body.strip().split("*"):
                 factor = factor.strip()
                 if not factor:
                     raise ValidationError(f"empty factor in {text!r}")
-                if re.fullmatch(r"\d+(?:/\d+)?", factor):
-                    coeff *= Fraction(factor)
+                if _RATIONAL_TEXT.fullmatch(factor):
+                    coeff *= _json_coefficient(factor)
                     continue
                 if "^" in factor:
                     gname, _, exp = factor.partition("^")
-                    if not exp.isdigit() or int(exp) < 1:
+                    try:  # ASCII digits, as many as int() reads (sys.get_int_max_str_digits())
+                        e = int(exp) if exp.isascii() and exp.isdigit() else 0
+                    except ValueError:
+                        e = 0
+                    if e < 1:
                         raise ValidationError(f"bad exponent in {factor!r}")
-                    e = int(exp)
                 else:
                     gname, e = factor, 1
                 pairs.append((generator_from_name(gname.strip()), e))

@@ -176,6 +176,15 @@ def test_text_parser_accepts_explicit_units():
         GradedPolynomial.from_text("A(1,1)**2", FREE)
     with pytest.raises(ValidationError):
         GradedPolynomial.from_text("3 +", FREE)
+    for text, message in [
+        ("1/0", "bad coefficient"),
+        ("1" * 5000 + "*A(1,1)", "bad coefficient"),  # past int()'s 4,300-digit limit
+        ("A(1,1)^" + "1" * 5000, "bad exponent"),
+        ("A(1,1)^\u00b2", "bad exponent"),  # a digit to str.isdigit, not to int()
+        ("\u0663*A(1,1)", "unrecognized generator"),  # to_text writes ASCII digits only
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            GradedPolynomial.from_text(text, FREE)
 
 
 def test_json_round_trip_and_canonical_order():
