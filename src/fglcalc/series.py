@@ -536,10 +536,11 @@ class TruncatedSeries(SparseSum):
         return cls(variables, order, backend, terms)
 
     def __str__(self):
+        variables = self.variables
         return _signed_sum(
-            _term_text(poly.to_text(), "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, exps) if e
-            ), poly.term_count() > 1)
+            _term_text(poly.to_text(),
+                       "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e),
+                       poly.term_count() > 1)
             for exps, poly in self.items()
         )
 
