@@ -107,6 +107,13 @@ class SpaceLabel(Record):
         return out
 
 
+def _names(names, field: str) -> tuple:
+    """A record's bundle names as a tuple; a bare string would split into letters."""
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise CycleError(f"{field} must be a list of bundle names, got {names!r}")
+    return tuple(names)
+
+
 def _label_key(label: SpaceLabel):
     return (
         label.name,
@@ -140,7 +147,7 @@ class DecoratedCycle(Record):
             raise CycleError(f"cycle source {source.name!r} must be smooth")
         if not source.quasiprojective:
             raise CycleError(f"cycle source {source.name!r} must be quasiprojective")
-        bundles = tuple(bundles)
+        bundles = _names(bundles, "bundles")
         for b in bundles:
             if not isinstance(b, str) or not b:
                 raise ValidationError("bundle names must be nonempty strings")
@@ -520,7 +527,8 @@ class DimWitness(Record):
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, base: SpaceLabel,
                  pulled_back: tuple, extra: tuple = ()):
-        super().__init__(source, target, base, tuple(pulled_back), tuple(extra))
+        super().__init__(source, target, base, _names(pulled_back, "pulled_back"),
+                         _names(extra, "extra"))
         _check_labels(self, self.__slots__[:3])
 
 
@@ -541,8 +549,8 @@ class SectWitness(Record):
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, zero_locus: SpaceLabel,
                  bundles: tuple, restricted: tuple | None = None):
-        super().__init__(source, target, zero_locus, tuple(bundles),
-                         None if restricted is None else tuple(restricted))
+        super().__init__(source, target, zero_locus, _names(bundles, "bundles"),
+                         None if restricted is None else _names(restricted, "restricted"))
         _check_labels(self, self.__slots__[:3])
 
 
@@ -558,7 +566,7 @@ class TensorWitness(Record):
 
     def __init__(self, source: SpaceLabel, target: SpaceLabel, bundles: tuple,
                  left: str, right: str, tensor: str):
-        super().__init__(source, target, tuple(bundles), left, right, tensor)
+        super().__init__(source, target, _names(bundles, "bundles"), left, right, tensor)
         _check_labels(self, self.__slots__[:2])
 
 

@@ -19,9 +19,14 @@ FIELD_BITS * g.index; the empty monomial is 0.  Multiplying monomials is
 then adding their keys.  Exponents stay below 2**(FIELD_BITS - 1), so a
 product of two monomials never carries into a neighbouring field; input
 that exceeds the bound and products that would reach it raise
-ValidationError.  Monomials are decoded to sorted tuples of (Generator,
-exponent) pairs only to sort, render or grade them.  Coefficients are exact
-rationals (int or fractions.Fraction); floats are rejected.
+ValidationError.  Fields are 8 bits, so keys stay short to add and hash,
+and MAX_EXPONENT is 127.  Every generator has degree at least 1, so no
+coefficient of a law, inverse or [n]u truncated at order k has an exponent
+past k - 1: laws up to order 128 fit, and past it the multiplicative law,
+the only one cheap that far, raises ValidationError.  Monomials are
+decoded to sorted tuples of (Generator, exponent) pairs only to sort,
+render or grade them.  Coefficients are exact rationals (int or
+fractions.Fraction); floats are rejected.
 
 This module owns the one product kernel: _multiply adds a product of two
 term dicts into a third, one row per left term read in place from the
@@ -57,7 +62,7 @@ INHOMOGENEOUS = "inhomogeneous"
 # ---------------------------------------------------------------------------
 # generators
 
-FIELD_BITS = 32                            # width of one exponent field
+FIELD_BITS = 8                             # width of one exponent field
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
@@ -153,11 +158,12 @@ def b_gen() -> Generator:
     return Generator("b")
 
 
-_GEN_NAME = re.compile(r"^(?:A\((\d+),(\d+)\)|m\((\d+)\)|b)$")
+# ASCII digits only, as Generator writes them: \d also matches other scripts' digits
+_GEN_NAME = re.compile(r"A\(([0-9]+),([0-9]+)\)|m\(([0-9]+)\)|b")
 
 
 def generator_from_name(name: str) -> Generator:
-    m = _GEN_NAME.match(name)
+    m = _GEN_NAME.fullmatch(name)
     if m is None:
         raise ValidationError(f"unrecognized generator name {name!r}")
     try:

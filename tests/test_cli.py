@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fglcalc.ring
-from fglcalc.cli import MAX_COMPONENTS, MAX_ORDER, MAX_WORK, build_parser, main
+from fglcalc.cli import MAX_COMPONENTS, MAX_MULTIPLICITY, MAX_ORDER, MAX_WORK, build_parser, main
 from fglcalc.stats import meter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -297,6 +298,14 @@ def test_over_long_digit_strings_exit_1_or_2(argv, stdin_text, code):
         assert json.loads(out)["detail"].startswith(("bad coefficient", "unrecognized generator"))
 
 
+def test_a_json_generator_name_in_other_digits_exits_2():
+    # "A(\u0661,\u0662)" is A(1,2) in Arabic-Indic digits; names are read in ASCII digits
+    rc, out, err = run_cli(["fgl", "decompose", "--order", "3", "-"],
+                           stdin_text=_series_doc(monomial={"A(\u0661,\u0662)": 1}))
+    assert (rc, err) == (2, "")
+    assert json.loads(out)["detail"].startswith("unrecognized generator name")
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["fgl", "nseries"], {"n": 1025}),
     (["fgl", "nseries"], {"n": -100000}),
@@ -519,6 +528,30 @@ def test_goldens_stay_under_the_work_budget(golden_name, argv):
     rc, products = _work(argv)
     assert rc == 0
     assert products < MAX_WORK
+
+
+def _readme_limits():
+    # the README paragraph that begins "Limits:", its line breaks as spaces
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        paragraphs = fh.read().split("\n\n")
+    (limits,) = [p for p in paragraphs if p.startswith("Limits:")]
+    return " ".join(limits.split())
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cli.MAX_MULTIPLICITY", MAX_MULTIPLICITY),
+    ("cli.MAX_ORDER", MAX_ORDER),
+    ("cli.MAX_COMPONENTS", MAX_COMPONENTS),
+    ("cli.MAX_WORK", MAX_WORK),
+    ("ring.MAX_EXPONENT", fglcalc.ring.MAX_EXPONENT),
+    ("ring.FIELD_BITS", fglcalc.ring.FIELD_BITS),
+])
+def test_the_readme_quotes_every_limit_beside_its_name(name, value):
+    # "at most 16 (`fglcalc.cli.MAX_ORDER`)": the value, at most a word or
+    # two, then the name, so no limit changes without its sentence
+    quoted = (rf"(?<![\d,.])(?:{value}|{value:,})\b[^()`]{{0,15}}"
+              rf"\(`fglcalc\.{re.escape(name)}`\)")
+    assert re.search(quoted, _readme_limits()), f"README Limits does not quote {name} = {value:,}"
 
 
 def test_cli_batch_inputs_stay_under_the_work_budget():

@@ -436,10 +436,20 @@ _STEP0 = BlowupStep(SpaceLabel("Y0", 3), SpaceLabel("Y1", 3), SpaceLabel("E0", 3
     (lambda: DimWitness(X, "X", X, ("a", "b")), "target must be a SpaceLabel"),
     (lambda: SectWitness(X, X, None, ("a",)), "zero_locus must be a SpaceLabel"),
     (lambda: TensorWitness(None, X, (), "L", "M", "T"), "source must be a SpaceLabel"),
+    # a bare string would split into one-letter bundle names
+    (lambda: DecoratedCycle(X, X, "LM"), "bundles must be a list of bundle names"),
+    (lambda: DimWitness(X, X, X, "ab"), "pulled_back must be a list of bundle names"),
+    (lambda: DimWitness(X, X, X, ("a", "b"), "c"), "extra must be a list of bundle names"),
+    (lambda: SectWitness(X, X, X, "LM"), "bundles must be a list of bundle names"),
+    (lambda: SectWitness(X, X, X, ("L", "M"), "N"), "restricted must be a list of bundle names"),
+    (lambda: TensorWitness(X, X, "LM", "L", "M", "T"), "bundles must be a list of bundle names"),
+    (lambda: DimWitness(X, X, X, None), "pulled_back must be a list of bundle names"),
 ], ids=["dpr none", "dpr step", "blowup none", "blowup target", "tower", "tower target",
         "telescope", "exterior none", "exterior int", "datum label", "step label",
         "tower steps", "cycle source", "cycle target", "dim base", "dim target",
-        "sect zero locus", "fgl source"])
+        "sect zero locus", "fgl source", "cycle bundles string", "dim pulled_back string",
+        "dim extra string", "sect bundles string", "sect restricted string",
+        "fgl bundles string", "dim pulled_back none"])
 def test_relation_builders_of_other_arguments_raise_a_cycle_error(call, message):
     with pytest.raises(CycleError, match=message):
         call()

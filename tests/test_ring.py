@@ -60,8 +60,10 @@ def test_generator_sort_order():
 def test_generator_from_name_round_trip():
     for g in (a_gen(3, 7), m_gen(5), b_gen()):
         assert generator_from_name(g.name) is g
-    with pytest.raises(ValidationError):
-        generator_from_name("q(1)")
+    # a name is read whole and in ASCII digits, as Generator writes it
+    for name in ("q(1)", "b\n", "A(1,1)\n", "A(\u0661,\u0662)", "m(\u0663)"):
+        with pytest.raises(ValidationError, match="unrecognized generator name"):
+            generator_from_name(name)
     with pytest.raises(ValidationError):
         a_gen(0, 1)
     with pytest.raises(ValidationError):

@@ -28,6 +28,7 @@ from fglcalc import (
 )
 
 from fglcalc.cli import MAX_ORDER
+from fglcalc.ring import MAX_EXPONENT
 from fglcalc.series import _layout
 from fglcalc.stats import meter
 
@@ -810,13 +811,13 @@ def _substitutions(draw):
 
 def _power_of_a11(e, exps=(1,), order=2):
     # the one-term series A(1,1)^e * u^exps, whose ring exponent sums reach
-    # MAX_EXPONENT = 2**31 - 1 with e = 2**30 - 1 and 2**30
+    # MAX_EXPONENT = 2 * _EDGE - 1 with e = _EDGE - 1 and _EDGE
     names = ("u", "v", "w", "x")[: len(exps)]
     coefficient = GradedPolynomial(FREE, {((a_gen(1, 1), e),): 1})
     return TruncatedSeries(names, order, FREE, {exps: coefficient})
 
 
-_EDGE = 1 << 30
+_EDGE = (MAX_EXPONENT + 1) // 2
 
 
 @given(_products())
@@ -838,7 +839,7 @@ def test_product_matches_the_two_level_oracle(case):
 
 
 @given(_substitutions())
-@example((  # [u^2] at x -> A(1,1)^(2^30) x: the power reaches one past the limit
+@example((  # [u^2] at x -> A(1,1)^_EDGE x: the power reaches one past the limit
     TruncatedSeries(("u",), 2, FREE, {(2,): 1}), {"u": _power_of_a11(_EDGE, order=2)},
 ))
 @example((  # the coefficient times the image's power reaches the limit exactly
@@ -1184,3 +1185,32 @@ def test_recompose_inverts_support_decompose(kind, order, variables, data):
     backend = _BACKENDS[kind]
     s = data.draw(_series(variables, order, backend, max_terms=8))
     assert recompose(support_decompose(s), variables, order, backend) == s
+
+
+@given(
+    st.sampled_from(["free", "log", "mult"]),
+    st.integers(1, 8),
+    st.integers(-8, 16),
+    st.lists(st.integers(-2, 3), min_size=3, max_size=3),
+)
+@example("free", 8, 16, [3, -2, 3])
+@example("log", 8, -8, [-2, 3, 2])
+def test_generator_exponents_stay_below_the_order(kind, order, n, ns):
+    # every generator has degree >= 1 and a coefficient of a term of degree
+    # <= order has degree <= order - 1, so no exponent nears MAX_EXPONENT
+    law = FormalGroupLaw(_BACKENDS[kind], order)
+    for s in (law.series, law.inverse(), law.n_series(n), law.linear_combination(ns)):
+        for _, coefficient in s.items():
+            for monomial, _ in coefficient.sorted_terms():
+                assert all(e <= order - 1 for _, e in monomial)
+
+
+def test_the_mult_law_fits_up_to_order_128():
+    # chi(u) = -u / (1 + b u) has b^(k-1) at u^k: order 128 reaches
+    # MAX_EXPONENT, and past it the product guard raises, not wraps
+    top = MAX_EXPONENT + 1
+    inverse = FormalGroupLaw(MULTIPLICATIVE, top).inverse()
+    assert inverse.coefficient((top,)) == GradedPolynomial(
+        MULTIPLICATIVE, {((b_gen(), MAX_EXPONENT),): 1})
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        FormalGroupLaw(MULTIPLICATIVE, top + 1).inverse()
