@@ -244,13 +244,22 @@ def test_normalform_adds_the_classes_of_a_face_and_drops_a_cancelled_face():
     )
 
 
+_ONE_COMPONENT = '{"ambient_dim": 2, "components": [{"name": "D1"}], "faces": [[1]]}'
+
+
 @pytest.mark.parametrize("argv,detail", [
     (["fgl", "multilinear", '{"multiplicities": []}'], "'multiplicities' must be nonempty"),
     (["fgl", "decompose", '{"multiplicities": []}'], "'multiplicities' must be nonempty"),
     (["cycles", "blowup-tower", '{"target": {"name": "X", "dim": 3}, "steps": []}'],
      "'steps' must be a nonempty list"),
     (["cycles", "relgen", '{"kind": "dim"}'], "relgen needs a 'witness'"),
-], ids=["multilinear", "decompose", "blowup-tower", "relgen"])
+    (["fgl", "multilinear", '{"n": 2}'], "input lacks 'multiplicities'"),
+    (["snc", "divclass", _ONE_COMPONENT], "input lacks 'D'"),
+    (["snc", "normalform", _ONE_COMPONENT], "normalform needs 'classes'"),
+    (["cycles", "blowup-tower", '{"steps": []}'], "blowup-tower needs 'target' and 'steps'"),
+    (["cycles", "blowup-tower", '{"target": 5}'], "blowup-tower needs 'target' and 'steps'"),
+], ids=["multilinear", "decompose", "blowup-tower", "relgen", "no multiplicities", "no D",
+        "no classes", "no target", "no steps"])
 def test_empty_or_missing_parts_exit_2(argv, detail):
     rc, out, err = run_cli(argv)
     assert (rc, err) == (2, "")
