@@ -12,7 +12,7 @@ and the reading of a group-law series at the symbols.
 
 from __future__ import annotations
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, is_integer, json_entries, json_object
 from .ring import CoefficientBackend, GradedPolynomial
 from .series import TruncatedSeries
 
@@ -90,17 +90,13 @@ class ChernPolynomial(TruncatedSeries):
 
     @classmethod
     def from_json(cls, data, backend: CoefficientBackend, nvars: int | None = None) -> ChernPolynomial:
-        if not isinstance(data, dict) or "dim_bound" not in data or "terms" not in data:
-            raise ValidationError("chern JSON needs 'dim_bound' and 'terms'")
+        json_object(data, ("dim_bound", "terms"), "chern JSON needs 'dim_bound' and 'terms'")
         bound = data["dim_bound"]
         if not is_integer(bound) or bound < 0:
             raise ValidationError(f"bad dim_bound {bound!r}")
-        if not isinstance(data["terms"], list):
-            raise ValidationError("'terms' must be a list")
         terms = {}
-        for entry in data["terms"]:
-            if not isinstance(entry, dict) or "c_exponents" not in entry or "coeff" not in entry:
-                raise ValidationError("chern term needs 'c_exponents' and 'coeff'")
+        for entry in json_entries(data["terms"], "terms", ("c_exponents", "coeff"),
+                                  "chern term needs 'c_exponents' and 'coeff'"):
             exps = entry["c_exponents"]
             if not isinstance(exps, list) or not all(is_integer(e) and e >= 0 for e in exps):
                 raise ValidationError(f"bad c_exponents {exps!r}")

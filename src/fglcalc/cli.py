@@ -41,7 +41,7 @@ from .cycles import (
     relation_generator,
     sum_relations,
 )
-from .errors import ConfigurationError, OrderError, ValidationError, is_integer
+from .errors import ConfigurationError, OrderError, ValidationError, is_integer, json_object
 from .ring import ADDITIVE, FREE, MULTIPLICATIVE, CoefficientBackend, log_backend
 from .series import FormalGroupLaw, TruncatedSeries, support_decompose
 from .snc import (
@@ -99,7 +99,8 @@ def _make_law(args) -> FormalGroupLaw:
 
 
 class _UnreadableInput(Exception):
-    """Well-formed JSON that Python cannot turn into values."""
+    """Input that Python cannot turn into text or values: bytes that are not
+    UTF-8, or well-formed JSON past int's digit limit or the recursion limit."""
 
 
 def _read_input(args) -> dict:
@@ -110,7 +111,10 @@ def _read_input(args) -> dict:
         text = raw
     else:
         with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise _UnreadableInput(f"not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -118,9 +122,9 @@ def _read_input(args) -> dict:
     except ValueError:  # only an integer literal past int's digit limit
         limit = sys.get_int_max_str_digits()
         raise _UnreadableInput(f"an integer has more than {limit} digits") from None
-    if not isinstance(data, dict):
-        raise ValidationError("top-level input must be a JSON object")
-    return data
+    except RecursionError:
+        raise _UnreadableInput("JSON nested deeper than the recursion limit") from None
+    return json_object(data, (), "top-level input must be a JSON object")
 
 
 def _check_multiplicity(key, n):
@@ -133,9 +137,7 @@ def _check_multiplicity(key, n):
 
 
 def _int_vector(data, key, expected=None):
-    if key not in data:
-        raise ValidationError(f"input lacks {key!r}")
-    value = data[key]
+    value = json_object(data, (key,), f"input lacks {key!r}")[key]
     if not isinstance(value, list) or not all(map(is_integer, value)):
         raise ValidationError(f"{key!r} must be a list of integers")
     if expected is not None and len(value) != expected:
@@ -161,11 +163,15 @@ def _cmd_fgl_nseries(args, data):
     return _make_law(args).n_series(n).to_json()
 
 
-def _cmd_fgl_multilinear(args, data):
+def _combination(args, data) -> TruncatedSeries:
     ns = _int_vector(data, "multiplicities")
     if not ns:
         raise ValidationError("'multiplicities' must be nonempty")
-    return _make_law(args).linear_combination(ns).to_json()
+    return _make_law(args).linear_combination(ns)
+
+
+def _cmd_fgl_multilinear(args, data):
+    return _combination(args, data).to_json()
 
 
 def _cmd_fgl_decompose(args, data):
@@ -174,10 +180,7 @@ def _cmd_fgl_decompose(args, data):
         series = TruncatedSeries.from_json(data, law.backend)
         parts = support_decompose(series)
     elif "multiplicities" in data:
-        ns = _int_vector(data, "multiplicities")
-        if not ns:
-            raise ValidationError("'multiplicities' must be nonempty")
-        parts = support_decompose(_make_law(args).linear_combination(ns))
+        parts = support_decompose(_combination(args, data))
     else:
         raise ValidationError("decompose needs a series or 'multiplicities'")
     return {"parts": [{"support": sorted(J), "series": part.to_json()} for J, part in parts.items()]}
@@ -208,8 +211,7 @@ def _cmd_snc_prodclass(args, data):
 
 def _cmd_snc_normalform(args, data):
     config, law = _snc_setup(args, data)
-    if "classes" not in data:
-        raise ValidationError("normalform needs 'classes'")
+    json_object(data, ("classes",), "normalform needs 'classes'")
     vector = FaceClassVector.from_json(config, {"entries": data["classes"]}, law.backend)
     return normal_form(vector).to_json()
 
@@ -228,8 +230,7 @@ def _cmd_cycles_dpr(args, data):
 
 
 def _cmd_cycles_tower(args, data):
-    if "target" not in data or "steps" not in data:
-        raise ValidationError("blowup-tower needs 'target' and 'steps'")
+    json_object(data, ("target", "steps"), "blowup-tower needs 'target' and 'steps'")
     if not isinstance(data["steps"], list) or not data["steps"]:
         raise ValidationError("'steps' must be a nonempty list")
     target = SpaceLabel.from_json(data["target"])
@@ -248,8 +249,7 @@ def _cmd_cycles_relgen(args, data):
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in WITNESSES:  # a list kind is unhashable
         raise ValidationError("'kind' must be one of dim, sect, fgl")
-    if "witness" not in data:
-        raise ValidationError("relgen needs a 'witness'")
+    json_object(data, ("witness",), "relgen needs a 'witness'")
     witness = WITNESSES[kind].from_json(data["witness"])
     backend = None
     if kind == "fgl":

@@ -30,6 +30,8 @@ from .errors import (
     WitnessError,
     check_flags,
     is_integer,
+    json_entries,
+    json_object,
 )
 from .ring import (
     ANY_DEGREE,
@@ -37,6 +39,7 @@ from .ring import (
     CoefficientBackend,
     GradedPolynomial,
     SparseSum,
+    _check_backend,
     _signed_sum,
     _term_text,
     lazard_coefficient,
@@ -50,19 +53,15 @@ def _from_json(cls, data):
     """The record of class cls described by the JSON object data, read through cls._json.
 
     The table holds the text for data that is not an object, the text for
-    missing keys (formatted with their list, missing, and the first of them,
-    first), the text for a name list that is not a list (formatted with its
-    key), and a (key, default or REQUIRED, kind) entry per field in
-    __slots__ order.  The checks run in that order: an object, every
-    required key present, every NAMES value a list unless it is the field's
-    default, then each LABEL read by SpaceLabel.from_json in field order.
+    missing keys (json_object's lacks: None to reuse the first text), the
+    text for a name list that is not a list (formatted with its key), and a
+    (key, default or REQUIRED, kind) entry per field in __slots__ order.
+    The checks run in that order: an object, every required key present,
+    every NAMES value a list unless it is the field's default, then each
+    LABEL read by SpaceLabel.from_json in field order.
     """
     not_object, lacks, not_list, fields = cls._json
-    if not isinstance(data, dict):
-        raise ValidationError(not_object)
-    missing = [key for key, default, _ in fields if default is REQUIRED and key not in data]
-    if missing:
-        raise ValidationError(lacks.format(missing=missing, first=missing[0]))
+    json_object(data, [key for key, default, _ in fields if default is REQUIRED], not_object, lacks)
     values = [data.get(key, default) for key, default, _ in fields]
     for (key, default, kind), value in zip(fields, values):
         if kind == NAMES and value is not default and not isinstance(value, list):
@@ -75,7 +74,7 @@ class SpaceLabel(Record):
     """Name plus the little geometry the calculus actually consumes."""
 
     __slots__ = ("name", "dim", "smooth", "quasiprojective", "complete", "nu")
-    _json = ("label JSON needs 'name' and 'dim'", "label JSON needs 'name' and 'dim'", None, (
+    _json = ("label JSON needs 'name' and 'dim'", None, None, (
         ("name", REQUIRED, None), ("dim", REQUIRED, None), ("smooth", True, None),
         ("quasiprojective", True, None), ("complete", False, None), ("nu", None, None)))
     from_json = classmethod(_from_json)
@@ -135,8 +134,7 @@ class DecoratedCycle(Record):
     """
 
     __slots__ = ("source", "target", "bundles")
-    _json = ("cycle JSON needs 'source' and 'target'", "cycle JSON needs 'source' and 'target'",
-             "{key!r} must be a list",
+    _json = ("cycle JSON needs 'source' and 'target'", None, "{key!r} must be a list",
              (("source", REQUIRED, LABEL), ("target", REQUIRED, LABEL), ("bundles", (), NAMES)))
     from_json = classmethod(_from_json)
 
@@ -200,6 +198,8 @@ class CycleSum(SparseSum):
     __slots__ = ("backend", "_terms")
 
     def __init__(self, backend: CoefficientBackend | None = None, terms=None):
+        if backend is not None:
+            _check_backend(backend)
         self.backend = backend
         clean = {}
         if terms:
@@ -296,14 +296,10 @@ class CycleSum(SparseSum):
 
     @classmethod
     def from_json(cls, data, backend: CoefficientBackend | None = None) -> CycleSum:
-        if not isinstance(data, dict) or "terms" not in data:
-            raise ValidationError("cycle sum JSON needs 'terms'")
-        if not isinstance(data["terms"], list):
-            raise ValidationError("'terms' must be a list")
+        json_object(data, ("terms",), "cycle sum JSON needs 'terms'")
         pairs = []
-        for entry in data["terms"]:
-            if not isinstance(entry, dict) or "coeff" not in entry or "cycle" not in entry:
-                raise ValidationError("cycle term needs 'coeff' and 'cycle'")
+        for entry in json_entries(data["terms"], "terms", ("coeff", "cycle"),
+                                  "cycle term needs 'coeff' and 'cycle'"):
             cycle = DecoratedCycle.from_json(entry["cycle"])
             raw = entry["coeff"]
             if isinstance(raw, list):

@@ -1,4 +1,4 @@
-"""Exception types, the exact-integer and flag tests and the immutable record base.
+"""Exception types, the exact-integer, flag and JSON shape checks and the immutable record base.
 
 Everything user-input-related derives from ValidationError so callers (and
 the CLI) can distinguish "your data is wrong" from genuine bugs.
@@ -54,6 +54,26 @@ def check_flags(prefix: str = "", **flags):
     for name, value in flags.items():
         if not isinstance(value, bool):
             raise ValidationError(f"{prefix}{name!r} must be a boolean")
+
+
+def json_object(data, keys, not_object: str, lacks: str | None = None) -> dict:
+    """data if it is a JSON object holding every key, else a ValidationError: not_object,
+    or lacks formatted with the missing keys (missing) and the first of them (first)."""
+    if not isinstance(data, dict):
+        raise ValidationError(not_object)
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValidationError(not_object if lacks is None
+                              else lacks.format(missing=missing, first=missing[0]))
+    return data
+
+
+def json_entries(entries, key: str, keys, text: str):
+    """The JSON list entries found under key, each checked by json_object(entry,
+    keys, text) as it is reached, so faults are reported in document order."""
+    if not isinstance(entries, list):
+        raise ValidationError(f"{key!r} must be a list")
+    return (json_object(entry, keys, text) for entry in entries)
 
 
 class Record:

@@ -51,7 +51,7 @@ from functools import lru_cache, reduce
 from itertools import islice
 from operator import or_
 
-from .errors import BackendMismatchError, OrderError, Record, ValidationError, is_integer
+from .errors import BackendMismatchError, OrderError, Record, ValidationError, is_integer, json_object
 from .stats import meter
 
 # Degree markers for the non-homogeneous cases.
@@ -646,8 +646,7 @@ class GradedPolynomial(SparseSum):
             raise ValidationError("polynomial JSON must be a list of terms")
         terms: dict = {}
         for entry in data:
-            if not isinstance(entry, dict) or "coeff" not in entry or "monomial" not in entry:
-                raise ValidationError("polynomial term needs 'coeff' and 'monomial'")
+            json_object(entry, ("coeff", "monomial"), "polynomial term needs 'coeff' and 'monomial'")
             coeff = _json_coefficient(entry["coeff"])
             pairs = []
             if not isinstance(entry["monomial"], dict):

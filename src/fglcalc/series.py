@@ -49,6 +49,8 @@ from .errors import (
     OrderError,
     ValidationError,
     is_integer,
+    json_entries,
+    json_object,
 )
 from .ring import (
     CoefficientBackend,
@@ -506,11 +508,8 @@ class TruncatedSeries(SparseSum):
 
     @classmethod
     def from_json(cls, data, backend: CoefficientBackend) -> TruncatedSeries:
-        if not isinstance(data, dict):
-            raise ValidationError("series JSON must be an object")
-        for key in ("variables", "order", "terms"):
-            if key not in data:
-                raise ValidationError(f"series JSON lacks {key!r}")
+        json_object(data, ("variables", "order", "terms"), "series JSON must be an object",
+                    "series JSON lacks {first!r}")
         variables = data["variables"]
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise ValidationError("'variables' must be a list of names")
@@ -518,17 +517,13 @@ class TruncatedSeries(SparseSum):
         if not is_integer(order):
             raise ValidationError("'order' must be an integer")
         grouped: dict = {}
-        if not isinstance(data["terms"], list):
-            raise ValidationError("'terms' must be a list")
-        for entry in data["terms"]:
-            if not isinstance(entry, dict) or "exponents" not in entry:
-                raise ValidationError("series term needs an 'exponents' vector")
+        for entry in json_entries(data["terms"], "terms", ("exponents",),
+                                  "series term needs an 'exponents' vector"):
             exps = entry["exponents"]
             if not isinstance(exps, list) or not all(map(is_integer, exps)):
                 raise ValidationError(f"bad exponents {exps!r}")
-            grouped.setdefault(tuple(exps), []).append(
-                {"coeff": entry.get("coeff"), "monomial": entry.get("monomial")}
-            )
+            # each entry is a polynomial term too: its other keys are 'coeff' and 'monomial'
+            grouped.setdefault(tuple(exps), []).append(entry)
         terms = {
             exps: GradedPolynomial.from_json(entries, backend)
             for exps, entries in grouped.items()

@@ -37,6 +37,8 @@ from .errors import (
     ValidationError,
     check_flags,
     is_integer,
+    json_entries,
+    json_object,
 )
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree, _nonzero
 from .series import FormalGroupLaw, TruncatedSeries, _cut_terms, _layout, _repack, _support_parts
@@ -107,21 +109,14 @@ class SncConfiguration(Record):
 
     @classmethod
     def from_json(cls, data) -> SncConfiguration:
-        if not isinstance(data, dict):
-            raise ValidationError("configuration JSON must be an object")
-        for key in ("ambient_dim", "components", "faces"):
-            if key not in data:
-                raise ValidationError(f"configuration JSON lacks {key!r}")
-        comps = []
-        if not isinstance(data["components"], list):
-            raise ValidationError("'components' must be a list")
-        for entry in data["components"]:
-            if not isinstance(entry, dict) or "name" not in entry:
-                raise ValidationError("each component needs a 'name'")
-            comps.append(SncComponent(entry["name"], entry.get("quasiprojective", True)))
+        json_object(data, ("ambient_dim", "components", "faces"),
+                    "configuration JSON must be an object", "configuration JSON lacks {first!r}")
+        comps = tuple(SncComponent(entry["name"], entry.get("quasiprojective", True))
+                      for entry in json_entries(data["components"], "components", ("name",),
+                                                "each component needs a 'name'"))
         if not isinstance(data["faces"], list):
             raise ValidationError("'faces' must be a list of index lists")
-        return cls(data["ambient_dim"], tuple(comps), _normalize_faces(data["faces"]))
+        return cls(data["ambient_dim"], comps, _normalize_faces(data["faces"]))
 
 
 def _check_config(config):
@@ -263,14 +258,10 @@ class FaceClassVector:
     @classmethod
     def from_json(cls, config: SncConfiguration, data, backend) -> FaceClassVector:
         _check_config(config)  # the entries read config.r
-        if not isinstance(data, dict) or "entries" not in data:
-            raise ValidationError("class vector JSON needs 'entries'")
-        if not isinstance(data["entries"], list):
-            raise ValidationError("'entries' must be a list")
+        json_object(data, ("entries",), "class vector JSON needs 'entries'")
         entries = {}
-        for item in data["entries"]:
-            if not isinstance(item, dict) or "face" not in item or "class" not in item:
-                raise ValidationError("each entry needs 'face' and 'class'")
+        for item in json_entries(data["entries"], "entries", ("face", "class"),
+                                 "each entry needs 'face' and 'class'"):
             face = _face(item["face"])
             cp = ChernPolynomial.from_json(item["class"], backend, nvars=config.r)
             if face in entries:

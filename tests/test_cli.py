@@ -307,6 +307,39 @@ def test_over_long_digit_strings_exit_1_or_2(argv, stdin_text, code):
         assert json.loads(out)["detail"].startswith(("bad coefficient", "unrecognized generator"))
 
 
+def _deep(depth):
+    # by concatenation: json.dumps recurses too
+    return '{"n": 2, "x": ' + "[" * depth + "]" * depth + "}"
+
+
+def _write(directory, content):
+    path = directory / "input.json"
+    path.write_bytes(content)
+    return str(path)
+
+
+# bytes that are not UTF-8 can only come from a file: stdin decodes with
+# surrogateescape, and so does an argv
+@pytest.mark.parametrize("given, content", [
+    ("file", b'{"n": 2, "x": "\xff"}'),
+    ("file", _deep(2000).encode()),
+    ("stdin", _deep(2000).encode()),
+    ("inline", _deep(2000).encode()),
+], ids=["not utf-8", "deep file", "deep stdin", "deep inline"])
+def test_unreadable_input_exits_1(tmp_path, given, content):
+    argv, stdin_text = ["fgl", "nseries", "--order", "3"], None
+    if given == "file":
+        argv.append(_write(tmp_path, content))
+    elif given == "stdin":
+        argv.append("-")
+        stdin_text = content.decode()
+    else:
+        argv.append(content.decode())
+    rc, out, err = run_cli(argv, stdin_text=stdin_text)
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("fglcalc: cannot read input:")
+
+
 def test_a_json_generator_name_in_other_digits_exits_2():
     # "A(\u0661,\u0662)" is A(1,2) in Arabic-Indic digits; names are read in ASCII digits
     rc, out, err = run_cli(["fgl", "decompose", "--order", "3", "-"],
@@ -644,6 +677,42 @@ def test_mutated_inputs_exit_0_1_or_2(which, rounds, data):
         doc = _mutate(doc, data)
     rc, _, _ = run_cli(argv + ["-"], stdin_text=json.dumps(doc))
     assert rc in (0, 1, 2)
+
+
+_DEEP = "\x00deep"  # a string no input holds, replaced by the deep nesting
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+def _deepen(doc, data):
+    """The text of doc with one value, or the whole, nested past the recursion limit."""
+    depth = 2 * sys.getrecursionlimit()
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return "[" * depth + json.dumps(doc) + "]" * depth
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _DEEP
+    return json.dumps(doc).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(range(len(_FUZZ_RUNS))), st.integers(0, 2),
+       st.sampled_from(["deep", "bytes"]), st.data())
+def test_unreadable_mutations_exit_1(tmp_path_factory, which, rounds, op, data):
+    argv, doc = _FUZZ_RUNS[which]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rounds):
+        doc = _mutate(doc, data)
+    if op == "deep":
+        raw = _deepen(doc, data).encode()
+    else:  # bytes that are not UTF-8, anywhere in the file
+        raw = json.dumps(doc).encode()
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from(_NOT_UTF8)) + raw[at:]
+    rc, out, err = run_cli(argv + [_write(tmp_path_factory.getbasetemp(), raw)])
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("fglcalc: cannot read input:")
 
 
 # -- the parser main builds reads every argv as the full parser does -----------

@@ -12,6 +12,7 @@ from fglcalc import (
     FREE,
     ChernPolynomial,
     CycleSum,
+    DecoratedCycle,
     FaceClassVector,
     GradedPolynomial,
     SncComponent,
@@ -33,6 +34,7 @@ _CYCLE = {"source": {"name": "Y", "dim": 2}, "target": {"name": "X", "dim": 3}}
 _BAD_COEFF = 'bad coefficient {!r}: use an integer or a string like "-3/4"'
 _NEEDS_TERM = "polynomial term needs 'coeff' and 'monomial'"
 _NEEDS_CHERN = "chern JSON needs 'dim_bound' and 'terms'"
+_NOT_A_BACKEND = "backend must be a CoefficientBackend, got 'garbage'"
 
 
 def _without(data, *keys):
@@ -88,8 +90,7 @@ def config(**changes):
 
 
 CONTAINER_JSON_ERRORS = [
-    (lambda d: GradedPolynomial.from_json(d, "garbage"), "x",
-     "backend must be a CoefficientBackend, got 'garbage'"),
+    (lambda d: GradedPolynomial.from_json(d, "garbage"), "x", _NOT_A_BACKEND),
     (poly, {"terms": _POLY}, "polynomial JSON must be a list of terms"),
     (poly, "x", "polynomial JSON must be a list of terms"),
     (poly, [5], _NEEDS_TERM),
@@ -213,6 +214,17 @@ CONTAINER_JSON_ERRORS = [
      "'faces' must be a list of index lists"),
     (SncConfiguration.from_json, config(components=[{"name": "D"}, 5, {}]),
      "each component needs a 'name'"),
+
+    # a series term is read as a polynomial term, which needs both keys; it
+    # read 'bad coefficient None' without 'coeff', and "'monomial' must be
+    # an object" without 'monomial'
+    (series, series_term(monomial={}), _NEEDS_TERM),
+    (series, series_term(coeff=1), _NEEDS_TERM),
+    # a cycle sum over something that is not a backend; it was accepted
+    (lambda d: CycleSum.from_json(d, "garbage"), {"terms": []}, _NOT_A_BACKEND),
+    (lambda d: CycleSum.from_json(d, "garbage"), cycle_term(coeff=1, cycle=_CYCLE),
+     _NOT_A_BACKEND),
+    (lambda d: CycleSum("garbage", {DecoratedCycle.from_json(d): 1}), _CYCLE, _NOT_A_BACKEND),
 ]
 
 
