@@ -105,16 +105,19 @@ class _UnreadableInput(Exception):
 
 def _read_input(args) -> dict:
     raw = args.input
-    if raw == "-":
-        text = sys.stdin.read()
-    elif raw.lstrip()[:1] in ("{", "["):
-        text = raw
-    else:
-        with open(raw, "r", encoding="utf-8") as fh:
-            try:
+    try:
+        if raw == "-":
+            text = sys.stdin.read()
+        elif raw.lstrip()[:1] in ("{", "["):
+            text = raw
+        else:
+            with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise _UnreadableInput(f"not UTF-8: {exc}") from None
+        # stdin and argv decode with surrogateescape: a byte that is not
+        # UTF-8 is left there as a lone surrogate, which does not encode
+        text.encode("utf-8")
+    except UnicodeError as exc:
+        raise _UnreadableInput(f"not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError:

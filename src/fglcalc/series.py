@@ -729,7 +729,7 @@ class FormalGroupLaw:
         Defaults to variables u1, ..., ur, which must otherwise be distinct
         nonempty names.  Multiplicities may be any integers, including zero.
         """
-        ns = tuple(multiplicities)
+        ns = _as_tuple(multiplicities, "multiplicities must be integers, got")
         if not ns:
             raise ValidationError("need at least one multiplicity")
         if not all(map(is_integer, ns)):

@@ -12,9 +12,10 @@ face dimension ambient_dim - |J|.  divisor_class and product_class produce
 such vectors from multiplicity data and a formal group law; normal_form
 rewrites stray c_j factors into deeper faces (a section moves a hyperplane
 class into the zero locus) until every entry only involves decisions its
-face can see.  The vectors stay packed term dicts throughout: a series
-becomes one in a single pass over its keys, the divisor operator adds each
-product's keys into its face's terms, and normal_form moves each term once.
+face can see.  The fold, the product and the operator keep packed term
+dicts: a series becomes one in a single pass over its keys, and the divisor
+operator adds each product's keys into its face's terms.  normal_form reads
+decoded terms; the vectors built here are clean already.
 
 A term of support J and total degree D reaches the face J in c-degree
 D - |J|, so only face supports and degrees up to ambient_dim matter.  Faces
@@ -41,7 +42,8 @@ from .errors import (
     json_object,
 )
 from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree, _nonzero
-from .series import FormalGroupLaw, TruncatedSeries, _cut_terms, _layout, _repack, _support_parts
+from .series import (FormalGroupLaw, TruncatedSeries, _as_tuple, _cut_terms, _layout, _repack,
+                     _support_parts)
 
 # re-exported, not called here: perfbench's tracer test reads it as
 # fglcalc.snc.evaluate_at_chern to check that every import site is patched
@@ -173,12 +175,11 @@ def require_valid(config: SncConfiguration):
 
 
 def _check_multiplicities(config, multiplicities, what="multiplicities"):
-    ms = tuple(multiplicities)
+    ms = _as_tuple(multiplicities, f"{what} must be integers, got")
     if len(ms) != config.r:
         raise ValidationError(f"{what}: expected {config.r} entries, got {len(ms)}")
-    for m in ms:
-        if not is_integer(m):
-            raise ValidationError(f"{what} must be integers")
+    if not all(map(is_integer, ms)):
+        raise ValidationError(f"{what} must be integers")
     if ms and not any(ms):
         raise ValidationError(f"{what} must not all vanish")
     return ms
@@ -439,9 +440,11 @@ def restrict_to_component(config: SncConfiguration, index: int, multiplicities):
     """
     _check_config(config)
     require_valid(config)
-    ms = tuple(multiplicities)
+    ms = _as_tuple(multiplicities, "multiplicities must be integers, got")
     if len(ms) != config.r:
         raise ValidationError(f"expected {config.r} multiplicities, got {len(ms)}")
+    if not all(map(is_integer, ms)):
+        raise ValidationError("multiplicities must be integers")
     kept = restricted_component_indices(config, index)
     position = {orig: new for new, orig in enumerate(kept, start=1)}
     new_faces = set()
@@ -509,38 +512,18 @@ def normal_form(vector: FaceClassVector) -> FaceClassVector:
     _check_vector(vector)
     config = vector.config
     require_valid(config)
-    r = config.r
-    acc: dict = {}  # face -> (backend, its layout, packed terms at the face dimension)
+    acc: dict = {}  # face -> {exponents: coefficient}
     for J, cp in vector._entries.items():
-        src = cp._layout
-        series_mask, src_shift, units = src.series_mask, src.shift, src.units
-        moves: dict = {}  # series part -> (bucket, new series part, its shift), or None
-        for k, c in cp._terms.items():
-            move = moves.get(k & series_mask, 0)
-            if move == 0:
-                part = k & series_mask
-                stray = src.support(part) - J
-                face = J | stray
-                move = None
-                if face in config.faces:
-                    _, dst, bucket = acc.setdefault(
-                        face, (cp.backend, _layout(r, config.face_dim(face)), {}))
-                    part -= sum(units[j - 1] for j in stray)
-                    if dst is not src:
-                        part = dst.encode(src.exponents(part))
-                    move = (bucket, part, dst.shift)
-                moves[k & series_mask] = move
-            if move is not None:
-                bucket, part, shift = move
-                key = part + (k >> src_shift << shift)
-                total = bucket.get(key, 0) + c
-                if total:
-                    bucket[key] = total
-                else:
-                    del bucket[key]
-    return FaceClassVector._raw(config, {
-        face: ChernPolynomial._raw(_symbols(r), config.face_dim(face), backend, terms, layout)
-        for face, (backend, layout, terms) in acc.items() if terms
+        backend = cp.backend  # one for every entry
+        for exps, poly in cp.items():
+            stray = frozenset(j for j, e in enumerate(exps, 1) if e and j not in J)
+            if J | stray in config.faces:
+                terms = acc.setdefault(J | stray, {})
+                exps = tuple(e - (j in stray) for j, e in enumerate(exps, 1))
+                terms[exps] = terms[exps] + poly if exps in terms else poly
+    return FaceClassVector(config, {
+        face: ChernPolynomial(config.r, config.face_dim(face), backend, terms)
+        for face, terms in acc.items()
     })
 
 
@@ -574,8 +557,9 @@ def check_properties(config: SncConfiguration, n_mults, p_mults, law: FormalGrou
     restriction  when the first divisor is a single reduced component absent
                  from the second, the product is the second's divisor class
                  on that component, lifted back; None when not applicable
-    operator     normal form of the product equals the divisor operator
-                 applied to the second divisor's class
+    operator     the product equals the divisor operator applied to the
+                 second divisor's class; both are clean (every symbol of
+                 an entry lies in its face), so they are compared as they are
     """
     _check_config(config)
     require_valid(config)
@@ -586,9 +570,7 @@ def check_properties(config: SncConfiguration, n_mults, p_mults, law: FormalGrou
     product = product_class(config, ns, ps, law)
     symmetric = product == product_class(config, ps, ns, law)
 
-    operator = normal_form(product) == normal_form(
-        apply_divisor_operator(divisor_class(config, ps, law), ns, law)
-    )
+    operator = product == apply_divisor_operator(divisor_class(config, ps, law), ns, law)
 
     restriction = None
     support = [i for i, n in enumerate(ns, start=1) if n]

@@ -6,7 +6,12 @@ of m-exponents over Fraction), sharing no code with the package under
 test.  The defining equation of the log-backend law is l(F(u, v)) =
 l(u) + l(v) with l(t) = t + m1 t^2 + m2 t^3 + ...; solving it degree by
 degree needs no series reversion, so agreement with the package's
-reversion-based table is meaningful evidence.
+reversion-based table is meaningful evidence.  Two more share no code
+with what they check: specialize reads a FREE result over another backend
+by mapping each A(i,j) to lazard_coefficient(i, j, B), a ring map that
+carries the FREE law to the law over B (the Lazard ring's universal
+property), with polynomial arithmetic only; inverse_by_interpolation reads
+chi(u) off the fold of u at n = -1, with no solver.
 
 The rest are different: each is the straightforward algorithm that a
 faster one in the package replaced, kept as a reference for it.
@@ -37,7 +42,10 @@ vectors from before they stayed packed: support_decompose and one
 evaluate_at_chern per part, checked by the public FaceClassVector
 constructor; one cut, one chern product, one shift by the shared symbols
 and one chern sum per pair of an entry and a divisor part; and each stray
-symbol absorbed one step at a time, the lowest index first.  log_coefficient_table_by_lists is the log table
+symbol absorbed one step at a time, the lowest index first.
+normal_form_packed is the normal form from before it read decoded terms:
+one move per packed series part, then one key addition per term.
+log_coefficient_table_by_lists is the log table
 from before the series layer built it: l, its powers and its reversion as
 lists of coefficients, and F = g(l(u) + l(v)) from a hand-written loop
 over the powers of l(u) + l(v) keyed by (u, v) exponent pairs.
@@ -58,6 +66,7 @@ it before they shared one base: an absent key starts from 0.
 """
 
 from fractions import Fraction
+from math import comb
 from operator import add, itemgetter, mul
 
 import fglcalc.ring
@@ -69,6 +78,7 @@ from fglcalc import (
     TruncatedSeries,
     ValidationError,
     evaluate_at_chern,
+    lazard_coefficient,
     log_backend,
     m_gen,
     support_decompose,
@@ -439,6 +449,25 @@ def inverse_by_substitution(law):
     return TruncatedSeries(u_var, law.order, law.backend, chi)
 
 
+def inverse_by_interpolation(law):
+    """fglcalc.FormalGroupLaw.inverse as the fold's interpolation at n = -1.
+
+    The coefficient of u^k in [n]u is a polynomial of degree <= k in n
+    (FormalGroupLaw.n_series), so Lagrange's formula through [1]u..[k]u
+    read at n = -1 gives the coefficient of u^k in chi(u):
+    sum_{j=1..k} (-1)^j C(k+1, j+1) [u^k][j]u.  The folds are plain law sums.
+    """
+    u = TruncatedSeries.variable("u", ("u",), law.order, law.backend)
+    folds = [None, u]
+    while len(folds) <= law.order:
+        folds.append(law.sum(folds[-1], u))
+    return TruncatedSeries(("u",), law.order, law.backend, {
+        (k,): sum((folds[j].coefficient((k,)) * ((-1) ** j * comb(k + 1, j + 1))
+                   for j in range(1, k + 1)), GradedPolynomial.zero(law.backend))
+        for k in range(1, law.order + 1)
+    })
+
+
 # -- composition one term at a time --------------------------------------------
 
 def substitute_by_terms(series, assignment):
@@ -726,6 +755,34 @@ def chern_substitute_by_terms(series, values):
     return total
 
 
+# -- a FREE result read over another backend -------------------------------------
+
+def specialize(value, backend):
+    """value, computed over FREE, with each A(i,j) read as lazard_coefficient(i, j, backend).
+
+    value is a GradedPolynomial, a series, a ChernPolynomial or a
+    FaceClassVector; every coefficient is mapped with GradedPolynomial
+    arithmetic and the container is rebuilt through its public constructor.
+    """
+    if isinstance(value, FaceClassVector):
+        return FaceClassVector(value.config, {J: specialize(cp, backend) for J, cp in value.items()})
+    if isinstance(value, ChernPolynomial):
+        return ChernPolynomial(value.nvars, value.dim_bound, backend, {
+            exps: specialize(poly, backend) for exps, poly in value.items()})
+    if isinstance(value, TruncatedSeries):
+        return TruncatedSeries(value.variables, value.order, backend, {
+            exps: specialize(poly, backend) for exps, poly in value.items()})
+    total = GradedPolynomial.zero(backend)
+    for pairs, c in value.sorted_terms():
+        term = GradedPolynomial.constant(c, backend)
+        for gen, e in pairs:
+            assert gen.kind == "A", gen
+            for _ in range(e):
+                term = term * lazard_coefficient(gen.i, gen.j, backend)
+        total = total + term
+    return total
+
+
 # -- the normal form in any absorption order -----------------------------------
 
 def normal_form_in_order(vector, rank):
@@ -858,6 +915,50 @@ def normal_form_by_steps(vector):
         dim = config.face_dim(face)
         entries[face] = ChernPolynomial._raw(_symbols(r), dim, backend, terms, _layout(r, dim))
     return FaceClassVector(config, entries)
+
+
+def normal_form_packed(vector):
+    """fglcalc.normal_form on packed keys, each series part moved once.
+
+    The stray indices S of a series part are found once per part and kept
+    with the part's bucket at J + S and its key there, less one power of
+    each stray symbol; each term then moves with one key addition.
+    """
+    config = vector.config
+    require_valid(config)
+    r = config.r
+    acc: dict = {}  # face -> (backend, its layout, packed terms at the face dimension)
+    for J, cp in vector._entries.items():
+        src = cp._layout
+        series_mask, src_shift, units = src.series_mask, src.shift, src.units
+        moves: dict = {}  # series part -> (bucket, new series part, its shift), or None
+        for k, c in cp._terms.items():
+            move = moves.get(k & series_mask, 0)
+            if move == 0:
+                part = k & series_mask
+                stray = src.support(part) - J
+                face = J | stray
+                move = None
+                if face in config.faces:
+                    _, dst, bucket = acc.setdefault(
+                        face, (cp.backend, _layout(r, config.face_dim(face)), {}))
+                    part -= sum(units[j - 1] for j in stray)
+                    if dst is not src:
+                        part = dst.encode(src.exponents(part))
+                    move = (bucket, part, dst.shift)
+                moves[k & series_mask] = move
+            if move is not None:
+                bucket, part, shift = move
+                key = part + (k >> src_shift << shift)
+                total = bucket.get(key, 0) + c
+                if total:
+                    bucket[key] = total
+                else:
+                    del bucket[key]
+    return FaceClassVector._raw(config, {
+        face: ChernPolynomial._raw(_symbols(r), config.face_dim(face), backend, terms, layout)
+        for face, (backend, layout, terms) in acc.items() if terms
+    })
 
 
 def _poly_list_mul(a, b, top, backend):

@@ -318,26 +318,40 @@ def _write(directory, content):
     return str(path)
 
 
-# bytes that are not UTF-8 can only come from a file: stdin decodes with
-# surrogateescape, and so does an argv
+# a file is decoded strictly, while stdin and an argv decode with
+# surrogateescape: there bytes that are not UTF-8 arrive as lone surrogates,
+# which every mode refuses alike
 @pytest.mark.parametrize("given, content", [
     ("file", b'{"n": 2, "x": "\xff"}'),
+    ("stdin", b'{"n": 2, "x": "\xff"}'),
+    ("inline", b'{"n": 2, "x": "\xff"}'),
     ("file", _deep(2000).encode()),
     ("stdin", _deep(2000).encode()),
     ("inline", _deep(2000).encode()),
-], ids=["not utf-8", "deep file", "deep stdin", "deep inline"])
+], ids=["not utf-8", "not utf-8 stdin", "not utf-8 inline", "deep file", "deep stdin",
+        "deep inline"])
 def test_unreadable_input_exits_1(tmp_path, given, content):
     argv, stdin_text = ["fgl", "nseries", "--order", "3"], None
     if given == "file":
         argv.append(_write(tmp_path, content))
     elif given == "stdin":
         argv.append("-")
-        stdin_text = content.decode()
+        stdin_text = content.decode("utf-8", "surrogateescape")
     else:
-        argv.append(content.decode())
+        argv.append(content.decode("utf-8", "surrogateescape"))
     rc, out, err = run_cli(argv, stdin_text=stdin_text)
     assert (rc, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("fglcalc: cannot read input:")
+    assert ("cannot read input: not UTF-8" in err) == (b"\xff" in content)
+
+
+def test_a_strict_stdin_that_is_not_utf8_exits_1(monkeypatch):
+    # as under PYTHONIOENCODING=utf-8:strict, where the read itself fails
+    raw = io.BytesIO(b'{"n": 2, "x": "\xff"}')
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8", errors="strict"))
+    rc, out, err = run_cli(["fgl", "nseries", "--order", "3", "-"])
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("fglcalc: cannot read input: not UTF-8")
 
 
 def test_a_json_generator_name_in_other_digits_exits_2():

@@ -349,6 +349,16 @@ def test_inverse_matches_substitution_oracle(kind):
         assert law.n_series(-3) == law.sum(law.sum(expected, expected), expected)
 
 
+@pytest.mark.parametrize("kind", ["free", "log", "additive", "mult"])
+def test_inverse_is_the_fold_interpolated_at_minus_one(kind):
+    # the interpolation reads the fold only; it shares no code with the solver
+    for order in range(1, 9):
+        backend = {"free": FREE, "log": log_backend(max(order - 1, 1)),
+                   "additive": ADDITIVE, "mult": MULTIPLICATIVE}[kind]
+        law = FormalGroupLaw(backend, order)
+        assert law.inverse() == oracles.inverse_by_interpolation(law)
+
+
 def test_inverse_homogeneity():
     law = FormalGroupLaw(FREE, order=6)
     for (k,), poly in law.inverse().items():
@@ -495,6 +505,8 @@ def test_linear_combination_validation():
         law.linear_combination(())
     with pytest.raises(ValidationError):
         law.linear_combination((1, "x"))
+    with pytest.raises(ValidationError, match=r"^multiplicities must be integers, got 5$"):
+        law.linear_combination(5)
     with pytest.raises(ValidationError):
         law.linear_combination((1, 2), variables=("u",))
 

@@ -472,6 +472,17 @@ def _snc_law(kind, order):
     return FormalGroupLaw(backend, order)
 
 
+def _drawn_config(data, r, ambient):
+    """A random downward-closed complex on r components with every face of size <= ambient."""
+    faces = {frozenset({i}) for i in range(1, r + 1)}
+    for size in range(2, min(r, ambient) + 1):
+        for c in itertools.combinations(range(1, r + 1), size):
+            face = frozenset(c)
+            if all(face - {i} in faces for i in face) and data.draw(st.booleans()):
+                faces.add(face)
+    return _config(ambient, r, faces)
+
+
 def _drawn_mults(data, r):
     return tuple(data.draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)))
 
@@ -506,8 +517,8 @@ def _same(vector, expected):
 @given(st.data())
 def test_packed_class_vectors_match_the_pair_and_step_oracles(data):
     """divisor_class, product_class, the operator and the normal form against
-    face_classes_by_parts, apply_divisor_operator_by_pairs and
-    normal_form_by_steps: random downward-closed complexes with r <= 4 on
+    face_classes_by_parts, apply_divisor_operator_by_pairs, normal_form_by_steps
+    and normal_form_packed: random downward-closed complexes with r <= 4 on
     FREE and log, and two components on ADDITIVE and MULTIPLICATIVE at
     ambient_dim 32 and 33, where the combination's key fields are 6 bits
     wide and (at 32) every face's, or (at 33) the edge's only, are 5.  On
@@ -518,13 +529,7 @@ def test_packed_class_vectors_match_the_pair_and_step_oracles(data):
         cfg = _full_config(ambient, r)
     else:
         r, ambient = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        faces = {frozenset({i}) for i in range(1, r + 1)}
-        for size in range(2, min(r, ambient) + 1):
-            for c in itertools.combinations(range(1, r + 1), size):
-                face = frozenset(c)
-                if all(face - {i} in faces for i in face) and data.draw(st.booleans()):
-                    faces.add(face)
-        cfg = _config(ambient, r, faces)
+        cfg = _drawn_config(data, r, ambient)
     law = _snc_law(kind, ambient)
     ns, ps = _drawn_mults(data, r), _drawn_mults(data, r)
     combination = snc._face_combination(cfg, ps, law)
@@ -536,6 +541,61 @@ def test_packed_class_vectors_match_the_pair_and_step_oracles(data):
         _same(image, oracles.apply_divisor_operator_by_pairs(vector, ns, law))
         for v in (vector, image):
             _same(normal_form(v), oracles.normal_form_by_steps(v))
+            _same(normal_form(v), oracles.normal_form_packed(v))
+
+
+@given(st.data())
+def test_built_class_vectors_are_clean(data):
+    """Every vector the library builds is its own normal form, so check_properties
+    compares product and operator as they are: random downward-closed complexes
+    with r <= 4 on FREE and log, at law order ambient_dim and above it (the
+    lower-order fold), with zero multiplicities among the entries."""
+    kind = data.draw(st.sampled_from(["free", "log"]))
+    r, ambient = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cfg = _drawn_config(data, r, ambient)
+    law = _snc_law(kind, ambient + data.draw(st.integers(0, 2)))
+    ns, ps = _drawn_mults(data, r), _drawn_mults(data, r)
+    product = product_class(cfg, ns, ps, law)
+    image = apply_divisor_operator(divisor_class(cfg, ps, law), ns, law)
+    for vector in (divisor_class(cfg, ps, law), product, image):
+        assert normal_form(vector) == vector
+    found = check_properties(cfg, ns, ps, law)["operator"]
+    assert found == (normal_form(product) == normal_form(image))
+
+
+@functools.lru_cache(maxsize=None)
+def _free_and_law(kind, order):
+    backend = {"log": log_backend(max(order - 1, 1)), "additive": ADDITIVE, "mult": MULTIPLICATIVE}[kind]
+    return FormalGroupLaw(FREE, order), FormalGroupLaw(backend, order)
+
+
+@given(st.data())
+def test_free_results_specialize_to_every_backend(data):
+    """One FREE computation checks every backend: reading each A(i,j) as
+    lazard_coefficient(i, j, B) is a ring map that carries the FREE law to
+    the law over B, and so every FREE result to the result over B.  F, chi,
+    [n]u, a combination, the divisor and product classes, the operator and
+    the normal form, at orders <= 6 with n in -8..16, up to 3 multiplicities
+    and random downward-closed complexes with r <= 4 (the normal form of a
+    vector with stray symbols).  oracles.specialize runs no series kernel."""
+    kind, order = data.draw(st.sampled_from(["log", "additive", "mult"])), data.draw(st.integers(1, 6))
+    free, law = _free_and_law(kind, order)
+    n = data.draw(st.integers(-8, 16))
+    ms = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+    pairs = [(free.series, law.series), (free.inverse(), law.inverse()),
+             (free.n_series(n), law.n_series(n)),
+             (free.linear_combination(ms), law.linear_combination(ms))]
+    r, ambient = data.draw(st.integers(1, 4)), data.draw(st.integers(1, order))
+    cfg = _drawn_config(data, r, ambient)
+    ns, ps = _drawn_mults(data, r), _drawn_mults(data, r)
+    stray = _drawn_vector(data, cfg, FREE)
+    image = apply_divisor_operator(stray, ns, free)
+    image_over_b = apply_divisor_operator(oracles.specialize(stray, law.backend), ns, law)
+    pairs += [(divisor_class(cfg, ps, free), divisor_class(cfg, ps, law)),
+              (product_class(cfg, ns, ps, free), product_class(cfg, ns, ps, law)),
+              (image, image_over_b), (normal_form(image), normal_form(image_over_b))]
+    for found, expected in pairs:
+        assert oracles.specialize(found, law.backend) == expected
 
 
 def test_the_operator_refuses_a_vector_over_another_backend():
@@ -663,10 +723,23 @@ _CONFIG = "expected an SncConfiguration"
     (lambda cfg, law: FaceClassVector(cfg).entry(5), "face 5 is not a list of component indices"),
     (lambda cfg, law: FaceClassVector.from_json(None, {"entries": [{"face": [1], "class": []}]},
                                                 FREE), _CONFIG),
+    (lambda cfg, law: divisor_class(cfg, 5, law), "multiplicities must be integers, got 5"),
+    (lambda cfg, law: product_class(cfg, (1, 1), 7, law),
+     "second multiplicities must be integers, got 7"),
+    (lambda cfg, law: apply_divisor_operator(FaceClassVector(cfg), 5, law),
+     "multiplicities must be integers, got 5"),
+    (lambda cfg, law: check_properties(cfg, None, (1, 1), law),
+     "first multiplicities must be integers, got None"),
+    (lambda cfg, law: restrict_to_component(cfg, 1, 5), "multiplicities must be integers, got 5"),
+    (lambda cfg, law: restrict_to_component(cfg, 1, (1.5, "x")), "multiplicities must be integers"),
+    (lambda cfg, law: restrict_to_component(cfg, 1, (True, 2.0)), "multiplicities must be integers"),
+    (lambda cfg, law: restrict_to_component(cfg, 1, (1,)), "expected 2 multiplicities, got 1"),
 ], ids=["face 5", "entry pairs", "no config", "list config", "normal_form", "operator", "lift",
         "lift config", "class_dimension", "divisor_class", "unhashable config", "product_class",
         "check_properties", "validate_config", "indices", "restrict", "string index",
-        "bool index", "index out of range", "entry face", "json config"])
+        "bool index", "index out of range", "entry face", "json config", "divisor_class int",
+        "product_class int", "operator int", "check_properties None", "restrict int",
+        "restrict floats", "restrict bool", "restrict length"])
 def test_snc_entry_points_refuse_other_arguments(call, message):
     # each raises a ValidationError with its message, never a bare TypeError
     # or AttributeError, and a list reaches no cache as a key
@@ -775,6 +848,7 @@ def test_restrict_drops_non_meeting_components():
     assert ms == (7,)
     assert sub.ambient_dim == 2
     assert validate_config(sub) == []
+    assert restrict_to_component(cfg, 1, (0, 0, 0)) == (sub, (0,))  # no divisor is needed
 
 
 def test_restrict_reindexes_faces():
