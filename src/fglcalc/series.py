@@ -28,7 +28,9 @@ group's sum of first-variable powers is cut at the degree its rest factor
 leaves and multiplied by it straight into the result; for a bare variable
 as first image, as in each step of the fold [n]u, the sum is the group
 moved onto it, kept too, and costs no product.  Powers of the images are
-series products, each cut at the highest degree any group reads from it.
+each cut at the highest degree any group reads from it.  P^k is P^(k-1) * P,
+or for even k P^(k/2) squared by the kernel's square mode, when the term
+counts say the square makes fewer products: |P^(k/2)|^2 < 2 |P^(k-1)| |P|.
 
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
@@ -160,6 +162,22 @@ def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int) -> dict:
         terms = _repack(terms, src, dst, top)
     mask = dst.mask
     return {k: c for k, c in terms.items() if k & mask <= top}
+
+
+def _power(cache: list, need: dict, e: int) -> TruncatedSeries:
+    """cache[e], the power e of cache[1] (cache[0] is one), cut where need reads it; the
+    cut never rises with e, so each power is exact as far as the next one needs it."""
+    while len(cache) <= e:
+        k = len(cache)
+        cut = max(0, max(d for f, d in need.items() if f >= k))
+        half = cache[k // 2]
+        if k % 2 or len(half._terms) ** 2 >= 2 * len(cache[-1]._terms) * len(cache[1]._terms):
+            cache.append(cache[-1]._cut(cut) * cache[1]._cut(cut))
+            continue
+        half, acc = half._cut(cut), {}
+        _multiply(acc, None, half._rows(), cut, half._layout.mask, half._layout.shift)
+        cache.append(half._like(_nonzero(acc)))
+    return cache[e]
 
 
 class TruncatedSeries(SparseSum):
@@ -446,21 +464,9 @@ class TruncatedSeries(SparseSum):
 
         one = target._raw(target.variables, order, backend, {0: 1}, layout)
         powers = [[one, s] for s in images]
-
-        def power(i: int, e: int) -> TruncatedSeries:
-            # images[i]**e, cut above the degree any column reads; the cut
-            # never rises with e, so each power is exact as far as the next
-            # one needs it
-            cache = powers[i]
-            while len(cache) <= e:
-                k = len(cache)
-                cut = max(0, max(d for f, d in need[i].items() if f >= k))
-                cache.append(cache[-1]._cut(cut) * cache[1]._cut(cut))
-            return cache[e]
-
         acc: dict = {}
         for rest, column, inner_low, left in groups:
-            factors = [(power(i, e), e * low[i]) for i, e in enumerate(rest, 1) if e]
+            factors = [(_power(powers[i], need[i], e), e * low[i]) for i, e in enumerate(rest, 1) if e]
             if not factors:
                 inner, room = acc, order
             else:
@@ -486,7 +492,7 @@ class TruncatedSeries(SparseSum):
             if left is None:
                 for e0, part in column.items():
                     if e0 * low[0] <= room:
-                        _multiply(inner, part, power(0, e0)._rows(), room, mask, shift)
+                        _multiply(inner, part, _power(powers[0], need[0], e0)._rows(), room, mask, shift)
                 left = _nonzero(inner) if factors else None
             elif not factors:
                 for k, c in left.items():

@@ -3,7 +3,8 @@
 The one product kernel (fglcalc.ring._multiply), which polynomial and
 series products, substitution and the formal inverse all run, adds each
 row's product count to meter.products: one site, one addition per row and
-never one per product.  A substitution whose first image is a bare variable
+never one per product.  A square counts each unordered pair of terms once.
+A substitution whose first image is a bare variable
 moves terms instead of multiplying them, and that move counts nothing.  Inside meter.budget(n) a row that would take the
 count more than n products past where the block began raises
 ValidationError before it runs, so a computation stops within one row of

@@ -24,10 +24,12 @@ product_class_by_pairs multiplies the support parts pair by pair, and it
 and divisor_class_full_combination decompose the combination at the
 law's full order with every support kept, where the package works in the
 Stanley-Reisner quotient; substitute_by_terms composes series one term at
-a time; n_series_by_fold builds [n]u with the full left fold of |n| - 1
-law sums, where the package interpolates from a short shared fold prefix
-of u and composes [-n]u as [n]u with chi(u), so the left fold of chi(u)
-is run here only.
+a time; power_by_chain builds each power of a substituted image as the
+previous one times the image, where the package squares an even power's
+half when that makes fewer products; n_series_by_fold builds [n]u with
+the full left fold of |n| - 1 law sums, where the package interpolates
+from a short shared fold prefix of u and composes [-n]u as [n]u with
+chi(u), so the left fold of chi(u) is run here only.
 series_mul_two_level and substitute_two_level are the series product and
 composition from before a series became one dict of packed keys: terms
 keyed by exponent vectors with GradedPolynomial coefficients, one
@@ -498,6 +500,19 @@ def substitute_by_terms(series, assignment):
             factor = one
         total = total + factor.scale(poly)
     return total
+
+
+def power_by_chain(cache, need, e):
+    """fglcalc.series._power with every power a chain product P^k = P^(k-1) * P.
+
+    cache holds the one and the image, need the degree up to which each
+    power is read; each power is cut where the package cuts it.
+    """
+    while len(cache) <= e:
+        k = len(cache)
+        cut = max(0, max(d for f, d in need.items() if f >= k))
+        cache.append(cache[-1]._cut(cut) * cache[1]._cut(cut))
+    return cache[e]
 
 
 # -- the sum in a fixed orientation, and re-encoded cuts -------------------------

@@ -362,6 +362,28 @@ def test_backend_constructor_validation():
         log_backend(0)
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: GradedPolynomial.from_text(None, FREE), "polynomial text must be a string, got None"),
+    (lambda: GradedPolynomial.from_text(b"A(1,1)", FREE), "must be a string, got b'A"),
+    (lambda: GradedPolynomial(FREE, [1, 2]), "polynomial terms must be a dict"),
+    (lambda: GradedPolynomial(FREE, {"x": 1}), r"a monomial is a tuple of \(Generator, exponent\) pairs, got 'x'"),
+    (lambda: GradedPolynomial(FREE, {5: 1}), "pairs, got 5"),
+    (lambda: GradedPolynomial(FREE, {(("x", 1),): 1}), r"pairs, got \(\('x', 1\),\)"),
+    (lambda: GradedPolynomial(FREE, {((a_gen(1, 1),),): 1}), r"pairs, got \(\(A\(1,1\),\),\)"),
+    (lambda: GradedPolynomial.generator("x", FREE), "not a generator: 'x'"),
+    (lambda: GradedPolynomial.generator(None, FREE), "not a generator: None"),
+    (lambda: GradedPolynomial.generator(a_gen(1, 1), "free"), "must be a CoefficientBackend"),
+    (lambda: m_gen([1]), r"m\(i\) requires an integer index, got \[1\]"),
+    (lambda: generator_from_name(None), "unrecognized generator name None"),
+    (lambda: generator_from_name(b"b"), "unrecognized generator name b'b'"),
+], ids=["text None", "text bytes", "terms list", "monomial str", "monomial int", "pair name",
+        "pair length", "generator str", "generator None", "generator backend", "m_gen list",
+        "name None", "name bytes"])
+def test_ring_entry_points_refuse_other_arguments(call, text):
+    with pytest.raises(ValidationError, match=text):
+        call()
+
+
 # -- packed monomials against the tuple-merge oracle ------------------------
 
 _generators = st.one_of(
@@ -508,7 +530,7 @@ def test_the_kernel_makes_the_products_the_pair_loops_made(monkeypatch):
     assert _products(log.inverse) == 735
     assert mul_calls == []
     monkeypatch.undo()
-    assert _products(lambda: fglcalc.ring._log_coefficient_table.__wrapped__(15)) == 190_009
+    assert _products(lambda: fglcalc.ring._log_coefficient_table.__wrapped__(15)) == 189_777
     p = (GradedPolynomial.generator(a_gen(1, 1), FREE)
          + GradedPolynomial.generator(a_gen(1, 2), FREE) + 3)
     assert _products(lambda: (p * p) * p) == 27

@@ -28,8 +28,8 @@ from fglcalc import (
 )
 
 from fglcalc.cli import MAX_ORDER
-from fglcalc.ring import MAX_EXPONENT
-from fglcalc.series import _layout
+from fglcalc.ring import MAX_EXPONENT, _multiply, _nonzero
+from fglcalc.series import _layout, _power
 from fglcalc.stats import meter
 
 import oracles
@@ -600,14 +600,14 @@ def _counted(run) -> int:
 
 
 @pytest.mark.parametrize("backend, positive, negative, combination, fresh_negative", [
-    (FREE, 2593, 644, 5943, 3237), (log_backend(7), 5755, 412, 8773, 6167),
+    (FREE, 2294, 555, 5258, 2849), (log_backend(7), 5491, 352, 8035, 5843),
 ], ids=["free", "log"])
 def test_a_bare_first_image_moves_terms_without_products(
     backend, positive, negative, combination, fresh_negative
 ):
     # every step F([k]u, u) of the fold has the bare u first, so each
     # column is moved onto u, where multiplying it by the powers of u would
-    # make 2845 (free) and 7491 (log) products.  [-8]u is [8]u composed with
+    # make 2546 (free) and 7227 (log) products.  [-8]u is [8]u composed with
     # chi, so with [8]u built it pays for that one composition only, and on
     # a fresh law for the fold as well.  The combination's sums have no
     # bare first image
@@ -619,6 +619,27 @@ def test_a_bare_first_image_moves_terms_without_products(
     fresh = FormalGroupLaw(backend, 8)
     fresh.inverse()
     assert _counted(lambda: fresh.n_series(-8)) == fresh_negative
+
+
+# jobs in the style of perfbench's series-cold, written out here: a fresh
+# order-8 law, its inverse, [n]u and one three-variable combination, for
+# each backend and each n in -8..16 but 0, the multiplicities in turn
+_JOB_MULTIPLICITIES = [(2, -1, 3), (-2, 1, 1), (3, 3, -1), (1, -2, 2), (-1, 2, -2), (1, 1, 1), (-2, -2, 3)]
+
+
+def test_series_cold_style_jobs_make_a_pinned_number_of_products():
+    # a change that makes more products here fails without a benchmark run;
+    # the log table is cached per process, so it is built before the count
+    FormalGroupLaw(log_backend(7), 8).series
+
+    def jobs():
+        for backend in (FREE, log_backend(7)):
+            for i, n in enumerate(n for n in range(-8, 17) if n):
+                law = FormalGroupLaw(backend, 8)
+                law.inverse(), law.n_series(n)
+                law.linear_combination(_JOB_MULTIPLICITIES[i % len(_JOB_MULTIPLICITIES)])
+
+    assert _counted(jobs) == 432_523
 
 
 def test_two_laws_share_no_series_and_no_substitution_plan():
@@ -910,6 +931,66 @@ def test_substitute_cuts_at_the_images_lowest_degree():
     env = {"u": x2, "v": x_x2}
     assert f.substitute(env) == oracles.substitute_by_terms(f, env)
     assert f.substitute(env).coefficient((6,)) == 2 + _a(1, 2)
+
+
+# -- powers by squares ------------------------------------------------------------
+
+@st.composite
+def _squares(draw):
+    """(P, cut, need): P in 1-3 variables over FREE or log with no constant
+    term, sparse or holding every monomial up to some degree, a cut from 0
+    to P's order and the degree up to which each power of P is read."""
+    backend = _BACKENDS[draw(st.sampled_from(["free", "log"]))]
+    order = draw(st.integers(1, 8))
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    if draw(st.booleans()):
+        p = draw(_series(variables, order, backend, low=1))
+    else:
+        top = draw(st.integers(1, min(order, 6 - len(variables))))
+        p = TruncatedSeries(variables, order, backend, {
+            exps: draw(st.sampled_from(_coefficient_pool(backend)))
+            for exps in itertools.product(range(top + 1), repeat=len(variables))
+            if 0 < sum(exps) <= top
+        })
+    need = {e: draw(st.integers(0, order)) for e in range(1, order + 1)}
+    return p, draw(st.integers(0, order)), need
+
+
+@given(_squares())
+def test_a_square_is_the_product_by_itself_at_one_product_per_pair(case):
+    p, cut, need = case
+    mask, shift = p._layout.mask, p._layout.shift
+    acc: dict = {}
+    before = meter.products
+    _multiply(acc, None, p._rows(), cut, mask, shift)
+    degrees = [k & mask for k in p._terms]
+    pairs = sum(1 for i, d in enumerate(degrees) for f in degrees[i:] if d + f <= cut)
+    assert meter.products - before == pairs
+    assert _nonzero(acc) == {k: c for k, c in (p * p)._terms.items() if k & mask <= cut}
+    # the powers substitute builds, squares among them, against the chain
+    one = TruncatedSeries.one(p.variables, p.order, p.backend)
+    fast, slow = [one, p], [one, p]
+    for e in range(p.order + 1):
+        assert _power(fast, need, e) == oracles.power_by_chain(slow, need, e)
+    f = TruncatedSeries(("t",), p.order, p.backend, {(e,): e for e in range(1, p.order + 1)})
+    assert f.substitute({"t": p}) == oracles.substitute_by_terms(f, {"t": p})
+
+
+@pytest.mark.parametrize("cut", [3, 4])
+def test_a_square_raises_where_its_diagonal_passes_the_exponent_limit(cut):
+    # A(1,1)^(_EDGE - 1) x + A(1,1)^_EDGE x^2: the cross term reaches the
+    # limit exactly, the square of x^2 passes it, at degree 4
+    p = _a11_times(_EDGE - 1, {1: 1}, 4) + _a11_times(_EDGE, {2: 1}, 4)
+    mask, shift = p._layout.mask, p._layout.shift
+    acc: dict = {}
+    low = p.truncate(cut)
+    if cut < 4:
+        _multiply(acc, None, p._rows(), cut, mask, shift)
+        assert _nonzero(acc) == (low * low)._terms
+        return
+    for square in (lambda: _multiply(acc, None, p._rows(), cut, mask, shift), lambda: low * low):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            square()
 
 
 # -- the sum with the smaller image first, and cuts that keep the keys ---------

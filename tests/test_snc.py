@@ -643,12 +643,12 @@ def test_check_properties_product_count_is_pinned():
 
 
 @pytest.mark.parametrize("work,products", [
-    (lambda cfg, D, E, law: divisor_class(cfg, D, law), 79_663),
-    (lambda cfg, D, E, law: check_properties(cfg, D, E, law), 183_281),
+    (lambda cfg, D, E, law: divisor_class(cfg, D, law), 71_536),
+    (lambda cfg, D, E, law: check_properties(cfg, D, E, law), 169_502),
 ], ids=["divisor_class", "check_properties"])
 def test_path_complex_product_counts_are_pinned(work, products):
     # the fold drops non-face supports after every step; folding all six
-    # variables and filtering once makes 253,596 and 521,855 products here
+    # variables and filtering once makes 202,294 and 426,423 products here
     path = _config(8, 6, [[i] for i in range(1, 7)] + [[i, i + 1] for i in range(1, 6)])
     law = FormalGroupLaw(FREE, 8)
     law.series
