@@ -119,6 +119,8 @@ def evaluate_at_chern(series: TruncatedSeries, dim_bound: int) -> ChernPolynomia
     monomials the bound would keep are missing, so the result would be
     silently wrong.
     """
+    if not isinstance(series, TruncatedSeries):
+        raise ValidationError(f"evaluate_at_chern takes a TruncatedSeries, got {series!r}")
     # the packed keys carry over: the layout does not depend on the names
     cut = series.truncate(dim_bound)
     return ChernPolynomial._raw(

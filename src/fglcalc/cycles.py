@@ -34,12 +34,12 @@ from .errors import (
     json_object,
 )
 from .ring import (
-    ANY_DEGREE,
     INHOMOGENEOUS,
     CoefficientBackend,
     GradedPolynomial,
     SparseSum,
     _check_backend,
+    _common_degree,
     _signed_sum,
     _term_text,
     lazard_coefficient,
@@ -180,12 +180,20 @@ class LabelMorphism(Record):
     def __init__(self, source: SpaceLabel, target: SpaceLabel, proper: bool = True):
         check_flags("morphism field ", proper=proper)
         super().__init__(source, target, proper)
+        _check_labels(self, ("source", "target"))
 
     def then(self, other: LabelMorphism) -> LabelMorphism:
         """Composite self followed by other."""
+        if not isinstance(other, LabelMorphism):
+            raise CycleError(f"then takes a LabelMorphism, got {other!r}")
         if self.target != other.source:
             raise CycleError("morphisms do not compose: targets do not meet")
         return LabelMorphism(self.source, other.target, self.proper and other.proper)
+
+
+def _check_cycle(cycle):
+    if not isinstance(cycle, DecoratedCycle):
+        raise CycleError("CycleSum keys must be DecoratedCycle")
 
 
 class CycleSum(SparseSum):
@@ -200,12 +208,13 @@ class CycleSum(SparseSum):
     def __init__(self, backend: CoefficientBackend | None = None, terms=None):
         if backend is not None:
             _check_backend(backend)
+        if terms is not None and not isinstance(terms, dict):
+            raise CycleError(f"CycleSum terms must be a dict from cycles to coefficients, got {terms!r}")
         self.backend = backend
         clean = {}
         if terms:
             for cycle, coeff in terms.items():
-                if not isinstance(cycle, DecoratedCycle):
-                    raise ValidationError("CycleSum keys must be DecoratedCycle")
+                _check_cycle(cycle)
                 coeff = self._coerce(coeff)
                 if coeff:
                     clean[cycle] = coeff
@@ -226,6 +235,7 @@ class CycleSum(SparseSum):
 
     @classmethod
     def single(cls, cycle: DecoratedCycle, coeff=1, backend=None) -> CycleSum:
+        _check_cycle(cycle)  # before it is a dict key
         return cls(backend, {cycle: coeff})
 
     @classmethod
@@ -235,6 +245,7 @@ class CycleSum(SparseSum):
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, cycle: DecoratedCycle):
+        _check_cycle(cycle)
         zero = 0 if self.backend is None else GradedPolynomial.zero(self.backend)
         return self._terms.get(cycle, zero)
 
@@ -245,18 +256,9 @@ class CycleSum(SparseSum):
         """Common degree of all terms (cycle degree plus coefficient degree)."""
         degs = set()
         for cycle, coeff in self._terms.items():
-            if isinstance(coeff, GradedPolynomial):
-                g = coeff.graded_degree()
-                if g == INHOMOGENEOUS:
-                    return INHOMOGENEOUS
-                degs.add(cycle.degree + g)
-            else:
-                degs.add(cycle.degree)
-        if not degs:
-            return ANY_DEGREE
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+            g = coeff.graded_degree() if isinstance(coeff, GradedPolynomial) else 0
+            degs.add(INHOMOGENEOUS if g == INHOMOGENEOUS else cycle.degree + g)
+        return _common_degree(degs)
 
     def __eq__(self, other):
         if not isinstance(other, CycleSum):
@@ -495,6 +497,9 @@ def blowup_tower_relations(steps, target: SpaceLabel) -> list:
 
 def sum_relations(relations) -> CycleSum:
     """Sum of integer cycle sums, such as the relations of a blowup tower."""
+    relations = list(relations) if isinstance(relations, Iterable) else None
+    if relations is None or not all(isinstance(rel, CycleSum) for rel in relations):
+        raise CycleError("sum_relations takes an iterable of CycleSums")
     return _summed(pair for rel in relations for pair in rel._terms.items())
 
 

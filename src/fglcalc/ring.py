@@ -12,21 +12,21 @@ provides that ring in four flavors, selected by a CoefficientBackend tag:
   additive  a_{i,j} = 0 for all i, j
   mult      a_{1,1} = b (degree 1), all other a_{i,j} = 0
 
-Polynomials are sparse dicts keyed by monomials.  Each generator owns a
-field index, fixed for the life of the process, and a monomial is one
-Kronecker-packed int holding the exponent e of generator g at bit
-FIELD_BITS * g.index; the empty monomial is 0.  Multiplying monomials is
-then adding their keys.  Exponents stay below 2**(FIELD_BITS - 1), so a
-product of two monomials never carries into a neighbouring field; input
-that exceeds the bound and products that would reach it raise
-ValidationError.  Fields are 8 bits, so keys stay short to add and hash,
-and MAX_EXPONENT is 127.  Every generator has degree at least 1, so no
-coefficient of a law, inverse or [n]u truncated at order k has an exponent
-past k - 1: laws up to order 128 fit, and past it the multiplicative law,
-the only one cheap that far, raises ValidationError.  Monomials are
-decoded to sorted tuples of (Generator, exponent) pairs only to sort,
-render or grade them.  Coefficients are exact rationals (int or
-fractions.Fraction); floats are rejected.
+Polynomials are sparse dicts keyed by monomials.  A monomial is one
+Kronecker-packed int, 0 when empty, with each exponent in its generator's
+field.  Each backend kind numbers fields from 0 in the order generators are
+first packed on it (_field), so a law's own generators come first and its
+keys do not depend on what else the process has run.  Multiplying monomials
+is adding keys.  Exponents stay below 2**(FIELD_BITS - 1), so a product of
+two monomials never carries into a neighbouring field; input that exceeds
+the bound and products that would reach it raise ValidationError.  Fields
+are 8 bits, so keys stay short to add and hash, and MAX_EXPONENT is 127.
+Every generator has degree at least 1, so no coefficient of a law, inverse
+or [n]u truncated at order k has an exponent past k - 1: laws up to order
+128 fit, and past it the multiplicative law, the only one cheap that far,
+raises ValidationError.  Monomials are decoded to sorted (Generator,
+exponent) pairs only to sort, render or grade them.  Coefficients are exact
+rationals (int or fractions.Fraction); floats are rejected.
 
 This module owns the one product kernel: _multiply adds a product of two
 term dicts into a third, one row per left term read in place from the
@@ -61,6 +61,13 @@ ANY_DEGREE = "any"            # the zero polynomial is homogeneous of every degr
 INHOMOGENEOUS = "inhomogeneous"
 
 
+def _common_degree(degrees: set):
+    """The one degree in a set of them, ANY_DEGREE for none, else INHOMOGENEOUS."""
+    if not degrees:
+        return ANY_DEGREE
+    return next(iter(degrees)) if len(degrees) == 1 else INHOMOGENEOUS
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -68,88 +75,75 @@ FIELD_BITS = 8                             # width of one exponent field
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
-# process-wide field registry: (kind, i, j) -> index, and index -> generator
-_FIELD_INDEX: dict = {}
-_FIELD_GENERATORS: list = []
-_top_bits = 0  # the top bit of every registered field
+
+# per generator kind: its number of indices, then the texts a_gen and m_gen raise
+_INDEX_RULES = {
+    "A": (2, "A(i,j) requires integer indices, got {}", "A(i,j) requires i, j >= 1"),
+    "m": (1, "m(i) requires an integer index, got {}", "m(i) requires i >= 1"),
+    "b": (0, "b takes no index, got {}", None),
+}
 
 
-def _field_index(gen) -> int:
-    global _top_bits
-    key = (gen.kind, gen.i, gen.j)
-    index = _FIELD_INDEX.get(key)
-    if index is None:
-        index = _FIELD_INDEX[key] = len(_FIELD_GENERATORS)
-        _FIELD_GENERATORS.append(gen)
-        _top_bits |= 1 << (FIELD_BITS * index + FIELD_BITS - 1)
-    return index
+def _generator_key(kind, indices) -> tuple:
+    """(kind, i, j) of the generator a kind and its indices name, A's indices in order
+    and absent ones 0; anything else raises ValidationError with _INDEX_RULES' texts."""
+    rules = _INDEX_RULES.get(kind) if isinstance(kind, str) else None
+    if rules is None:
+        raise ValidationError(f"unknown generator kind {kind!r}")
+    count, not_integers, below_one = rules
+    if len(indices) != count or not all(map(is_integer, indices)):
+        raise ValidationError(not_integers.format(", ".join(map(repr, indices))))
+    if indices and min(indices) < 1:
+        raise ValidationError(below_one)
+    return (kind, *sorted(indices), 0, 0)[:3]
 
 
 class Generator:
-    """An interned named generator with a fixed grading degree.
+    """A named generator with a fixed grading degree: A(i,j), m(i) or b.
 
-    Its index is the exponent field it owns in packed monomials; every
-    Generator with the same (kind, i, j) gets the same index.
+    A plain value, equal and hashed by (kind, i, j); the constructor orders
+    A's indices and refuses the indices a_gen, m_gen and b_gen do not take.
+    Its exponent field in a packed monomial is numbered per backend kind (_field).
 
     Sort order for canonical output: A(i,j) by (i+j, i), then b, then m(i).
     """
 
-    __slots__ = ("kind", "i", "j", "degree", "sort_key", "name", "index")
+    __slots__ = ("kind", "i", "j", "degree", "sort_key", "name")
 
-    def __init__(self, kind: str, i: int = 0, j: int = 0):
-        self.kind = kind
-        self.i = i
-        self.j = j
+    def __init__(self, kind: str, *indices: int):
+        self.kind, self.i, self.j = kind, i, j = _generator_key(kind, indices)
         if kind == "A":
-            self.degree = i + j - 1
-            self.sort_key = (0, i + j, i)
-            self.name = f"A({i},{j})"
+            self.degree, self.sort_key, self.name = i + j - 1, (0, i + j, i), f"A({i},{j})"
         elif kind == "b":
-            self.degree = 1
-            self.sort_key = (1, 0, 0)
-            self.name = "b"
-        elif kind == "m":
-            self.degree = i
-            self.sort_key = (2, i, 0)
-            self.name = f"m({i})"
+            self.degree, self.sort_key, self.name = 1, (1, 0, 0), "b"
         else:
-            raise ValidationError(f"unknown generator kind {kind!r}")
-        self.index = _field_index(self)
+            self.degree, self.sort_key, self.name = i, (2, i, 0), f"m({i})"
 
     def __eq__(self, other):
         if not isinstance(other, Generator):
             return NotImplemented
-        return self.index == other.index
+        return (self.kind, self.i, self.j) == (other.kind, other.i, other.j)
 
     def __hash__(self):
-        return self.index
+        return hash((self.kind, self.i, self.j))
 
     def __repr__(self):
         return self.name
 
 
 @lru_cache(maxsize=None)  # called with checked arguments only: True would hit 1's entry
-def _interned(kind: str, i: int, j: int = 0) -> Generator:
-    return Generator(kind, i, j)
+def _interned(kind: str, *indices: int) -> Generator:
+    return Generator(kind, *indices)
 
 
 def a_gen(i: int, j: int) -> Generator:
     """The symbol A(i,j); indices normalize to i <= j (symmetry a_ij = a_ji)."""
-    if not (is_integer(i) and is_integer(j)):
-        raise ValidationError(f"A(i,j) requires integer indices, got {i!r}, {j!r}")
-    if i < 1 or j < 1:
-        raise ValidationError("A(i,j) requires i, j >= 1")
-    if i > j:
-        i, j = j, i
-    return _interned("A", i, j)
+    return _interned(*_generator_key("A", (i, j)))
 
 
 def m_gen(i: int) -> Generator:
     """The logarithm coefficient symbol m(i), degree i."""
-    if not is_integer(i):
-        raise ValidationError(f"m(i) requires an integer index, got {i!r}")
-    if i < 1:
-        raise ValidationError("m(i) requires i >= 1")
+    _generator_key("m", (i,))
     return _interned("m", i)
 
 
@@ -238,8 +232,26 @@ def _require_same_backend(x: CoefficientBackend, y: CoefficientBackend):
 # ---------------------------------------------------------------------------
 # monomials: Kronecker-packed exponent fields, 0 for the empty monomial
 
-def _encode(pairs) -> int:
-    """Pack (Generator, exponent) pairs; repeated generators add up."""
+# per backend kind: Generator -> field and field -> Generator, numbered from 0
+# in the order generators are first packed on that kind
+_FIELDS = {kind: ({}, []) for kind in ("free", "log", "additive", "mult")}
+_top_bits = 0  # the top bit of every field that any kind has numbered
+
+
+def _field(gen: Generator, kind: str) -> int:
+    """The exponent field of gen in the monomials of that backend kind."""
+    global _top_bits
+    fields, generators = _FIELDS[kind]
+    field = fields.get(gen)
+    if field is None:
+        field = fields[gen] = len(generators)
+        generators.append(gen)
+        _top_bits |= 1 << (FIELD_BITS * field + FIELD_BITS - 1)
+    return field
+
+
+def _encode(pairs, kind: str) -> int:
+    """Pack (Generator, exponent) pairs for a backend kind; repeated generators add up."""
     if not (isinstance(pairs, tuple) and all(isinstance(p, tuple) and len(p) == 2
                                              and isinstance(p[0], Generator) for p in pairs)):
         raise ValidationError(f"a monomial is a tuple of (Generator, exponent) pairs, got {pairs!r}")
@@ -254,25 +266,26 @@ def _encode(pairs) -> int:
             raise ValidationError(
                 f"exponent {e} of {gen.name} exceeds the limit {MAX_EXPONENT}"
             )
-        mono |= e << (FIELD_BITS * gen.index)
+        mono |= e << (FIELD_BITS * _field(gen, kind))
     return mono
 
 
-def _decode(mono) -> tuple:
-    """The sorted (Generator, exponent) pairs of a packed monomial."""
+def _decode(mono, kind: str) -> tuple:
+    """The sorted (Generator, exponent) pairs of a monomial packed for a backend kind."""
+    generators = _FIELDS[kind][1]
     pairs = []
     while mono:
         index = ((mono & -mono).bit_length() - 1) // FIELD_BITS
         shift = FIELD_BITS * index
         e = (mono >> shift) & _FIELD_MASK
-        pairs.append((_FIELD_GENERATORS[index], e))
+        pairs.append((generators[index], e))
         mono -= e << shift
     pairs.sort(key=lambda ge: ge[0].sort_key)
     return tuple(pairs)
 
 
-def _mono_degree(mono) -> int:
-    return sum(g.degree * e for g, e in _decode(mono))
+def _mono_degree(mono, kind: str) -> int:
+    return sum(g.degree * e for g, e in _decode(mono, kind))
 
 
 def _mono_sort_key(pairs):
@@ -367,7 +380,7 @@ def _multiply(acc: dict, left: dict, rows: tuple, cut: int, mask: int, shift: in
     pairs, ends, bound = rows
     if not pairs:
         return
-    # the top bit of every ring field, read per call: generators register lazily
+    # the top bit of every ring field, read per call: fields are numbered lazily
     top = _top_bits << shift
     get = acc.get
     k0, c0 = pairs[0]
@@ -520,7 +533,7 @@ class GradedPolynomial(SparseSum):
         clean: dict = {}
         if terms:
             for pairs, coeff in terms.items():
-                _add_term(clean, _encode(pairs), _coerce_scalar(coeff))
+                _add_term(clean, _encode(pairs, backend.kind), _coerce_scalar(coeff))
         self._terms = clean
 
     @classmethod
@@ -541,7 +554,7 @@ class GradedPolynomial(SparseSum):
         if not isinstance(gen, Generator):
             raise ValidationError(f"not a generator: {gen!r}")
         _check_backend(backend)
-        return cls._raw(backend, {1 << (FIELD_BITS * gen.index): 1})
+        return cls._raw(backend, {1 << (FIELD_BITS * _field(gen, backend.kind)): 1})
 
     # -- queries ----------------------------------------------------------
 
@@ -550,12 +563,7 @@ class GradedPolynomial(SparseSum):
 
     def graded_degree(self):
         """Common degree of all terms, ANY_DEGREE for 0, else INHOMOGENEOUS."""
-        degs = {_mono_degree(m) for m in self._terms}
-        if not degs:
-            return ANY_DEGREE
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+        return _common_degree({_mono_degree(m, self.backend.kind) for m in self._terms})
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -565,7 +573,7 @@ class GradedPolynomial(SparseSum):
 
         Each monomial is a sorted tuple of (Generator, exponent) pairs.
         """
-        terms = [(_decode(m), c) for m, c in self._terms.items()]
+        terms = [(_decode(m, self.backend.kind), c) for m, c in self._terms.items()]
         terms.sort(key=lambda kv: _mono_sort_key(kv[0]))
         return terms
 
@@ -651,7 +659,7 @@ class GradedPolynomial(SparseSum):
                 else:
                     gname, e = factor, 1
                 pairs.append((generator_from_name(gname.strip()), e))
-            _add_term(terms, _encode(tuple(pairs)), coeff)
+            _add_term(terms, _encode(tuple(pairs), backend.kind), coeff)
         return cls._raw(backend, terms)
 
     def to_json(self) -> list:
@@ -677,7 +685,7 @@ class GradedPolynomial(SparseSum):
                 if not is_integer(e) or e < 1:
                     raise ValidationError(f"bad exponent {e!r} for {name!r}")
                 pairs.append((generator_from_name(name), e))
-            _add_term(terms, _encode(tuple(pairs)), coeff)
+            _add_term(terms, _encode(tuple(pairs), backend.kind), coeff)
         return cls._raw(backend, terms)
 
     def __str__(self):

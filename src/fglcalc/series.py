@@ -351,15 +351,11 @@ class TruncatedSeries(SparseSum):
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar or a GradedPolynomial."""
-        layout = self._layout
         if isinstance(factor, GradedPolynomial):
             if factor.backend != self.backend:
                 raise BackendMismatchError("scale factor over wrong backend")
-            right = {m << layout.shift: c for m, c in factor._terms.items()}
-            acc: dict = {}
-            _multiply(acc, self._terms, _sorted_rows(right, layout.mask, layout.shift, self.order),
-                      self.order, layout.mask, layout.shift)
-            return self._like(_nonzero(acc))
+            shift = self._layout.shift
+            return self * self._like({m << shift: c for m, c in factor._terms.items()})
         return self._scaled(_coerce_scalar(factor))
 
     def truncate(self, order: int) -> TruncatedSeries:
@@ -400,7 +396,7 @@ class TruncatedSeries(SparseSum):
                 raise ConstantTermError(f"series for {v!r} has a constant term")
         return images, low
 
-    def substitute(self, assignment) -> TruncatedSeries:
+    def substitute(self, assignment, _checked=None) -> TruncatedSeries:
         """Compose: replace each variable by a series with zero constant term.
 
         All assigned series must share one variable tuple, the same order as
@@ -415,9 +411,10 @@ class TruncatedSeries(SparseSum):
         order - d, and every power of an image only up to the highest degree
         any group reads from it.  The groups are kept on this series per
         target layout; with s_0 a bare variable each inner sum is its group
-        moved onto it, kept too, and makes no product.
+        moved onto it, kept too, and makes no product.  _checked is
+        _images(assignment) from a caller that has run it (FormalGroupLaw.sum).
         """
-        images, low = self._images(assignment)
+        images, low = _checked or self._images(assignment)
         target = images[0]
         order, backend, layout = self.order, self.backend, target._layout
         mask, shift = layout.mask, layout.shift
@@ -595,12 +592,13 @@ class FormalGroupLaw:
         F is symmetric (a_ij = a_ji), so after the checks in the given order
         the smaller image goes first, where substitute runs every inner sum.
         F(x, 0) = x, so a zero image returns the other one."""
-        self.series._images({"u": s, "v": t})
+        law = self.series
+        images, low = law._images({"u": s, "v": t})
         if not t._terms or not s._terms:
             return t if not s._terms else s
         if len(t._terms) < len(s._terms):
-            s, t = t, s
-        return self.series.substitute({"u": s, "v": t})
+            images, low = images[::-1], low[::-1]
+        return law.substitute(dict(zip(law.variables, images)), (images, low))
 
     def inverse(self) -> TruncatedSeries:
         """The series chi(u) with F(u, chi(u)) = 0, solved coefficient by coefficient.

@@ -27,6 +27,7 @@ every step, and a product of two divisors is one product of those.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .chern import ChernPolynomial, _symbols
@@ -41,7 +42,7 @@ from .errors import (
     json_entries,
     json_object,
 )
-from .ring import ANY_DEGREE, INHOMOGENEOUS, _mono_degree, _nonzero
+from .ring import _common_degree, _mono_degree, _nonzero
 from .series import (FormalGroupLaw, TruncatedSeries, _as_tuple, _cut_terms, _layout, _repack,
                      _support_parts)
 
@@ -72,6 +73,8 @@ def _face(face) -> frozenset:
 
 
 def _normalize_faces(faces):
+    if not isinstance(faces, Iterable):
+        raise ValidationError(f"faces must be a list of index lists, got {faces!r}")
     return frozenset(_face(face) for face in faces)
 
 
@@ -83,10 +86,9 @@ class SncConfiguration(Record):
     def __init__(self, ambient_dim: int, components=(), faces=frozenset()):
         if not is_integer(ambient_dim):
             raise ValidationError("ambient_dim must be an integer")
-        components = tuple(components)
-        for comp in components:
-            if not isinstance(comp, SncComponent):
-                raise ValidationError("components must be SncComponent instances")
+        components = tuple(components) if isinstance(components, Iterable) else None
+        if components is None or not all(isinstance(comp, SncComponent) for comp in components):
+            raise ValidationError("components must be SncComponent instances")
         super().__init__(ambient_dim, components, _normalize_faces(faces))
 
     @property
@@ -130,40 +132,31 @@ def _check_config(config):
 def validate_config(config: SncConfiguration) -> list:
     """Structural violations as {"rule": ..., "face": [...]} dicts; [] if valid."""
     _check_config(config)
-    violations = []
+    violations = set()  # (rule, sorted face tuple)
     r = config.r
     if config.ambient_dim < 0:
-        violations.append({"rule": "negative-ambient-dimension", "face": []})
+        violations.add(("negative-ambient-dimension", ()))
     names = [c.name for c in config.components]
     if len(set(names)) != len(names):
-        violations.append({"rule": "duplicate-component-name", "face": []})
-    for face in config.sorted_faces():
+        violations.add(("duplicate-component-name", ()))
+    for face in config.faces:
         if not face:
-            violations.append({"rule": "empty-face", "face": []})
+            violations.add(("empty-face", ()))
             continue
         if any(i < 1 or i > r for i in face):
-            violations.append({"rule": "index-out-of-range", "face": sorted(face)})
+            violations.add(("index-out-of-range", tuple(sorted(face))))
             continue
         if config.face_dim(face) < 0:
-            violations.append({"rule": "negative-face-dimension", "face": sorted(face)})
-        for i in sorted(face):
+            violations.add(("negative-face-dimension", tuple(sorted(face))))
+        for i in face:
             sub = face - {i}
             if sub and sub not in config.faces:
-                violations.append(
-                    {"rule": "not-downward-closed", "face": sorted(sub)}
-                )
+                violations.add(("not-downward-closed", tuple(sorted(sub))))
     for i in range(1, r + 1):
         if frozenset({i}) not in config.faces:
-            violations.append({"rule": "missing-singleton", "face": [i]})
-    # deterministic report order, duplicates removed
-    seen = set()
-    unique = []
-    for v in sorted(violations, key=lambda v: (v["rule"], v["face"])):
-        key = (v["rule"], tuple(v["face"]))
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
-    return unique
+            violations.add(("missing-singleton", (i,)))
+    # deterministic report order
+    return [{"rule": rule, "face": list(face)} for rule, face in sorted(violations)]
 
 
 @lru_cache(maxsize=8)
@@ -534,17 +527,11 @@ def class_dimension(vector: FaceClassVector):
     disagree.
     """
     _check_vector(vector)
-    dims = set()
-    for J, cp in vector.items():
-        base = vector.config.face_dim(J)
-        mask, shift = cp._layout.mask, cp._layout.shift
-        for k in cp._terms:
-            dims.add(base - (k & mask) + _mono_degree(k >> shift))
-    if not dims:
-        return ANY_DEGREE
-    if len(dims) == 1:
-        return dims.pop()
-    return INHOMOGENEOUS
+    return _common_degree({
+        vector.config.face_dim(J) - (k & cp._layout.mask)
+        + _mono_degree(k >> cp._layout.shift, cp.backend.kind)
+        for J, cp in vector.items() for k in cp._terms
+    })
 
 
 # ---------------------------------------------------------------------------

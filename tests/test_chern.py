@@ -150,6 +150,14 @@ def test_evaluate_requires_enough_order():
     evaluate_at_chern(law.series, 2)
 
 
+@pytest.mark.parametrize("series", [None, GradedPolynomial.one(FREE), {"u": 1}],
+                         ids=["None", "polynomial", "dict"])
+def test_evaluate_refuses_what_is_not_a_series(series):
+    # a ValidationError, never an AttributeError from the missing truncate
+    with pytest.raises(ValidationError, match="evaluate_at_chern takes a TruncatedSeries, got "):
+        evaluate_at_chern(series, 2)
+
+
 def test_evaluate_is_ring_map():
     rng = random.Random(17)
     variables = ("u1", "u2")

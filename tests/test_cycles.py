@@ -34,6 +34,7 @@ from fglcalc import (
     log_backend,
     pushforward,
     relation_generator,
+    sum_relations,
     telescope_sum,
 )
 
@@ -444,12 +445,22 @@ _STEP0 = BlowupStep(SpaceLabel("Y0", 3), SpaceLabel("Y1", 3), SpaceLabel("E0", 3
     (lambda: SectWitness(X, X, X, ("L", "M"), "N"), "restricted must be a list of bundle names"),
     (lambda: TensorWitness(X, X, "LM", "L", "M", "T"), "bundles must be a list of bundle names"),
     (lambda: DimWitness(X, X, X, None), "pulled_back must be a list of bundle names"),
+    (lambda: CycleSum(None, 5), "CycleSum terms must be a dict"),
+    (lambda: CycleSum.single([1]), "CycleSum keys must be DecoratedCycle"),
+    (lambda: CycleSum().coefficient([1]), "CycleSum keys must be DecoratedCycle"),
+    (lambda: LabelMorphism(5, 5), "source must be a SpaceLabel"),
+    (lambda: LabelMorphism(X, 5), "target must be a SpaceLabel"),
+    (lambda: LabelMorphism(X, X).then(None), "then takes a LabelMorphism"),
+    (lambda: sum_relations("x"), "sum_relations takes an iterable of CycleSums"),
+    (lambda: sum_relations(None), "sum_relations takes an iterable of CycleSums"),
 ], ids=["dpr none", "dpr step", "blowup none", "blowup target", "tower", "tower target",
         "telescope", "exterior none", "exterior int", "datum label", "step label",
         "tower steps", "cycle source", "cycle target", "dim base", "dim target",
         "sect zero locus", "fgl source", "cycle bundles string", "dim pulled_back string",
         "dim extra string", "sect bundles string", "sect restricted string",
-        "fgl bundles string", "dim pulled_back none"])
+        "fgl bundles string", "dim pulled_back none", "sum terms int", "single list",
+        "coefficient list", "morphism ints", "morphism target", "then none",
+        "sum_relations string", "sum_relations none"])
 def test_relation_builders_of_other_arguments_raise_a_cycle_error(call, message):
     with pytest.raises(CycleError, match=message):
         call()

@@ -1,7 +1,10 @@
 """Coefficient ring: generators, graded polynomials, law coefficients."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -37,6 +40,27 @@ import oracles
 
 
 # -- generators -------------------------------------------------------------
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_LAW_KEYS = """
+import sys
+from fglcalc import FREE, FormalGroupLaw, log_backend
+laws = {"free": FormalGroupLaw(FREE, 6), "log": FormalGroupLaw(log_backend(5), 6)}
+for name in sys.argv[1:]:  # the order in which the laws are first built
+    laws[name].series
+print({name: sorted(law.series._terms) for name, law in laws.items()})
+"""
+
+
+def test_a_law_packs_the_same_keys_whichever_backend_a_process_builds_first():
+    # each backend kind numbers its own generators' fields, so the FREE and
+    # log keys do not depend on which law came first
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    runs = [subprocess.run([sys.executable, "-c", _LAW_KEYS, *first], capture_output=True,
+                           text=True, env=env, timeout=120, check=True).stdout
+            for first in (("free", "log"), ("log", "free"))]
+    assert runs[0] == runs[1] and runs[0].startswith("{'free': [")
+
 
 def test_a_gen_normalizes_index_order():
     assert a_gen(2, 1) is a_gen(1, 2)
@@ -376,9 +400,20 @@ def test_backend_constructor_validation():
     (lambda: m_gen([1]), r"m\(i\) requires an integer index, got \[1\]"),
     (lambda: generator_from_name(None), "unrecognized generator name None"),
     (lambda: generator_from_name(b"b"), "unrecognized generator name b'b'"),
+    # the constructor refuses what a_gen, m_gen and b_gen refuse, with their texts
+    (lambda: Generator("A", 1.5, 1), r"A\(i,j\) requires integer indices, got 1.5, 1"),
+    (lambda: Generator("A", 1), r"A\(i,j\) requires integer indices, got 1$"),
+    (lambda: Generator("A", 2, 0), r"A\(i,j\) requires i, j >= 1"),
+    (lambda: Generator("m", 0), r"m\(i\) requires i >= 1"),
+    (lambda: Generator("m", True), r"m\(i\) requires an integer index, got True"),
+    (lambda: Generator("m", 3, 5), r"m\(i\) requires an integer index, got 3, 5"),
+    (lambda: Generator("b", 5), "b takes no index, got 5"),
+    (lambda: Generator("c", 1), "unknown generator kind 'c'"),
 ], ids=["text None", "text bytes", "terms list", "monomial str", "monomial int", "pair name",
         "pair length", "generator str", "generator None", "generator backend", "m_gen list",
-        "name None", "name bytes"])
+        "name None", "name bytes", "Generator A float", "Generator A one index",
+        "Generator A zero", "Generator m zero", "Generator m bool", "Generator m two indices",
+        "Generator b index", "Generator kind"])
 def test_ring_entry_points_refuse_other_arguments(call, text):
     with pytest.raises(ValidationError, match=text):
         call()
@@ -439,7 +474,13 @@ def test_generator_interned_after_polynomials_exist(p, q, e):
 def test_directly_built_generator_keys_like_the_interned_one(i, d, k):
     direct_a, direct_m = Generator("A", i, i + d), Generator("m", k)
     assert direct_a == a_gen(i, i + d) and hash(direct_a) == hash(a_gen(i, i + d))
-    assert direct_a.index == a_gen(i, i + d).index
+    # A's indices are put in order, as a_gen puts them: A(2,1) is A(1,2)
+    assert Generator("A", i + d, i) == direct_a and Generator("A", 2, 1) == a_gen(1, 2)
+    assert Generator("A", i + d, i).name == direct_a.name
+    for backend in (FREE, log_backend(3)):
+        for direct, interned in ((direct_a, a_gen(i, i + d)), (direct_m, m_gen(k))):
+            key = GradedPolynomial.generator(direct, backend)._terms
+            assert key == GradedPolynomial.generator(interned, backend)._terms
     assert Generator("b") == b_gen()
     assert GradedPolynomial.generator(direct_a, FREE) == GradedPolynomial.generator(a_gen(i, i + d), FREE)
     mixed = GradedPolynomial(FREE, {((direct_a, 1), (m_gen(k), 2)): 1})

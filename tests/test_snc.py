@@ -734,12 +734,15 @@ _CONFIG = "expected an SncConfiguration"
     (lambda cfg, law: restrict_to_component(cfg, 1, (1.5, "x")), "multiplicities must be integers"),
     (lambda cfg, law: restrict_to_component(cfg, 1, (True, 2.0)), "multiplicities must be integers"),
     (lambda cfg, law: restrict_to_component(cfg, 1, (1,)), "expected 2 multiplicities, got 1"),
+    (lambda cfg, law: SncConfiguration(2, None), "components must be SncComponent instances"),
+    (lambda cfg, law: SncConfiguration(2, cfg.components, None),
+     "faces must be a list of index lists, got None"),
 ], ids=["face 5", "entry pairs", "no config", "list config", "normal_form", "operator", "lift",
         "lift config", "class_dimension", "divisor_class", "unhashable config", "product_class",
         "check_properties", "validate_config", "indices", "restrict", "string index",
         "bool index", "index out of range", "entry face", "json config", "divisor_class int",
         "product_class int", "operator int", "check_properties None", "restrict int",
-        "restrict floats", "restrict bool", "restrict length"])
+        "restrict floats", "restrict bool", "restrict length", "components None", "faces None"])
 def test_snc_entry_points_refuse_other_arguments(call, message):
     # each raises a ValidationError with its message, never a bare TypeError
     # or AttributeError, and a list reaches no cache as a key
