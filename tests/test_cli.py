@@ -781,3 +781,71 @@ def test_main_parses_every_argv_as_the_full_parser(argv, monkeypatch):
         assert main_namespace == namespace
     else:
         assert (main_rc, main_out, main_err) == (rc, out, err)
+
+
+# -- the pretty layout, the chosen-command parser and main(None) ---------------
+
+def test_pretty_output_is_pinned_byte_for_byte():
+    rc, out, err = run_cli(["fgl", "inverse", "--order", "2", "--backend", "mult", "--pretty"])
+    assert (rc, err) == (0, "")
+    assert out == (
+        '{\n'
+        '  "variables": [\n'
+        '    "u"\n'
+        '  ],\n'
+        '  "order": 2,\n'
+        '  "terms": [\n'
+        '    {\n'
+        '      "exponents": [\n'
+        '        1\n'
+        '      ],\n'
+        '      "coeff": "-1",\n'
+        '      "monomial": {}\n'
+        '    },\n'
+        '    {\n'
+        '      "exponents": [\n'
+        '        2\n'
+        '      ],\n'
+        '      "coeff": "1",\n'
+        '      "monomial": {\n'
+        '        "b": 1\n'
+        '      }\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
+def _count_parsers(call, monkeypatch):
+    """How many ArgumentParser objects call() builds."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    call()
+    monkeypatch.undo()
+    return len(built)
+
+
+def test_a_chosen_command_builds_three_parsers(monkeypatch):
+    # the top parser, its group and its command; any other argv builds the
+    # full tree of one parser per group and per command
+    full = 1 + len({group for group, _, _ in SUBCOMMANDS}) + len(SUBCOMMANDS)
+    assert _count_parsers(lambda: build_parser(), monkeypatch) == full
+    assert _count_parsers(lambda: build_parser(["fgl", "inverse"]), monkeypatch) == 3
+    assert _count_parsers(lambda: build_parser(["fgl", "inverse", "--order", "3"]), monkeypatch) == 3
+    assert _count_parsers(lambda: build_parser(["snc", "check-properties", "{}"]), monkeypatch) == 3
+    assert _count_parsers(lambda: build_parser(["fgl", "bogus"]), monkeypatch) == full
+    assert _count_parsers(lambda: build_parser(["inverse", "fgl"]), monkeypatch) == full
+
+
+def test_main_without_argv_reads_the_command_line(monkeypatch):
+    argv = ["fgl", "inverse", "--order", "3", "--backend", "log"]
+    expected = run_cli(argv)
+    monkeypatch.setattr(sys, "argv", ["fglcalc"] + argv)
+    assert run_cli(None) == expected
+    assert _count_parsers(lambda: run_cli(None), monkeypatch) == 3

@@ -1,5 +1,6 @@
 """Decorated cycles, degeneration relations, quotient generators."""
 
+import itertools
 import random
 
 import pytest
@@ -269,6 +270,39 @@ def test_fgl_relation_generator_free():
     # dim 2 leaves no room for three bundles
     assert gen.coefficient(_cyc("Y", 2, ("L", "L", "M"))) == GradedPolynomial.zero(FREE)
     assert gen.total_degree() == 1
+
+
+def test_an_fgl_relation_with_one_free_slot_keeps_its_linear_terms():
+    # dim Y leaves one slot past the pulled-back N: L tensor M, L and M each
+    # fill it, and no term of the law's expansion fits
+    rel = relation_generator("fgl", TensorWitness(SpaceLabel("Y", 2), X, ("N",), "L", "M", "LM"), FREE)
+    assert str(rel) == "-[Y -> X; L, N] + [Y -> X; LM, N] - [Y -> X; M, N]"
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((True, False), repeat=3)), ids=str)
+def test_an_exterior_product_label_keeps_a_flag_only_when_both_factors_have_it(flags):
+    # cycle sources are smooth and quasiprojective, so the flags mix on the targets
+    smooth, quasiprojective, complete = flags
+    Y, Z = SpaceLabel("Y", 1), SpaceLabel("Z", 2)
+    mixed = SpaceLabel("T", 3, smooth, quasiprojective, complete)
+    plain = SpaceLabel("P", 4, True, True, True)
+    none = SpaceLabel("N", 5, False, False, False)
+    for left, right, expected in ((mixed, plain, flags), (plain, mixed, flags),
+                                  (none, none, (False,) * 3), (plain, plain, (True,) * 3)):
+        product = exterior_product(CycleSum(None, {DecoratedCycle(Y, left): 1}),
+                                   CycleSum(None, {DecoratedCycle(Z, right): 1}))
+        (cycle,) = product._terms
+        target = cycle.target
+        assert (target.smooth, target.quasiprojective, target.complete) == expected
+        assert target.name == f"{left.name} x {right.name}"
+        assert target.dim == left.dim + right.dim and cycle.source.dim == 3
+
+
+@pytest.mark.parametrize("first,second", list(itertools.product((True, False), repeat=2)))
+def test_a_composite_morphism_is_proper_only_when_both_steps_are(first, second):
+    Y, Z = SpaceLabel("Y", 2), SpaceLabel("Z", 1)
+    composite = LabelMorphism(X, Y, first).then(LabelMorphism(Y, Z, second))
+    assert (composite.source, composite.target, composite.proper) == (X, Z, first and second)
 
 
 def test_fgl_relation_adds_the_terms_of_equal_bundle_names():

@@ -184,6 +184,21 @@ def test_text_form_frozen_examples():
     assert repr(a11 - 2) == "GradedPolynomial(-2 + A(1,1))"
 
 
+def test_an_explicit_first_power_reads_as_the_generator():
+    assert GradedPolynomial.from_text("A(1,1)^1", FREE) == GradedPolynomial.generator(a_gen(1, 1), FREE)
+    assert GradedPolynomial.from_text("-2*A(1,1)^1*A(1,2)", FREE).to_text() == "-2*A(1,1)*A(1,2)"
+
+
+@pytest.mark.parametrize("exponent", [-1, Fraction(1, 2), 1.0, True], ids=repr)
+def test_the_constructor_refuses_an_exponent_that_is_negative_or_not_an_integer(exponent):
+    with pytest.raises(ValidationError, match="bad exponent"):
+        GradedPolynomial(FREE, {((a_gen(1, 1), exponent),): 1})
+
+
+def test_the_constructor_reads_a_zero_exponent_as_no_factor():
+    assert GradedPolynomial(FREE, {((a_gen(1, 1), 0),): 3}) == 3
+
+
 def test_text_round_trip_randomized():
     rng = random.Random(23)
     gens = [a_gen(1, 1), a_gen(1, 2), m_gen(1)]

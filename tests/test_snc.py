@@ -372,6 +372,57 @@ def test_check_properties_reports():
     assert res["restriction"] is None  # first divisor not reduced
 
 
+def _one_more_term(vector):
+    """vector with 1 added at the face {1}: a class that differs from it."""
+    config, face = vector.config, frozenset({1})
+    bump = ChernPolynomial(config.r, config.face_dim(face), FREE, {(0,) * config.r: 1})
+    entries = dict(vector._entries)
+    entries[face] = entries[face] + bump if face in entries else bump
+    return FaceClassVector(config, entries)
+
+
+def test_class_vectors_with_different_entries_are_unequal():
+    cfg = _full_config(3, 3)
+    law = FormalGroupLaw(FREE, order=3)
+    vector = divisor_class(cfg, (1, 2, 0), law)
+    assert vector == divisor_class(cfg, (1, 2, 0), law)
+    assert vector != _one_more_term(vector)
+    assert vector != divisor_class(cfg, (2, 1, 0), law)
+    assert vector != FaceClassVector(cfg, {})
+
+
+@pytest.mark.parametrize("name,failing", [
+    ("product_class", "symmetry"),
+    ("apply_divisor_operator", "operator"),
+    ("lift_restricted_class", "restriction"),
+])
+def test_each_identity_fails_when_one_side_is_off_by_one_term(name, failing, monkeypatch):
+    # each side of an identity gains one term at one face; only the identity
+    # that side feeds reads False (product_class is off for the second
+    # argument order only, which the symmetry check alone reads)
+    cfg = _full_config(3, 3)
+    law = FormalGroupLaw(FREE, order=3)
+    ns, ps = (1, 0, 0), (0, 1, 2)
+    original = getattr(snc, name)
+
+    def off_by_one_term(*args):
+        result = original(*args)
+        if name == "product_class" and tuple(args[1]) == ns:
+            return result
+        return _one_more_term(result)
+
+    monkeypatch.setattr(snc, name, off_by_one_term)
+    expected = {"symmetry": True, "restriction": True, "operator": True, failing: False}
+    assert check_properties(cfg, ns, ps, law) == expected
+
+
+def test_a_configuration_without_the_first_singleton_is_refused():
+    cfg = _config(2, 2, [[2], [1, 2]])
+    assert {"rule": "missing-singleton", "face": [1]} in validate_config(cfg)
+    with pytest.raises(ConfigurationError):
+        divisor_class(cfg, (1, 1), FormalGroupLaw(FREE, 2))
+
+
 def _random_downward_closed(rng, ambient, r):
     """Random face family on r components with every face of size <= ambient."""
     faces = {frozenset({i}) for i in range(1, r + 1)}
