@@ -30,12 +30,13 @@ rationals (int or fractions.Fraction); floats are rejected.
 
 This module owns the one product kernel: _multiply adds a product of two
 term dicts into a third, one row per left term read in place from the
-right operand's degree-sorted (key, coefficient) pairs, with the overflow
-guard and the work meter's bump (fglcalc.stats) at one site each.  A key
-holds a degree under a mask and a packed monomial from a shift up; a bare
-polynomial passes mask and shift 0, fglcalc.series its layout's.  In its
-square mode both operands are the sorted pairs, and each unordered pair of
-terms is one product: c_i^2 on the diagonal, 2 c_i c_j off it.
+right operand's (key, coefficient) pairs, bucketed by degree in one pass,
+with the overflow guard and the work meter's bump (fglcalc.stats) at one
+site each.  A key holds a degree under a mask and a packed monomial from a
+shift up; a bare polynomial passes mask and shift 0, fglcalc.series its
+layout's.  In its square mode both operands are the bucketed pairs, and
+each unordered pair of terms is one product: c_i^2 on the diagonal,
+2 c_i c_j off it.
 
 The log coefficients are built by the series layer: l and its reversion g
 are one-variable TruncatedSeries and F(u, v) = g(l(u) + l(v)) is one
@@ -47,7 +48,6 @@ builder imports TruncatedSeries inside the function, when it first runs.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice
@@ -343,21 +343,24 @@ def _add_term(terms: dict, mono: int, coeff):
 # the product kernel
 
 def _sorted_rows(terms: dict, mask: int, shift: int, order: int) -> tuple:
-    """A term dict as the right operand of _multiply: (pairs, ends, bound).
+    """A term dict of degrees <= order as the right operand of _multiply: (pairs, ends, bound).
 
-    pairs are its (key, coefficient) items sorted by degree, ends[d] counts
-    those of degree <= d for d <= order, and bound ORs their ring monomials.
+    pairs are its (key, coefficient) items by degree, equal degrees in
+    insertion order, ends[d] counts those of degree <= d, and bound ORs
+    their ring monomials.  Each item goes to its degree's bucket in one pass.
     """
-    def degree(pair):
-        return pair[0] & mask
-
-    pairs = sorted(terms.items(), key=degree)
-    ends = [bisect_right(pairs, d, key=degree) for d in range(order + 1)]
+    buckets = [[] for _ in range(order + 1)]
+    for item in terms.items():
+        buckets[item[0] & mask].append(item)
+    pairs, ends = [], []
+    for bucket in buckets:
+        pairs += bucket
+        ends.append(len(pairs))
     return pairs, ends, reduce(or_, terms, 0) >> shift << shift
 
 
 def _polynomial_rows(terms: dict) -> tuple:
-    """_sorted_rows(terms, 0, 0, 0) without the sort and bisection a zero mask makes moot.
+    """_sorted_rows(terms, 0, 0, 0) without the buckets a zero mask makes moot.
 
     Polynomial operands have a few terms, where those would cost as much as the products.
     """

@@ -570,21 +570,35 @@ class FormalGroupLaw:
         self._prefix: list = []  # [0]u, [1]u, [2]u, ..., see n_series
         self._n_series: dict = {}
         self._linear: dict = {}
-        self._lower: dict = {}  # this law at lower orders, for fglcalc.snc
+        self._lower: dict = {}  # this law at lower orders (_at_order), for fglcalc.snc
         self._face_combinations: dict = {}  # fglcalc.snc's, by (ns, faces, ambient_dim)
 
     @property
     def series(self) -> TruncatedSeries:
         """F(u, v) = u + v + sum a_{i,j} u^i v^j in variables ("u", "v")."""
         if self._series is None:
-            terms = {(1, 0): 1, (0, 1): 1}
+            layout = _layout(2, self.order)
+            u, v = layout.units
+            terms = {u: 1, v: 1}
             for i in range(1, self.order):
                 for j in range(1, self.order - i + 1):
-                    a = lazard_coefficient(i, j, self.backend)
-                    if not a.is_zero():
-                        terms[(i, j)] = a
-            self._series = TruncatedSeries(("u", "v"), self.order, self.backend, terms)
+                    for mono, c in lazard_coefficient(i, j, self.backend)._terms.items():
+                        terms[i * u + j * v + (mono << layout.shift)] = c
+            self._series = TruncatedSeries._raw(("u", "v"), self.order, self.backend, terms, layout)
         return self._series
+
+    def _at_order(self, order: int) -> FormalGroupLaw:
+        """This law at an order <= its own, kept.  F, chi, the fold prefix and each
+        [n]u built here before it are cut from this law's, which is exact: each is
+        the higher-order series modulo the degrees above order."""
+        low = self if order == self.order else self._lower.get(order)
+        if low is None:
+            low = self._lower[order] = FormalGroupLaw(self.backend, order)
+            # None stays None: what this law has not built, the lower one builds
+            low._series, low._inverse = (s and s.truncate(order) for s in (self._series, self._inverse))
+            low._prefix = [s.truncate(order) for s in self._prefix[:order + 1]]
+            low._n_series = {n: s.truncate(order) for n, s in self._n_series.items()}
+        return low
 
     def sum(self, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
         """F(s, t) for two series with zero constant term over this backend.

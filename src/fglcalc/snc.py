@@ -120,7 +120,7 @@ class SncConfiguration(Record):
                                                 "each component needs a 'name'"))
         if not isinstance(data["faces"], list):
             raise ValidationError("'faces' must be a list of index lists")
-        return cls(data["ambient_dim"], comps, _normalize_faces(data["faces"]))
+        return cls(data["ambient_dim"], comps, data["faces"])  # the constructor normalizes them
 
 
 def _check_config(config):
@@ -298,10 +298,7 @@ def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) 
     if result is None:
         if not ns:
             raise ValidationError("need at least one multiplicity")
-        order = config.ambient_dim  # at most law.order, by _check_law
-        low = law if order == law.order else law._lower.get(order)
-        if low is None:
-            low = law._lower[order] = FormalGroupLaw(law.backend, order)
+        low = law._at_order(config.ambient_dim)  # at most law.order, by _check_law
         variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
         result = low._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
@@ -382,6 +379,7 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
     acc: dict = {}  # face -> (its layout, its terms)
     lefts: dict = {}  # (J, degree, layout) -> F_J cut there
     for I, beta in vector._entries.items():
+        rights: dict = {}  # (degree, layout) -> beta cut there
         for J, factor in classes.items():
             K = J | I
             if K not in config.faces:
@@ -396,12 +394,18 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
             if left is None:  # top is dim D_J - |I|: every I of one size shares the cut
                 left = lefts[J, top, layout] = ChernPolynomial._raw(
                     symbols, top, law.backend, _cut_terms(factor._terms, factor._layout, layout, top), layout)
-            right = beta._cut(top) if beta._layout is layout else ChernPolynomial._raw(  # around order 32
-                symbols, top, beta.backend, _cut_terms(beta._terms, beta._layout, layout, top), layout)
-            offset = sum(layout.units[i - 1] for i in common)
+            right = rights.get((top, layout))
+            if right is None:
+                right = rights[top, layout] = beta._cut(top) if beta._layout is layout else ChernPolynomial._raw(
+                    symbols, top, beta.backend, _cut_terms(beta._terms, beta._layout, layout, top), layout)
             get = terms.get
-            for k, c in (left * right)._terms.items():
-                terms[k + offset] = get(k + offset, 0) + c
+            if common:
+                offset = sum(layout.units[i - 1] for i in common)
+                for k, c in (left * right)._terms.items():
+                    terms[k + offset] = get(k + offset, 0) + c
+            else:
+                for k, c in (left * right)._terms.items():
+                    terms[k] = get(k, 0) + c
     return FaceClassVector._raw(config, {
         K: ChernPolynomial._raw(symbols, config.face_dim(K), law.backend, terms, layout)
         for K, (layout, terms) in acc.items() if _nonzero(terms)

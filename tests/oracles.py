@@ -65,17 +65,25 @@ reads a coefficient string with Fraction's own text parser, where the
 package converts the digits its pattern already matched.  add_by_merge is
 the sum of two term dicts as polynomials, series and cycle sums each ran
 it before they shared one base: an absent key starts from 0.
+sorted_rows_by_sort is the product kernel's right operand as it was made
+before its terms went to per-degree buckets: a sort keyed by degree, then
+one bisection per degree.  law_series_by_constructor builds a law's F
+through the checked TruncatedSeries constructor, from exponent pairs and
+GradedPolynomial coefficients, where the package packs the keys directly.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import reduce
 from math import comb
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, or_
 
 import fglcalc.ring
 from fglcalc import (
     BackendMismatchError,
     ChernPolynomial,
     FaceClassVector,
+    FormalGroupLaw,
     GradedPolynomial,
     TruncatedSeries,
     ValidationError,
@@ -1074,3 +1082,24 @@ def add_by_merge(left: dict, right: dict) -> dict:
         else:
             del out[k]
     return out
+
+
+def sorted_rows_by_sort(terms: dict, mask: int, shift: int, order: int) -> tuple:
+    """(pairs, ends, bound) of ring._sorted_rows from a stable sort by degree and bisections."""
+    def degree(pair):
+        return pair[0] & mask
+
+    pairs = sorted(terms.items(), key=degree)
+    ends = [bisect_right(pairs, d, key=degree) for d in range(order + 1)]
+    return pairs, ends, reduce(or_, terms, 0) >> shift << shift
+
+
+def law_series_by_constructor(law: FormalGroupLaw) -> TruncatedSeries:
+    """F(u, v) of law through the public series constructor."""
+    terms = {(1, 0): 1, (0, 1): 1}
+    for i in range(1, law.order):
+        for j in range(1, law.order - i + 1):
+            a = lazard_coefficient(i, j, law.backend)
+            if not a.is_zero():
+                terms[(i, j)] = a
+    return TruncatedSeries(("u", "v"), law.order, law.backend, terms)

@@ -6,8 +6,12 @@ shape of the object before its keys' values, and the entries in document
 order.
 """
 
+import json
+import pathlib
+
 import pytest
 
+from fglcalc import snc
 from fglcalc import (
     FREE,
     ChernPolynomial,
@@ -245,3 +249,14 @@ def test_container_json_errors_keep_their_text(decode, data, message):
 def test_the_base_documents_are_valid(decode, data):
     # so that each row above shows the fault it adds
     decode(data)
+
+
+def test_a_configuration_checks_each_face_once(monkeypatch):
+    # from_json hands the checked list to the constructor, which normalizes it
+    calls = []
+    face = snc._face
+    monkeypatch.setattr(snc, "_face", lambda f: calls.append(f) or face(f))
+    path = pathlib.Path(__file__).parent / "data" / "snc_check.json"
+    config = SncConfiguration.from_json(json.loads(path.read_text()))
+    assert len(calls) == 3
+    assert config.faces == {frozenset({1}), frozenset({2}), frozenset({1, 2})}

@@ -34,6 +34,7 @@ from fglcalc import (
 )
 import fglcalc.ring
 from fglcalc.ring import MAX_EXPONENT
+from fglcalc.series import _layout
 from fglcalc.stats import meter
 
 import oracles
@@ -601,3 +602,31 @@ def test_the_work_budget_stops_a_deep_log_table_and_caches_nothing():
             FormalGroupLaw(log_backend(31), 32).series
     assert time.perf_counter() - start < 5
     assert table.cache_info().currsize == cached
+
+
+@st.composite
+def _row_operands(draw):
+    """(terms, mask, shift, order): a series term dict in the layout of r = 1..4
+    variables with its degrees repeated and interleaved, or r = 0, a bare
+    polynomial's dict under mask 0."""
+    r = draw(st.integers(0, 4))
+    order = draw(st.integers(0, 6)) if r else 0
+    layout = _layout(max(r, 1), order)
+    mask, shift = (layout.mask, layout.shift) if r else (0, 0)
+    terms = {}
+    for degree in draw(st.lists(st.integers(0, order), max_size=24)):
+        exps = [0] * max(r, 1)
+        for i in draw(st.lists(st.integers(0, max(r, 1) - 1), min_size=degree, max_size=degree)):
+            exps[i] += 1
+        part = layout.encode(exps) if r else 0
+        terms[part + (draw(st.integers(0, 60)) << shift)] = draw(st.integers(-3, 3).filter(bool))
+    return terms, mask, shift, order
+
+
+@given(_row_operands())
+def test_bucketed_rows_match_the_sort_and_bisection(operand):
+    terms, mask, shift, order = operand
+    rows = fglcalc.ring._sorted_rows(terms, mask, shift, order)
+    assert rows == oracles.sorted_rows_by_sort(terms, mask, shift, order)
+    if not mask:
+        assert fglcalc.ring._polynomial_rows(terms) == rows

@@ -654,6 +654,52 @@ def test_two_laws_share_no_series_and_no_substitution_plan():
     assert first.n_series(3) == second.n_series(3)
 
 
+@pytest.mark.parametrize("backend", [FREE, log_backend(7), MULTIPLICATIVE, ADDITIVE],
+                         ids=["free", "log", "mult", "additive"])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_a_packed_law_series_equals_the_constructor_built_one(backend, order):
+    law = FormalGroupLaw(backend, order)
+    built = oracles.law_series_by_constructor(law)
+    assert law.series == built
+    assert list(law.series._terms) == list(built._terms)
+    assert law.series._layout is built._layout
+
+
+# what a parent law has built before its lower-order law is made
+_BUILT_FIRST = [
+    lambda law: None,
+    lambda law: law.series,
+    lambda law: (law.inverse(), law.n_series(2), law.n_series(-3)),
+    lambda law: [law.n_series(n) for n in range(-4, 13)],
+]
+
+
+@pytest.mark.parametrize("backend", [FREE, log_backend(7), MULTIPLICATIVE, ADDITIVE],
+                         ids=["free", "log", "mult", "additive"])
+def test_a_lower_order_law_equals_a_fresh_law_of_that_order(backend):
+    # the lower law's series are cut from its parent's; whatever the parent
+    # built before, they equal a fresh law's, and what the parent had built
+    # costs the lower law no product
+    for top in range(2, 9):
+        for order in range(1, top):
+            built_first = _BUILT_FIRST[(top + order) % len(_BUILT_FIRST)]
+            parent = FormalGroupLaw(backend, top)
+            built_first(parent)
+            known = set(parent._n_series)
+            low = parent._at_order(order)
+            assert low is parent._at_order(order) and low.order == order
+            assert _counted(lambda: [low.n_series(n) for n in known]) == 0
+            fresh = FormalGroupLaw(backend, order)
+            assert low.series == fresh.series
+            assert low.inverse() == fresh.inverse()
+            for n in range(-4, 13):
+                assert low.n_series(n) == fresh.n_series(n), (top, order, n)
+            assert low._prefix == fresh._prefix
+            assert all(s.order == order for s in low._prefix)
+    law = FormalGroupLaw(backend, 4)
+    assert law._at_order(4) is law
+
+
 def test_caches_return_identical_objects():
     law = FormalGroupLaw(FREE, order=4)
     assert law.n_series(2) is law.n_series(2)

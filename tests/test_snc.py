@@ -693,6 +693,20 @@ def test_check_properties_product_count_is_pinned():
     assert meter.products - before == 3
 
 
+def test_restriction_path_product_count_is_pinned():
+    # the restriction reads the divisor class at order 3 from the order-4
+    # law; that law's F and [n]u are cut from the parent's, which has built
+    # them for the product, so it folds nothing again (256 products when it
+    # was built from scratch)
+    cfg = _full_config(4, 4)
+    law = FormalGroupLaw(FREE, 4)
+    law.series
+    before = meter.products
+    result = check_properties(cfg, (0, 1, 0, 0), (2, 0, -1, 1), law)
+    assert result == {"symmetry": True, "restriction": True, "operator": True}
+    assert meter.products - before == 246
+
+
 @pytest.mark.parametrize("work,products", [
     (lambda cfg, D, E, law: divisor_class(cfg, D, law), 71_536),
     (lambda cfg, D, E, law: check_properties(cfg, D, E, law), 169_502),
