@@ -258,7 +258,7 @@ class TruncatedSeries(SparseSum):
         return cls(variables, order, backend, {exps: 1})
 
     def _rows(self) -> tuple:
-        """This series as a right operand of _multiply, sorted once and kept."""
+        """This series as a right operand of _multiply, bucketed by degree once and kept."""
         rows = self._sorted
         if rows is None:
             layout = self._layout

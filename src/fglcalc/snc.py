@@ -14,8 +14,9 @@ rewrites stray c_j factors into deeper faces (a section moves a hyperplane
 class into the zero locus) until every entry only involves decisions its
 face can see.  The fold, the product and the operator keep packed term
 dicts: a series becomes one in a single pass over its keys, and the divisor
-operator adds each product's keys into its face's terms.  normal_form reads
-decoded terms; the vectors built here are clean already.
+operator adds each product's keys into its face's terms.  A fold below the
+law's order runs on the law cut to it (FormalGroupLaw._at_order), as on a
+restriction.  normal_form reads decoded terms; the vectors are clean already.
 
 A term of support J and total degree D reaches the face J in c-degree
 D - |J|, so only face supports and degrees up to ambient_dim matter.  Faces
@@ -363,9 +364,9 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
 
     An entry beta at a face I and the divisor's class F_J at a face J give
     F_J * beta * prod_{i in J and I} c_i on the union K, cut at dim D_K: one
-    chern product at order dim D_K - |J and I|, of F_J cut there (once per
-    degree) and a view that shares beta's sorted rows, whose keys plus the
-    key of the shared symbols are added straight into K's terms.  The
+    chern product at order dim D_K - |J and I|, of F_J cut there and a view
+    that shares beta's rows (each once per degree), whose keys plus the key
+    of the shared symbols are added straight into K's terms.  The
     entries may carry stray symbols, so they are not lifted into one series
     product.
     """
@@ -396,14 +397,15 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
                     symbols, top, law.backend, _cut_terms(factor._terms, factor._layout, layout, top), layout)
             right = rights.get((top, layout))
             if right is None:
-                right = rights[top, layout] = beta._cut(top) if beta._layout is layout else ChernPolynomial._raw(
-                    symbols, top, beta.backend, _cut_terms(beta._terms, beta._layout, layout, top), layout)
+                right = rights[top, layout] = beta._cut(top) if beta._layout is layout else (
+                    ChernPolynomial._raw(symbols, top, beta.backend,  # around order 32
+                                         _cut_terms(beta._terms, beta._layout, layout, top), layout))
             get = terms.get
             if common:
                 offset = sum(layout.units[i - 1] for i in common)
                 for k, c in (left * right)._terms.items():
                     terms[k + offset] = get(k + offset, 0) + c
-            else:
+            else:  # no shared symbol: the keys stay
                 for k, c in (left * right)._terms.items():
                     terms[k] = get(k, 0) + c
     return FaceClassVector._raw(config, {
