@@ -630,3 +630,16 @@ def test_bucketed_rows_match_the_sort_and_bisection(operand):
     assert rows == oracles.sorted_rows_by_sort(terms, mask, shift, order)
     if not mask:
         assert fglcalc.ring._polynomial_rows(terms) == rows
+
+
+def test_a_polynomial_compares_unequal_to_what_is_not_a_ring_value():
+    # a bool, a float, a string or None is not read as a scalar: no error, just unequal
+    one = GradedPolynomial.one(FREE)
+    for other in (True, False, 1.0, "1", None):
+        assert (one == other) is False and (one != other) is True
+    assert one == 1 and one == Fraction(1) and GradedPolynomial.zero(FREE) == 0
+
+
+def test_a_log_coefficient_past_the_order_names_its_degree():
+    with pytest.raises(OrderError, match=r"^a\(2,3\) has degree 4, beyond log backend order 3$"):
+        lazard_coefficient(2, 3, log_backend(3))
