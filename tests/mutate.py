@@ -36,6 +36,7 @@ import os
 import random
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -127,7 +128,7 @@ def _run_tests(copy: Path, tests: list, timeout: float | None) -> tuple:
     try:
         passed = proc.wait(timeout=timeout) == 0
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, 9)
+        os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         passed = False
     return passed, time.perf_counter() - start
