@@ -216,8 +216,6 @@ CONTAINER_JSON_ERRORS = [
     (SncConfiguration.from_json, config(components=5, faces=5), "'components' must be a list"),
     (SncConfiguration.from_json, config(ambient_dim="x", faces=5),
      "'faces' must be a list of index lists"),
-    # the constructor checks the faces' entries, after ambient_dim
-    (SncConfiguration.from_json, config(ambient_dim="x", faces=[5]), "ambient_dim must be an integer"),
     (SncConfiguration.from_json, config(components=[{"name": "D"}, 5, {}]),
      "each component needs a 'name'"),
 
@@ -231,6 +229,9 @@ CONTAINER_JSON_ERRORS = [
     (lambda d: CycleSum.from_json(d, "garbage"), cycle_term(coeff=1, cycle=_CYCLE),
      _NOT_A_BACKEND),
     (lambda d: CycleSum("garbage", {DecoratedCycle.from_json(d): 1}), _CYCLE, _NOT_A_BACKEND),
+
+    # the constructor checks the faces' entries, after ambient_dim
+    (SncConfiguration.from_json, config(ambient_dim="x", faces=[5]), "ambient_dim must be an integer"),
 ]
 
 
