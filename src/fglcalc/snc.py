@@ -364,9 +364,9 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
 
     An entry beta at a face I and the divisor's class F_J at a face J give
     F_J * beta * prod_{i in J and I} c_i on the union K, cut at dim D_K: one
-    chern product at order dim D_K - |J and I|, of F_J cut there and a view
-    that shares beta's rows (each once per degree), whose keys plus the key
-    of the shared symbols are added straight into K's terms.  The
+    chern product at order dim D_K - |J and I|, of F_J cut there (once per
+    degree) and a view that shares beta's bucketed rows, whose keys plus the
+    key of the shared symbols are added straight into K's terms.  The
     entries may carry stray symbols, so they are not lifted into one series
     product.
     """
@@ -380,7 +380,6 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
     acc: dict = {}  # face -> (its layout, its terms)
     lefts: dict = {}  # (J, degree, layout) -> F_J cut there
     for I, beta in vector._entries.items():
-        rights: dict = {}  # (degree, layout) -> beta cut there
         for J, factor in classes.items():
             K = J | I
             if K not in config.faces:
@@ -395,19 +394,12 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
             if left is None:  # top is dim D_J - |I|: every I of one size shares the cut
                 left = lefts[J, top, layout] = ChernPolynomial._raw(
                     symbols, top, law.backend, _cut_terms(factor._terms, factor._layout, layout, top), layout)
-            right = rights.get((top, layout))
-            if right is None:
-                right = rights[top, layout] = beta._cut(top) if beta._layout is layout else (
-                    ChernPolynomial._raw(symbols, top, beta.backend,  # around order 32
-                                         _cut_terms(beta._terms, beta._layout, layout, top), layout))
+            right = beta._cut(top) if beta._layout is layout else ChernPolynomial._raw(  # around order 32
+                symbols, top, beta.backend, _cut_terms(beta._terms, beta._layout, layout, top), layout)
+            offset = sum(layout.units[i - 1] for i in common)
             get = terms.get
-            if common:
-                offset = sum(layout.units[i - 1] for i in common)
-                for k, c in (left * right)._terms.items():
-                    terms[k + offset] = get(k + offset, 0) + c
-            else:  # no shared symbol: the keys stay
-                for k, c in (left * right)._terms.items():
-                    terms[k] = get(k, 0) + c
+            for k, c in (left * right)._terms.items():
+                terms[k + offset] = get(k + offset, 0) + c
     return FaceClassVector._raw(config, {
         K: ChernPolynomial._raw(symbols, config.face_dim(K), law.backend, terms, layout)
         for K, (layout, terms) in acc.items() if _nonzero(terms)
