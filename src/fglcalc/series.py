@@ -9,15 +9,16 @@ so a subclass such as fglcalc.chern.ChernPolynomial is closed under them.
 A series is stored as one dict from packed int keys to exact rationals, one
 entry per pair of a series monomial and a ring monomial.  A key holds, from
 low to high bits, the total degree, one exponent field per variable (the
-first variable highest), each max(5, order.bit_length()) bits wide, and
-then the ring's packed monomial (fglcalc.ring).  So every order below 32
-has one layout per variable count and truncate keeps the keys; dividing by
-a product of variables (_support_parts) or multiplying by one (the offset
-of snc.apply_divisor_operator) is one key subtraction or addition per
-term.  Multiplying two terms is adding their keys: a
-product keeps only degrees <= order, and no exponent exceeds the degree, so
-no field carries into the next.  Products run ring's product kernel
-(fglcalc.ring._multiply) with the layout's degree mask and monomial shift.
+first variable highest), each ring.FIELD_BITS (8) bits wide, and then the
+ring's packed monomial (fglcalc.ring).  So there is one layout per variable
+count, whatever the order: truncate keeps the keys, and dividing by a
+product of variables (_support_parts) or multiplying by one (the offset of
+snc.apply_divisor_operator) is one key subtraction or addition per term.
+Multiplying two terms is adding their keys: a product keeps only degrees
+<= order, the order is at most 255 (a larger one raises OrderError), and
+no exponent exceeds the degree, so no field carries into the next.
+Products run ring's product kernel (fglcalc.ring._multiply) with the
+layout's degree mask and monomial shift.
 items() and coefficient() decode the keys into GradedPolynomial
 coefficients on demand.
 
@@ -55,9 +56,11 @@ from .errors import (
     json_object,
 )
 from .ring import (
+    FIELD_BITS,
     CoefficientBackend,
     GradedPolynomial,
     SparseSum,
+    _FIELD_MASK,
     _check_backend,
     _coerce_scalar,
     _multiply,
@@ -71,24 +74,22 @@ from .ring import (
 
 
 class _Layout:
-    """Where the fields of a packed key sit, for r variables at one field width.
+    """Where the fields of a packed key sit, for r variables.
 
     The exponent vector and the support of each series part (a key's bits
     below the ring monomial) are decoded once and kept: there are at most
-    as many as monomials in r variables up to the largest order of the
-    width.
+    as many as monomials in r variables of the degrees in use.
     """
 
-    __slots__ = ("r", "width", "mask", "shift", "series_mask", "units", "_exponents", "_supports")
+    __slots__ = ("r", "mask", "shift", "series_mask", "units", "_exponents", "_supports")
 
-    def __init__(self, r: int, width: int):
+    def __init__(self, r: int):
         self.r = r
-        self.width = width
-        self.mask = (1 << width) - 1  # the degree field, or any one exponent field
-        self.shift = width * (r + 1)  # where the ring monomial starts
+        self.mask = _FIELD_MASK  # the degree field, or any one exponent field
+        self.shift = FIELD_BITS * (r + 1)  # where the ring monomial starts
         self.series_mask = (1 << self.shift) - 1
         # units[i]: the key of one power of variable i, its field plus one degree
-        self.units = tuple((1 << width * (r - i)) + 1 for i in range(r))
+        self.units = tuple((1 << FIELD_BITS * (r - i)) + 1 for i in range(r))
         self._exponents: dict = {}
         self._supports: dict = {}
 
@@ -98,9 +99,8 @@ class _Layout:
     def exponents(self, part: int) -> tuple:
         exps = self._exponents.get(part)
         if exps is None:
-            width, mask = self.width, self.mask
             exps = self._exponents[part] = tuple(
-                (part >> width * f) & mask for f in range(self.r, 0, -1)
+                (part >> FIELD_BITS * f) & _FIELD_MASK for f in range(self.r, 0, -1)
             )
         return exps
 
@@ -114,16 +114,13 @@ class _Layout:
         return support
 
 
-_LAYOUTS: dict = {}   # (r, width) -> _Layout
+_LAYOUTS: dict = {}   # r -> _Layout
 
 
-def _layout(r: int, order: int) -> _Layout:
-    # fields of max(5, order.bit_length()) bits: every order up to 31, the
-    # command line's limit of 16 included, shares one layout per r
-    width = max(5, order.bit_length())
-    layout = _LAYOUTS.get((r, width))
+def _layout(r: int) -> _Layout:
+    layout = _LAYOUTS.get(r)
     if layout is None:
-        layout = _LAYOUTS[r, width] = _Layout(r, width)
+        layout = _LAYOUTS[r] = _Layout(r)
     return layout
 
 
@@ -154,14 +151,6 @@ def _as_tuple(value, error: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise ValidationError(f"{error} {value!r}") from None
-
-
-def _cut_terms(terms: dict, src: _Layout, dst: _Layout, top: int) -> dict:
-    """terms in layout dst, the degrees above top dropped."""
-    if src is not dst:
-        terms = _repack(terms, src, dst, top)
-    mask = dst.mask
-    return {k: c for k, c in terms.items() if k & mask <= top}
 
 
 def _power(cache: list, need: dict, e: int) -> TruncatedSeries:
@@ -197,8 +186,10 @@ class TruncatedSeries(SparseSum):
             raise OrderError(f"truncation order must be an integer, got {order!r}")
         if order < 0:
             raise OrderError("truncation order must be >= 0")
+        if order > _FIELD_MASK:  # the degree field's largest value
+            raise OrderError(f"truncation order {order} exceeds the limit {_FIELD_MASK}")
         _check_backend(backend)
-        layout = _layout(len(variables), order)
+        layout = _layout(len(variables))
         clean = {}
         if terms:
             if not isinstance(terms, dict):
@@ -226,7 +217,7 @@ class TruncatedSeries(SparseSum):
 
     @classmethod
     def _raw(cls, variables, order, backend, terms, layout):
-        # terms: packed keys in layout, which must fit the order
+        # terms: packed keys in layout; the order, unchecked here, is at most 255
         self = object.__new__(cls)
         self.variables = variables
         self.order = order
@@ -282,7 +273,9 @@ class TruncatedSeries(SparseSum):
         exps = _as_tuple(exps, "bad exponent vector")
         if len(exps) != len(self.variables):
             raise ValidationError("exponent vector length mismatch")
-        if not all(isinstance(e, int) and e >= 0 for e in exps) or sum(exps) > self.order:
+        if not all(is_integer(e) and e >= 0 for e in exps):
+            raise ValidationError(f"bad exponent vector {exps}")
+        if sum(exps) > self.order:
             return GradedPolynomial.zero(self.backend)
         layout = self._layout
         part, series_mask, shift = layout.encode(exps), layout.series_mask, layout.shift
@@ -364,10 +357,10 @@ class TruncatedSeries(SparseSum):
         Only lowering is exact: terms above self.order are unknown.
         """
         if not (is_integer(order) and 0 <= order <= self.order):
-            raise OrderError(f"cannot truncate order {self.order} to {order}")
-        layout = _layout(len(self.variables), order)
-        terms = _cut_terms(self._terms, self._layout, layout, order)
-        return self._raw(self.variables, order, self.backend, terms, layout)
+            raise OrderError(f"cannot truncate order {self.order} to {order!r}")
+        mask = self._layout.mask
+        terms = {k: c for k, c in self._terms.items() if k & mask <= order}
+        return self._raw(self.variables, order, self.backend, terms, self._layout)
 
     # -- substitution -----------------------------------------------------
 
@@ -426,7 +419,7 @@ class TruncatedSeries(SparseSum):
         columns = plans.get(layout)
         if columns is None:
             columns = plans[layout] = {}
-            first = src.width * src.r  # the first variable's field
+            first = FIELD_BITS * src.r  # the first variable's field
             rest_mask = ((1 << first) - 1) ^ src.mask
             for k, c in self._terms.items():
                 column = columns.setdefault(k & rest_mask, {})
@@ -559,6 +552,8 @@ class FormalGroupLaw:
             raise OrderError(f"a formal group law needs an integer order, got {order!r}")
         if order < 1:
             raise OrderError("a formal group law needs order >= 1")
+        if order > _FIELD_MASK:  # the series' degree field's largest value
+            raise OrderError(f"a formal group law order {order} exceeds the limit {_FIELD_MASK}")
         if backend.kind == "log" and order > backend.log_order + 1:
             raise OrderError(
                 f"order {order} exceeds what log backend of order {backend.log_order} provides"
@@ -577,7 +572,7 @@ class FormalGroupLaw:
     def series(self) -> TruncatedSeries:
         """F(u, v) = u + v + sum a_{i,j} u^i v^j in variables ("u", "v")."""
         if self._series is None:
-            layout = _layout(2, self.order)
+            layout = _layout(2)
             u, v = layout.units
             terms = {u: 1, v: 1}
             for i in range(1, self.order):
@@ -590,7 +585,7 @@ class FormalGroupLaw:
     def _at_order(self, order: int) -> FormalGroupLaw:
         """This law at an order <= its own, kept.  F, chi, the fold prefix and each
         [n]u built here before it are cut from this law's, which is exact: each is
-        the higher-order series modulo the degrees above order."""
+        the higher-order series modulo the degrees above order, on the same keys."""
         low = self if order == self.order else self._lower.get(order)
         if low is None:
             low = self._lower[order] = FormalGroupLaw(self.backend, order)
@@ -666,7 +661,7 @@ class FormalGroupLaw:
         # the cell frees its tables now instead of at the next cycle
         # collection, which the flat kernel's few allocations make rare
         del power_rows
-        layout = _layout(1, self.order)
+        layout = _layout(1)
         shift, unit = layout.shift, layout.units[0]
         chi = {k * unit + (m << shift): v for k, p in enumerate(c) for m, v in p.items()}
         self._inverse = TruncatedSeries._raw(("u",), self.order, self.backend, chi, layout)
@@ -735,7 +730,7 @@ class FormalGroupLaw:
     def _embedded_n_series(self, n: int, index: int, variables) -> TruncatedSeries:
         """[n]u written in the variable variables[index] of a series in variables."""
         series = self.n_series(n)
-        src, dst = series._layout, _layout(len(variables), self.order)
+        src, dst = series._layout, _layout(len(variables))
         mask, src_shift, dst_shift, unit = src.mask, src.shift, dst.shift, dst.units[index]
         terms = {(k >> src_shift << dst_shift) + (k & mask) * unit: c
                  for k, c in series._terms.items()}

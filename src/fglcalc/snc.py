@@ -44,8 +44,7 @@ from .errors import (
     json_object,
 )
 from .ring import _common_degree, _mono_degree, _nonzero
-from .series import (FormalGroupLaw, TruncatedSeries, _as_tuple, _cut_terms, _layout, _repack,
-                     _support_parts)
+from .series import FormalGroupLaw, TruncatedSeries, _as_tuple, _layout, _repack, _support_parts
 
 # re-exported, not called here: perfbench's tracer test reads it as
 # fglcalc.snc.evaluate_at_chern to check that every import site is patched
@@ -313,15 +312,11 @@ def _face_classes(config: SncConfiguration, series: TruncatedSeries) -> FaceClas
     """The support parts of series on faces, at the symbols, in one pass over its keys.
 
     series is at order ambient_dim, so each is within its face dimension."""
-    src = series._layout
-    r, entries = config.r, {}
-    for J, terms in _support_parts(series, config.faces).items():
-        dim = config.face_dim(J)
-        dst = _layout(r, dim)
-        if dst is not src:  # the fields narrow below order 32
-            terms = _repack(terms, src, dst, dim)
-        entries[J] = ChernPolynomial._raw(_symbols(r), dim, series.backend, terms, dst)
-    return FaceClassVector._raw(config, entries)
+    symbols, layout = _symbols(config.r), series._layout
+    return FaceClassVector._raw(config, {
+        J: ChernPolynomial._raw(symbols, config.face_dim(J), series.backend, terms, layout)
+        for J, terms in _support_parts(series, config.faces).items()
+    })
 
 
 def divisor_class(config: SncConfiguration, multiplicities, law: FormalGroupLaw) -> FaceClassVector:
@@ -366,7 +361,8 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
     F_J * beta * prod_{i in J and I} c_i on the union K, cut at dim D_K: one
     chern product at order dim D_K - |J and I|, of F_J cut there (once per
     degree) and a view that shares beta's bucketed rows, whose keys plus the
-    key of the shared symbols are added straight into K's terms.  The
+    key of the shared symbols are added straight into K's terms.  Every
+    entry has the one key layout of r symbols, so no key is re-encoded.  The
     entries may carry stray symbols, so they are not lifted into one series
     product.
     """
@@ -376,9 +372,9 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
     ns = _check_multiplicities(config, multiplicities)
     _check_law(config, law)
     classes = _face_classes(config, _face_combination(config, ns, law))._entries
-    r, symbols = config.r, _symbols(config.r)
-    acc: dict = {}  # face -> (its layout, its terms)
-    lefts: dict = {}  # (J, degree, layout) -> F_J cut there
+    symbols, layout = _symbols(config.r), _layout(config.r)
+    acc: dict = {}  # face -> its terms
+    lefts: dict = {}  # (J, degree) -> F_J cut there
     for I, beta in vector._entries.items():
         for J, factor in classes.items():
             K = J | I
@@ -389,20 +385,17 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
             top = bound - len(common)
             if top < 0:
                 continue  # every term lies above the face dimension
-            layout, terms = acc.setdefault(K, (_layout(r, bound), {}))
-            left = lefts.get((J, top, layout))
+            terms = acc.setdefault(K, {})
+            left = lefts.get((J, top))
             if left is None:  # top is dim D_J - |I|: every I of one size shares the cut
-                left = lefts[J, top, layout] = ChernPolynomial._raw(
-                    symbols, top, law.backend, _cut_terms(factor._terms, factor._layout, layout, top), layout)
-            right = beta._cut(top) if beta._layout is layout else ChernPolynomial._raw(  # around order 32
-                symbols, top, beta.backend, _cut_terms(beta._terms, beta._layout, layout, top), layout)
+                left = lefts[J, top] = factor.truncate(top)
             offset = sum(layout.units[i - 1] for i in common)
             get = terms.get
-            for k, c in (left * right)._terms.items():
+            for k, c in (left * beta._cut(top))._terms.items():
                 terms[k + offset] = get(k + offset, 0) + c
     return FaceClassVector._raw(config, {
         K: ChernPolynomial._raw(symbols, config.face_dim(K), law.backend, terms, layout)
-        for K, (layout, terms) in acc.items() if _nonzero(terms)
+        for K, terms in acc.items() if _nonzero(terms)
     })
 
 
@@ -457,16 +450,18 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
     A face J' of the restricted configuration corresponds to the face
     J + {index} of `config`; chern symbols are re-indexed along the kept
     components.  Dimension bounds already agree, since restricting drops the
-    ambient dimension and adding the index grows the face by one.
+    ambient dimension and adding the index grows the face by one; a vector
+    on a configuration of another ambient dimension is refused, so no entry
+    is read at a bound it was not cut at.
     """
     _check_vector(vector)
     _check_config(config)
     require_valid(config)
     kept = restricted_component_indices(config, index)
     sub = vector.config
-    if len(kept) != sub.r:
+    if len(kept) != sub.r or sub.ambient_dim != config.ambient_dim - 1:
         raise ValidationError("vector does not live on the restriction to this component")
-    r = config.r
+    r, layout = config.r, _layout(config.r)
 
     def lift(exps):
         lifted = [0] * r
@@ -480,7 +475,6 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
         if face not in config.faces:
             raise ValidationError(f"lifted face {sorted(face)} is not a face upstairs")
         dim = config.face_dim(face)
-        layout = _layout(r, dim)
         terms = _repack(cp._terms, cp._layout, layout, dim, lift)
         entries[face] = ChernPolynomial._raw(_symbols(r), dim, cp.backend, terms, layout)
     return FaceClassVector(config, entries)

@@ -63,6 +63,11 @@ EQUIVALENT = {
      73, "1 -> 2"): "order + 2 skips the same columns as order + 1",
     ("series", _NEED, 19, "1 -> 2"): "room >= 1 beats a default of -2 as it beats -1",
     ("series", _NEED, 3, "< -> <="): "on a tie need[i][e] is set to the value it holds",
+    ("series", "if need[0].get(e0, -1) < order - rest_low:", 20, "1 -> 2"):
+        "order - rest_low >= 0 on a column that is not skipped, above -2 as above -1",
+    # main passes build_parser a slice of sys.argv, of which it reads the first two entries only
+    ("cli", "args = build_parser(sys.argv[1:3] if argv is None else argv).parse_args(argv)", 31, "3 -> 4"):
+        "build_parser reads argv[:2] of the slice",
     # n_series' Lagrange weights: (-1) ** (k + j) is (-1) ** (k - j)
     ("series", "weights = [[(-1) ** (k - j) * comb(n, j) * comb(n - j - 1, k - j)", 21, "- -> +"):
         "k + j and k - j have the same parity",

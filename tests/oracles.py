@@ -532,7 +532,7 @@ def sum_fixed_orientation(law, s, t):
 
 def truncate_by_repack(series, order):
     """fglcalc.TruncatedSeries.truncate with every part decoded and encoded again."""
-    src, dst = series._layout, _layout(len(series.variables), order)
+    src, dst = series._layout, _layout(len(series.variables))
     terms = _repack(series._terms, src, dst, order)
     return series._raw(series.variables, order, series.backend, terms, dst)
 
@@ -540,7 +540,7 @@ def truncate_by_repack(series, order):
 def times_symbols_by_repack(series, support, order):
     """series times prod_{i in support} u_i (1-based), at order: every exponent
     vector moved one by one, as snc.apply_divisor_operator's offset does per key."""
-    src, dst = series._layout, _layout(len(series.variables), order)
+    src, dst = series._layout, _layout(len(series.variables))
     terms = _repack(series._terms, src, dst, order, lambda exps: tuple(
         e + 1 if i in support else e for i, e in enumerate(exps, 1)
     ))
@@ -921,7 +921,7 @@ def normal_form_by_steps(vector):
                     backend, bucket = acc.setdefault(face, (cp.backend, {}))
                     if backend != cp.backend:
                         raise BackendMismatchError("mixed backends in a class vector")
-                    dst = _layout(r, config.face_dim(face))
+                    dst = _layout(r)
                     dest = (bucket, dst.encode(exps), dst.shift)
                 move = moves[k & series_mask] = dest
             if move is not None:
@@ -936,7 +936,7 @@ def normal_form_by_steps(vector):
     entries = {}
     for face, (backend, terms) in acc.items():
         dim = config.face_dim(face)
-        entries[face] = ChernPolynomial._raw(_symbols(r), dim, backend, terms, _layout(r, dim))
+        entries[face] = ChernPolynomial._raw(_symbols(r), dim, backend, terms, _layout(r))
     return FaceClassVector(config, entries)
 
 
@@ -964,7 +964,7 @@ def normal_form_packed(vector):
                 move = None
                 if face in config.faces:
                     _, dst, bucket = acc.setdefault(
-                        face, (cp.backend, _layout(r, config.face_dim(face)), {}))
+                        face, (cp.backend, _layout(r), {}))
                     part -= sum(units[j - 1] for j in stray)
                     if dst is not src:
                         part = dst.encode(src.exponents(part))

@@ -611,7 +611,7 @@ def _row_operands(draw):
     polynomial's dict under mask 0."""
     r = draw(st.integers(0, 4))
     order = draw(st.integers(0, 6)) if r else 0
-    layout = _layout(max(r, 1), order)
+    layout = _layout(max(r, 1))
     mask, shift = (layout.mask, layout.shift) if r else (0, 0)
     terms = {}
     for degree in draw(st.lists(st.integers(0, order), max_size=24)):

@@ -14,6 +14,7 @@ from fglcalc import (
     FREE,
     MULTIPLICATIVE,
     BackendMismatchError,
+    ChernPolynomial,
     ConstantTermError,
     FormalGroupLaw,
     GradedPolynomial,
@@ -22,6 +23,7 @@ from fglcalc import (
     ValidationError,
     a_gen,
     b_gen,
+    evaluate_at_chern,
     lazard_coefficient,
     log_backend,
     support_decompose,
@@ -69,6 +71,23 @@ def test_constructor_truncates_silently():
     assert s.coefficient((3,)).is_zero()
 
 
+@pytest.mark.parametrize("exps", [(True,), (1.0,), (-1,), ("1",), (None,)])
+def test_coefficient_refuses_what_the_constructor_refuses(exps):
+    u = TruncatedSeries.variable("u", ("u",), 4, FREE)
+    with pytest.raises(ValidationError, match=r"^bad exponent vector \("):
+        u.coefficient(exps)
+    with pytest.raises(ValidationError, match=r"^bad exponent vector \("):
+        TruncatedSeries(("u",), 4, FREE, {exps: 1})
+    assert u.coefficient((5,)).is_zero() and u.coefficient((1,)) == 1  # past the order: zero
+
+
+def test_a_truncation_error_renders_the_order_as_given():
+    u = TruncatedSeries.variable("u", ("u",), 4, FREE)
+    for order, text in (("2", "'2'"), (2.0, "2.0"), (5, "5"), (-1, "-1")):
+        with pytest.raises(OrderError, match=f"^cannot truncate order 4 to {text}$"):
+            evaluate_at_chern(u, order)
+
+
 def test_zero_renders_as_zero():
     assert str(TruncatedSeries.zero(("u",), 2, FREE)) == "0"
 
@@ -114,13 +133,67 @@ def test_variable_names_must_be_nonempty_strings(variables):
 
 
 def test_every_command_line_order_shares_one_key_layout():
-    # fields of max(5, order.bit_length()) bits: a cut to any order up to
-    # 31, so every order the command line accepts, keeps the packed keys
-    assert MAX_ORDER < 32
+    # 8-bit fields at every order up to 255, the command line's included:
+    # one layout per variable count, so a cut keeps the packed keys
+    assert MAX_ORDER < 255
     for r in range(1, 7):
-        assert all(_layout(r, order) is _layout(r, 0) for order in range(32))
-        assert _layout(r, 32) is not _layout(r, 31)
-        assert _layout(r, 63) is _layout(r, 32)
+        layout = _layout(r)
+        assert layout is _layout(r)
+        assert (layout.mask, layout.shift) == (255, 8 * (r + 1))
+        names = tuple(f"u{i}" for i in range(r))
+        for order in (0, 1, MAX_ORDER, 31, 32, 33, 255):
+            series = TruncatedSeries.one(names, order, FREE)
+            assert series._layout is layout
+            assert series.truncate(order // 2)._layout is layout
+
+
+_PAST_THE_FIELD = (
+    lambda order: TruncatedSeries(("u",), order, FREE),
+    lambda order: TruncatedSeries.from_json({"variables": ["u"], "order": order, "terms": []}, FREE),
+    lambda order: ChernPolynomial(2, order, FREE),
+    lambda order: FormalGroupLaw(ADDITIVE, order),
+)
+
+
+@pytest.mark.parametrize("build", _PAST_THE_FIELD, ids=["series", "from_json", "chern", "law"])
+def test_an_order_past_the_degree_field_is_refused(build):
+    assert build(255).order == 255
+    with pytest.raises(OrderError, match="order 256 exceeds the limit 255"):
+        build(256)
+
+
+def test_the_degree_field_reaches_255_at_order_255():
+    # no field carries: u^127 * u^128 is kept with every field at 255 and
+    # u^128 * u^128, of degree 256, is dropped, in one variable and in two
+    for names in (("u",), ("u", "v")):
+        def term(*exps):
+            return TruncatedSeries(names, 255, FREE, {exps + (0,) * (len(names) - len(exps)): 1})
+        u127, u128 = term(127), term(128)
+        product = (u127 + u128) * u128
+        assert product == term(255) == oracles.series_mul_two_level(u127 + u128, u128)
+        assert product.coefficient((255,) + (0,) * (len(names) - 1)) == 1
+        assert (u128 * u128).is_zero()
+        if len(names) == 2:
+            mixed = term(127) * term(0, 128)
+            assert dict(mixed.items()) == {(127, 128): 1}
+            assert (term(128) * term(0, 128)).is_zero()
+    # u^85 and u^2 * v at x -> x^3 and v -> x^249: x^255 from each, past it dropped
+    x = TruncatedSeries(("x",), 255, FREE, {(1,): 1})
+    f = TruncatedSeries(("u", "v"), 255, FREE, {(85, 0): 1, (2, 1): 2, (86, 0): 5})
+    env = {"u": x * x * x, "v": TruncatedSeries(("x",), 255, FREE, {(249,): 1})}
+    assert f.substitute(env) == TruncatedSeries(("x",), 255, FREE, {(255,): 3})
+    assert f.substitute(env) == oracles.substitute_by_terms(f, env)
+
+
+def test_an_additive_law_answers_at_order_255():
+    law = FormalGroupLaw(ADDITIVE, 255)
+    u = TruncatedSeries.variable("u", ("u",), 255, ADDITIVE)
+    assert law.series == TruncatedSeries(("u", "v"), 255, ADDITIVE, {(1, 0): 1, (0, 1): 1})
+    assert law.inverse() == u.scale(-1)
+    assert law.n_series(300) == u.scale(300) and law.n_series(-3) == u.scale(-3)
+    top = TruncatedSeries(("u",), 255, ADDITIVE, {(255,): 1})
+    assert law.sum(top, u) == top + u
+    assert str(law.linear_combination((2, -1))) == "2*u1 - u2"
 
 
 def test_truncate_cuts_terms_and_order():
@@ -841,8 +914,8 @@ def _series(draw, variables, order, backend, low=0, max_terms=6):
     return TruncatedSeries(variables, order, backend, terms)
 
 
-# orders around the command line's limit, 16, and on both sides of the
-# step of the packed field width, max(5, order.bit_length()), at 31/32
+# orders around the command line's limit, 16, and around 32, where a
+# degree first needs six bits: the packed fields are 8 bits at every order
 _ORDERS = (15, 16, 31, 32, 33)
 # those, and every small order as well
 _ORDER_DRAWS = st.one_of(st.integers(0, 8), st.sampled_from(_ORDERS))
@@ -1022,6 +1095,18 @@ def test_a_square_is_the_product_by_itself_at_one_product_per_pair(case):
     assert f.substitute({"t": p}) == oracles.substitute_by_terms(f, {"t": p})
 
 
+def test_a_tie_in_the_square_rule_squares():
+    # P = u^2 - u at order 8: |P^3|^2 = 2 |P^5| |P| = 16, so P^6 is P^3
+    # squared (4 products), not P^5 * P (5 products)
+    u = TruncatedSeries.variable("u", ("u",), 8, FREE)
+    one = TruncatedSeries.one(("u",), 8, FREE)
+    p = u * u - u
+    before = meter.products
+    sixth = _power([one, p], {6: 8}, 6)
+    assert meter.products - before == 27
+    assert sixth == TruncatedSeries(("u",), 8, FREE, {(6,): 1, (7,): -6, (8,): 15})
+
+
 @pytest.mark.parametrize("cut", [3, 4])
 def test_a_square_raises_where_its_diagonal_passes_the_exponent_limit(cut):
     # A(1,1)^(_EDGE - 1) x + A(1,1)^_EDGE x^2: the cross term reaches the
@@ -1160,7 +1245,7 @@ def test_truncate_and_the_symbol_shift_match_the_repacking_oracles(case):
 
 def test_an_exponent_overflow_still_raises_after_a_cut():
     # the kept keys carry the ring monomial that the product's row guard
-    # reads, whether the cut filters them (8 to 4) or repacks them (33 to 31)
+    # reads, at a cut far below the order (8 to 4) or just below it (33 to 31)
     for order, cut in ((8, 4), (33, 31)):
         at_limit = _power_of_a11(_EDGE - 1, order=order).truncate(cut)
         past = _power_of_a11(_EDGE, order=order).truncate(cut)

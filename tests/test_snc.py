@@ -949,3 +949,13 @@ def test_lift_round_trips_faces():
     vec = divisor_class(sub, sub_ms, law)
     lifted = lift_restricted_class(vec, cfg, 3)
     assert set(lifted.faces()) == {frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2, 3})}
+
+
+@pytest.mark.parametrize("ambient", [4, 300])
+def test_lift_refuses_a_vector_of_another_ambient_dimension(ambient):
+    # its entries are cut at their own face dimensions, which would then
+    # differ from the faces' upstairs; at 300 they would pass the 8-bit
+    # degree field
+    vec = divisor_class(_full_config(2, 2), (1, 1), FormalGroupLaw(FREE, order=2))
+    with pytest.raises(ValidationError, match="does not live on the restriction"):
+        lift_restricted_class(vec, _full_config(ambient, 3), 3)
