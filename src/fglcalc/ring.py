@@ -34,9 +34,9 @@ right operand's (key, coefficient) pairs, bucketed by degree in one pass,
 with the overflow guard and the work meter's bump (fglcalc.stats) at one
 site each.  A key holds a degree under a mask and a packed monomial from a
 shift up; a bare polynomial passes mask and shift 0, fglcalc.series its
-layout's.  In its square mode both operands are the bucketed pairs, and
-each unordered pair of terms is one product: c_i^2 on the diagonal,
-2 c_i c_j off it.
+layout's, and both build the right operand with _sorted_rows.  In its
+square mode both operands are the bucketed pairs, and each unordered pair
+of terms is one product: c_i^2 on the diagonal, 2 c_i c_j off it.
 
 The log coefficients are built by the series layer: l and its reversion g
 are one-variable TruncatedSeries and F(u, v) = g(l(u) + l(v)) is one
@@ -348,6 +348,7 @@ def _sorted_rows(terms: dict, mask: int, shift: int, order: int) -> tuple:
     pairs are its (key, coefficient) items by degree, equal degrees in
     insertion order, ends[d] counts those of degree <= d, and bound ORs
     their ring monomials.  Each item goes to its degree's bucket in one pass.
+    A bare polynomial passes mask, shift and order 0: one bucket of every term.
     """
     buckets = [[] for _ in range(order + 1)]
     for item in terms.items():
@@ -357,14 +358,6 @@ def _sorted_rows(terms: dict, mask: int, shift: int, order: int) -> tuple:
         pairs += bucket
         ends.append(len(pairs))
     return pairs, ends, reduce(or_, terms, 0) >> shift << shift
-
-
-def _polynomial_rows(terms: dict) -> tuple:
-    """_sorted_rows(terms, 0, 0, 0) without the buckets a zero mask makes moot.
-
-    Polynomial operands have a few terms, where those would cost as much as the products.
-    """
-    return list(terms.items()), [len(terms)], reduce(or_, terms, 0)
 
 
 def _multiply(acc: dict, left: dict, rows: tuple, cut: int, mask: int, shift: int):
@@ -609,7 +602,7 @@ class GradedPolynomial(SparseSum):
         if isinstance(other, GradedPolynomial):
             _require_same_backend(self.backend, other.backend)
             acc: dict = {}
-            _multiply(acc, self._terms, _polynomial_rows(other._terms), 0, 0, 0)
+            _multiply(acc, self._terms, _sorted_rows(other._terms, 0, 0, 0), 0, 0, 0)
             return GradedPolynomial._raw(self.backend, _nonzero(acc))
         try:
             scalar = _coerce_scalar(other)

@@ -35,10 +35,11 @@ counts say the square makes fewer products: |P^(k/2)|^2 < 2 |P^(k-1)| |P|.
 
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
-multi-variable combinations F^{(n_1, ..., n_r)}.  Results are cached on the
-instance; the iterated sums fold left to right.  [n]u reads one fold of u
-kept on the law, interpolated past [order]u, and [-n]u is [n]u composed
-with chi(u); n_series says why both equal the left fold on every law.
+multi-variable combinations F^{(n_1, ..., n_r)}.  F, chi and each [n]u are
+cached on the instance (a combination is not: no caller repeats one); the
+iterated sums fold left to right.  [n]u reads one fold of u kept on the
+law, interpolated past [order]u, and [-n]u is [n]u composed with chi(u);
+n_series says why both equal the left fold on every law.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .ring import (
     _coerce_scalar,
     _multiply,
     _nonzero,
-    _polynomial_rows,
     _signed_sum,
     _sorted_rows,
     _term_text,
@@ -122,28 +122,6 @@ def _layout(r: int) -> _Layout:
     if layout is None:
         layout = _LAYOUTS[r] = _Layout(r)
     return layout
-
-
-def _repack(terms: dict, src: _Layout, dst: _Layout, top: int, move=None) -> dict:
-    """terms re-keyed from layout src to dst, dropping those of degree above top.
-
-    move, if given, maps each exponent vector to the one it becomes; it
-    must be one to one, since the moved terms are not added up.
-    """
-    series_mask, src_shift, dst_shift = src.series_mask, src.shift, dst.shift
-    parts: dict = {}  # old series part -> new one, or None to drop
-    out = {}
-    for k, c in terms.items():
-        part = k & series_mask
-        new = parts.get(part, -1)
-        if new == -1:
-            exps = src.exponents(part)
-            if move is not None:
-                exps = move(exps)
-            new = parts[part] = dst.encode(exps) if sum(exps) <= top else None
-        if new is not None:
-            out[new + (k >> src_shift << dst_shift)] = c
-    return out
 
 
 def _as_tuple(value, error: str) -> tuple:
@@ -564,7 +542,6 @@ class FormalGroupLaw:
         self._inverse: TruncatedSeries | None = None
         self._prefix: list = []  # [0]u, [1]u, [2]u, ..., see n_series
         self._n_series: dict = {}
-        self._linear: dict = {}
         self._lower: dict = {}  # this law at lower orders (_at_order), for fglcalc.snc
         self._face_combinations: dict = {}  # fglcalc.snc's, by (ns, faces, ambient_dim)
 
@@ -633,7 +610,7 @@ class FormalGroupLaw:
         # holds the terms of the coefficient of u^k in chi, rows[k] the same
         # as a right operand
         c = [{}, {0: -1}]
-        rows = [_polynomial_rows(t) for t in c]
+        rows = [_sorted_rows(t, 0, 0, 0) for t in c]
         # powers[j][d]: the rows of [u^d] chi^j for j >= 2 and j <= d < len(c);
         # every lower slot is zero, since chi has no constant term
         powers: dict = {}
@@ -647,7 +624,7 @@ class FormalGroupLaw:
                 acc: dict = {}
                 for t in range(1, d - j + 2):
                     _multiply(acc, c[t], power_rows(j - 1, d - t), 0, 0, 0)
-                p = row[d] = _polynomial_rows(_nonzero(acc))
+                p = row[d] = _sorted_rows(_nonzero(acc), 0, 0, 0)
             return p
 
         for k in range(2, self.order + 1):
@@ -656,7 +633,7 @@ class FormalGroupLaw:
                 if i + j <= k:
                     _multiply(acc, a, power_rows(j, k - i), 0, 0, 0)
             c.append({m: -v for m, v in acc.items() if v})
-            rows.append(_polynomial_rows(c[k]))
+            rows.append(_sorted_rows(c[k], 0, 0, 0))
         # the recursive helper holds itself through its closure; emptying
         # the cell frees its tables now instead of at the next cycle
         # collection, which the flat kernel's few allocations make rare
@@ -753,15 +730,9 @@ class FormalGroupLaw:
             variables = TruncatedSeries(variables, 0, self.backend).variables
             if len(variables) != len(ns):
                 raise ValidationError("one variable per multiplicity required")
-        key = (ns, variables)
-        cached = self._linear.get(key)
-        if cached is not None:
-            return cached
-
         result = self._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
             result = self.sum(result, self._embedded_n_series(ns[idx], idx, variables))
-        self._linear[key] = result
         return result
 
 

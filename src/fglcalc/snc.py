@@ -44,7 +44,7 @@ from .errors import (
     json_object,
 )
 from .ring import _common_degree, _mono_degree, _nonzero
-from .series import FormalGroupLaw, TruncatedSeries, _as_tuple, _layout, _repack, _support_parts
+from .series import FormalGroupLaw, TruncatedSeries, _as_tuple, _layout, _support_parts
 
 # re-exported, not called here: perfbench's tracer test reads it as
 # fglcalc.snc.evaluate_at_chern to check that every import site is patched
@@ -405,6 +405,7 @@ def apply_divisor_operator(vector: FaceClassVector, multiplicities, law: FormalG
 def restricted_component_indices(config: SncConfiguration, index: int) -> list:
     """Original indices of the components that meet D_index, ascending."""
     _check_config(config)
+    require_valid(config)
     if not is_integer(index) or not 1 <= index <= config.r:
         raise ValidationError(f"component index {index!r} outside 1..{config.r}")
     return [
@@ -452,7 +453,8 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
     components.  Dimension bounds already agree, since restricting drops the
     ambient dimension and adding the index grows the face by one; a vector
     on a configuration of another ambient dimension is refused, so no entry
-    is read at a bound it was not cut at.
+    is read at a bound it was not cut at.  Each term keeps its degree, so
+    its key is re-packed one to one and none is dropped.
     """
     _check_vector(vector)
     _check_config(config)
@@ -461,13 +463,13 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
     sub = vector.config
     if len(kept) != sub.r or sub.ambient_dim != config.ambient_dim - 1:
         raise ValidationError("vector does not live on the restriction to this component")
-    r, layout = config.r, _layout(config.r)
+    r, layout, src = config.r, _layout(config.r), _layout(sub.r)
 
     def lift(exps):
         lifted = [0] * r
-        for pos, e in enumerate(exps, start=1):
-            lifted[kept[pos - 1] - 1] = e
-        return tuple(lifted)
+        for j, e in zip(kept, exps):
+            lifted[j - 1] = e
+        return lifted
 
     entries = {}
     for Jp, cp in vector.items():
@@ -475,7 +477,8 @@ def lift_restricted_class(vector: FaceClassVector, config: SncConfiguration, ind
         if face not in config.faces:
             raise ValidationError(f"lifted face {sorted(face)} is not a face upstairs")
         dim = config.face_dim(face)
-        terms = _repack(cp._terms, cp._layout, layout, dim, lift)
+        terms = {layout.encode(lift(src.exponents(k & src.series_mask)))
+                 + (k >> src.shift << layout.shift): c for k, c in cp._terms.items()}
         entries[face] = ChernPolynomial._raw(_symbols(r), dim, cp.backend, terms, layout)
     return FaceClassVector(config, entries)
 

@@ -23,7 +23,8 @@ module, the source line they change (its text, which does not move when
 other lines do), the column of the changed node in it and the fault, with
 the reason.  They are reported
 but left out of the score: killed / (sampled - equivalent).  Every other
-survivor is a missing test.
+survivor is a missing test.  tests/test_mutate.py checks that each entry
+still names a site of its module, so an edit to a listed line shows.
 
 pytest does not collect this file: its name does not start with test_.
 """
@@ -68,9 +69,14 @@ EQUIVALENT = {
     # main passes build_parser a slice of sys.argv, of which it reads the first two entries only
     ("cli", "args = build_parser(sys.argv[1:3] if argv is None else argv).parse_args(argv)", 31, "3 -> 4"):
         "build_parser reads argv[:2] of the slice",
+    # the inverse's table of chi's powers: t = d - j + 2 reads [u^(j-2)] chi^(j-1), an empty row
+    ("series", "for t in range(1, d - j + 2):", 26, "2 -> 3"): "one more row of no terms, no products",
     # n_series' Lagrange weights: (-1) ** (k + j) is (-1) ** (k - j)
     ("series", "weights = [[(-1) ** (k - j) * comb(n, j) * comb(n - j - 1, k - j)", 21, "- -> +"):
         "k + j and k - j have the same parity",
+    # restricted_component_indices runs require_valid first, so no face names index r + 1
+    ("snc", "for j in range(1, config.r + 1)", 29, "1 -> 2"):
+        "a valid configuration has no face {index, r + 1}",
     # linear_combination builds a series only to check the names; its order is not read
     ("series", "variables = TruncatedSeries(variables, 0, self.backend).variables", 39, "0 -> 1"):
         "the names are checked at any order",
@@ -95,27 +101,49 @@ def _sites(tree: ast.AST) -> list:
 _SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
             ast.In: "in", ast.NotIn: "not in",
             ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or"}
+_SWAPS = {"compare": _COMPARE, "arith": _ARITH, "bool": _BOOL}
 
 
-def _plant(source: str, site: tuple) -> tuple:
-    """(the mutant's source, the node's line and column, the fault's description) for one site."""
+def _fault(node: ast.AST, position, kind: str) -> str:
+    """The description of the fault planted at one site's node, such as '< -> <=' or '1 -> 2'."""
+    if kind == "const":
+        return f"{node.value} -> {node.value + 1}"
+    old = type(node.ops[position] if kind == "compare" else node.op)
+    return f"{_SYMBOLS[old]} -> {_SYMBOLS[_SWAPS[kind][old]]}"
+
+
+def _site_names(module: str, source: str) -> dict:
+    """{site: (its line number, its EQUIVALENT key)} for every fault site of a module's source.
+
+    The key is (module, the stripped source line, the node's column counted
+    from the line's first character, the fault).
+    """
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    nodes = list(ast.walk(tree))
+    names = {}
+    for site in _sites(tree):
+        number, position, kind = site
+        node = nodes[number]
+        line = lines[node.lineno - 1]
+        text = line.strip()
+        column = node.col_offset - (len(line) - len(line.lstrip()))
+        names[site] = node.lineno, (module, text, column, _fault(node, position, kind))
+    return names
+
+
+def _plant(source: str, site: tuple) -> str:
+    """The mutant's source: the module with one site's fault planted."""
     number, position, kind = site
     tree = ast.parse(source)
     node = next(n for i, n in enumerate(ast.walk(tree)) if i == number)
     if kind == "compare":
-        old = node.ops[position]
-        node.ops[position] = new = _COMPARE[type(old)]()
-    elif kind == "arith":
-        old, new = node.op, _ARITH[type(node.op)]()
-        node.op = new
-    elif kind == "bool":
-        old, new = node.op, _BOOL[type(node.op)]()
-        node.op = new
-    else:
+        node.ops[position] = _COMPARE[type(node.ops[position])]()
+    elif kind == "const":
         node.value += 1
-        return ast.unparse(tree), node.lineno, node.col_offset, f"{node.value - 1} -> {node.value}"
-    fault = f"{_SYMBOLS[type(old)]} -> {_SYMBOLS[type(new)]}"
-    return ast.unparse(tree), node.lineno, node.col_offset, fault
+    else:
+        node.op = _SWAPS[kind][type(node.op)]()
+    return ast.unparse(tree)
 
 
 def _limit_memory():
@@ -148,13 +176,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     source = (ROOT / "src" / "fglcalc" / f"{args.module}.py").read_text()
-    sites = _sites(ast.parse(source))
+    names = _site_names(args.module, source)
+    sites = list(names)  # in _sites order
     chosen = random.Random(args.seed).sample(sites, min(args.sample, len(sites)))
-    lines = source.splitlines()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
+        # test_mutate.py reads the module's lines, which the copy rewrites through ast.unparse
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_*"))
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_*", "test_mutate.py"))
         target = copy / "src" / "fglcalc" / f"{args.module}.py"
         target.write_text(ast.unparse(ast.parse(source)))
         passed, clean_s = _run_tests(copy, args.tests, None)
@@ -164,15 +193,14 @@ def main(argv=None) -> int:
         killed = equivalent = 0
         survivors = []
         for site in chosen:
-            mutant, line, column, fault = _plant(source, site)
-            target.write_text(mutant)
+            target.write_text(_plant(source, site))
             passed, _ = _run_tests(copy, args.tests, 3 * clean_s)
-            text = lines[line - 1].strip()
-            column -= len(lines[line - 1]) - len(text)  # from the first character of text
+            line, key = names[site]
+            _, text, column, fault = key
             report = f"{args.module}:{line}  {fault} at column {column} of: {text}"
             if not passed:
                 killed += 1
-            elif (args.module, text, column, fault) in EQUIVALENT:
+            elif key in EQUIVALENT:
                 equivalent += 1
                 print(f"equivalent  {report}")
             else:

@@ -54,8 +54,9 @@ over the powers of l(u) + l(v) keyed by (u, v) exponent pairs.
 sum_fixed_orientation is FormalGroupLaw.sum with s always in F's first
 slot, where the package puts the image with fewer terms there.
 truncate_by_repack and times_symbols_by_repack decode every series part
-and encode it again in the target layout, where the package keeps the
-keys, filters them by degree and adds one constant key for the symbols.
+and encode it again in the target layout (_repack, the general re-keyer
+the package used to have), where the package keeps the keys, filters them
+by degree and adds one constant key for the symbols.
 multiply_into is the polynomial product from before ring's product kernel
 served polynomials and series alike: a pair loop over packed monomials
 with an overflow test per product and no work meter, which the two-level
@@ -95,7 +96,7 @@ from fglcalc import (
 )
 from fglcalc.chern import _symbols
 from fglcalc.ring import MAX_EXPONENT
-from fglcalc.series import _layout, _repack
+from fglcalc.series import _layout
 from fglcalc.snc import _check_law, _check_multiplicities, _face_combination, require_valid
 
 # dense polynomial in m1..mk: dict mapping exponent tuples to Fraction;
@@ -528,6 +529,28 @@ def power_by_chain(cache, need, e):
 def sum_fixed_orientation(law, s, t):
     """F(s, t) with s in F's first slot, whichever image has fewer terms."""
     return law.series.substitute({"u": s, "v": t})
+
+
+def _repack(terms, src, dst, top, move=None):
+    """terms re-keyed from layout src to dst, dropping those of degree above top.
+
+    move, if given, maps each exponent vector to the one it becomes; it
+    must be one to one, since the moved terms are not added up.
+    """
+    series_mask, src_shift, dst_shift = src.series_mask, src.shift, dst.shift
+    parts = {}  # old series part -> new one, or None to drop
+    out = {}
+    for k, c in terms.items():
+        part = k & series_mask
+        new = parts.get(part, -1)
+        if new == -1:
+            exps = src.exponents(part)
+            if move is not None:
+                exps = move(exps)
+            new = parts[part] = dst.encode(exps) if sum(exps) <= top else None
+        if new is not None:
+            out[new + (k >> src_shift << dst_shift)] = c
+    return out
 
 
 def truncate_by_repack(series, order):

@@ -447,6 +447,13 @@ def test_explicit_order_beats_the_env(monkeypatch):
     assert out == _golden("inverse_free_o4.json")
 
 
+def test_the_default_order_is_8(monkeypatch):
+    monkeypatch.delenv("FGL_ORDER", raising=False)
+    rc, out, _ = run_cli(["fgl", "inverse", "--backend", "free"])
+    assert rc == 0
+    assert json.loads(out)["order"] == 8
+
+
 def test_garbage_env_order_is_a_validation_error(monkeypatch):
     monkeypatch.setenv("FGL_ORDER", "many")
     rc, out, _ = run_cli(["fgl", "inverse", "--backend", "free"])

@@ -147,6 +147,28 @@ def test_sum_json_adds_repeated_cycles_and_drops_cancelled_ones():
     assert CycleSum.from_json(data, FREE) == CycleSum(FREE, {b: 4})
 
 
+def test_sums_on_one_backend_with_different_terms_are_unequal():
+    a11 = GradedPolynomial.generator(a_gen(1, 1), FREE)
+    s = CycleSum(FREE, {_cyc("A", 2): a11})
+    assert s != CycleSum(FREE, {_cyc("A", 2): 1})
+    assert s != CycleSum(FREE, {_cyc("B", 2): a11})
+    assert CycleSum(None, {_cyc("A", 2): 1}) != CycleSum.zero()
+
+
+def test_a_label_of_nu_0_sorts_before_one_of_nu_1():
+    # inserted nu 1 first: only the sort key puts nu 0 ahead
+    nu1 = DecoratedCycle(SpaceLabel("Y", 2, nu=1), X)
+    nu0 = DecoratedCycle(SpaceLabel("Y", 2, nu=0), X)
+    s = CycleSum(None, {nu1: 2, nu0: 3})
+    assert str(s) == "3*[Y -> X] + 2*[Y -> X]"
+    assert [t["cycle"]["source"]["nu"] for t in s.to_json()["terms"]] == [0, 1]
+
+
+def test_a_float_cycle_coefficient_names_the_cycle_sum():
+    with pytest.raises(ValidationError, match=r"^bad cycle coefficient 1\.5$"):
+        CycleSum(FREE, {_cyc("A", 2): 1.5})
+
+
 # -- double point and blowup relations --------------------------------------
 
 def _dpr_labels(d=2):

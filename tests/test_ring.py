@@ -628,8 +628,6 @@ def test_bucketed_rows_match_the_sort_and_bisection(operand):
     terms, mask, shift, order = operand
     rows = fglcalc.ring._sorted_rows(terms, mask, shift, order)
     assert rows == oracles.sorted_rows_by_sort(terms, mask, shift, order)
-    if not mask:
-        assert fglcalc.ring._polynomial_rows(terms) == rows
 
 
 def test_a_polynomial_compares_unequal_to_what_is_not_a_ring_value():

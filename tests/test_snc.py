@@ -933,6 +933,15 @@ def test_restricted_indices_helper():
     assert restricted_component_indices(cfg, 2) == []
 
 
+def test_restricted_indices_refuse_an_invalid_configuration():
+    # the face {1, 3} names a third component of two; read unchecked, it
+    # would make 3 a component that meets D_1
+    cfg = _config(2, 2, [[1], [2], [3], [1, 3]])
+    assert {"rule": "index-out-of-range", "face": [1, 3]} in validate_config(cfg)
+    with pytest.raises(ConfigurationError):
+        restricted_component_indices(cfg, 1)
+
+
 def test_restriction_always_valid():
     rng = random.Random(131)
     for _ in range(30):
