@@ -13,10 +13,17 @@ and the reading of a group-law series at the symbols.
 from __future__ import annotations
 
 from .errors import ValidationError, is_integer, json_entries, json_object
-from .ring import CoefficientBackend, GradedPolynomial
+from .ring import _FIELD_MASK, CoefficientBackend, GradedPolynomial
 from .series import TruncatedSeries
 
 _SYMBOLS: dict = {}
+
+
+def _check_nvars(nvars) -> None:  # before the count sizes a tuple
+    if not is_integer(nvars):
+        raise ValidationError(f"symbol count must be an integer, got {nvars!r}")
+    if nvars > _FIELD_MASK:  # series._layout's limit
+        raise ValidationError(f"{nvars} symbols exceed the limit {_FIELD_MASK}")
 
 
 def _symbols(nvars: int) -> tuple:
@@ -33,8 +40,7 @@ class ChernPolynomial(TruncatedSeries):
     __slots__ = ()
 
     def __init__(self, nvars: int, dim_bound: int, backend: CoefficientBackend, terms=None):
-        if not is_integer(nvars):
-            raise ValidationError(f"symbol count must be an integer, got {nvars!r}")
+        _check_nvars(nvars)
         if is_integer(dim_bound) and dim_bound < 0:  # the series rejects a non-integer
             raise ValidationError("dim_bound must be >= 0")
         super().__init__(_symbols(nvars), dim_bound, backend, terms)
@@ -57,8 +63,7 @@ class ChernPolynomial(TruncatedSeries):
 
     @classmethod
     def constant(cls, value, nvars, dim_bound, backend) -> ChernPolynomial:
-        if not is_integer(nvars):  # checked before it sizes the exponent vector
-            raise ValidationError(f"symbol count must be an integer, got {nvars!r}")
+        _check_nvars(nvars)
         return cls(nvars, dim_bound, backend, {(0,) * nvars: value})
 
     @classmethod
@@ -68,7 +73,8 @@ class ChernPolynomial(TruncatedSeries):
     @classmethod
     def symbol(cls, i: int, nvars: int, dim_bound: int, backend) -> ChernPolynomial:
         """The symbol c_i (1-based); zero when the bound cannot hold degree 1."""
-        if not (is_integer(i) and is_integer(nvars) and 1 <= i <= nvars):
+        _check_nvars(nvars)
+        if not (is_integer(i) and 1 <= i <= nvars):
             raise ValidationError(f"symbol index {i} outside 1..{nvars}")
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(nvars, dim_bound, backend, {exps: 1})

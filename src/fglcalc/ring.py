@@ -147,10 +147,9 @@ def m_gen(i: int) -> Generator:
     return _interned("m", i)
 
 
-@lru_cache(maxsize=None)
 def b_gen() -> Generator:
     """The multiplicative backend's single generator b, degree 1."""
-    return Generator("b")
+    return _interned("b")
 
 
 # ASCII digits only, as Generator writes them: \d also matches other scripts' digits

@@ -35,11 +35,11 @@ counts say the square makes fewer products: |P^(k/2)|^2 < 2 |P^(k-1)| |P|.
 
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
-multi-variable combinations F^{(n_1, ..., n_r)}.  F, chi and each [n]u are
-cached on the instance (a combination is not: no caller repeats one); the
-iterated sums fold left to right.  [n]u reads one fold of u kept on the
-law, interpolated past [order]u, and [-n]u is [n]u composed with chi(u);
-n_series says why both equal the left fold on every law.
+multi-variable combinations F^{(n_1, ..., n_r)}.  F is cached on the
+instance, and each [n]u in one table, chi as [-1]u (a combination is not:
+no caller repeats one); the iterated sums fold left to right.  [n]u is one
+fold step from [n-1]u, interpolated past [order]u, and [-n]u is [n]u
+composed with chi(u); n_series says why both equal the left fold.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ _LAYOUTS: dict = {}   # r -> _Layout
 def _layout(r: int) -> _Layout:
     layout = _LAYOUTS.get(r)
     if layout is None:
+        if r > _FIELD_MASK:  # r units of up to 8r bits, built before any product
+            raise ValidationError(f"{r} variables exceed the limit {_FIELD_MASK}")
         layout = _LAYOUTS[r] = _Layout(r)
     return layout
 
@@ -539,9 +541,7 @@ class FormalGroupLaw:
         self.backend = backend
         self.order = order
         self._series: TruncatedSeries | None = None
-        self._inverse: TruncatedSeries | None = None
-        self._prefix: list = []  # [0]u, [1]u, [2]u, ..., see n_series
-        self._n_series: dict = {}
+        self._n_series: dict = {}  # n -> [n]u, chi at -1; see n_series
         self._lower: dict = {}  # this law at lower orders (_at_order), for fglcalc.snc
         self._face_combinations: dict = {}  # fglcalc.snc's, by (ns, faces, ambient_dim)
 
@@ -560,15 +560,14 @@ class FormalGroupLaw:
         return self._series
 
     def _at_order(self, order: int) -> FormalGroupLaw:
-        """This law at an order <= its own, kept.  F, chi, the fold prefix and each
-        [n]u built here before it are cut from this law's, which is exact: each is
+        """This law at an order <= its own, kept.  F and each [n]u (chi too) built
+        here before it are cut from this law's, once each, which is exact: each is
         the higher-order series modulo the degrees above order, on the same keys."""
         low = self if order == self.order else self._lower.get(order)
         if low is None:
             low = self._lower[order] = FormalGroupLaw(self.backend, order)
             # None stays None: what this law has not built, the lower one builds
-            low._series, low._inverse = (s and s.truncate(order) for s in (self._series, self._inverse))
-            low._prefix = [s.truncate(order) for s in self._prefix[:order + 1]]
+            low._series = self._series and self._series.truncate(order)
             low._n_series = {n: s.truncate(order) for n, s in self._n_series.items()}
         return low
 
@@ -597,8 +596,9 @@ class FormalGroupLaw:
         where [u^d] chi^j needs only c_1 .. c_(d-j+1), all below c_k.  The
         solution is unique, so this holds on every backend.
         """
-        if self._inverse is not None:
-            return self._inverse
+        chi = self._n_series.get(-1)
+        if chi is not None:
+            return chi
         law = self.series
         source = law._layout
         a_terms: dict = {}  # (i, j) -> {monomial: coefficient} of a_ij
@@ -640,19 +640,9 @@ class FormalGroupLaw:
         del power_rows
         layout = _layout(1)
         shift, unit = layout.shift, layout.units[0]
-        chi = {k * unit + (m << shift): v for k, p in enumerate(c) for m, v in p.items()}
-        self._inverse = TruncatedSeries._raw(("u",), self.order, self.backend, chi, layout)
-        return self._inverse
-
-    def _fold_prefix(self, length: int) -> list:
-        """[0]u, [1]u, [2]u, ... in u, the left fold of u extended to length terms."""
-        prefix = self._prefix
-        if not prefix:
-            prefix += [TruncatedSeries.zero(("u",), self.order, self.backend),
-                       TruncatedSeries.variable("u", ("u",), self.order, self.backend)]
-        while len(prefix) < length:
-            prefix.append(self.sum(prefix[-1], prefix[1]))
-        return prefix
+        terms = {k * unit + (m << shift): v for k, p in enumerate(c) for m, v in p.items()}
+        chi = self._n_series[-1] = TruncatedSeries._raw(("u",), self.order, self.backend, terms, layout)
+        return chi
 
     def n_series(self, n: int) -> TruncatedSeries:
         """[n]u: the n-fold formal sum of u (inverse-based for n < 0).
@@ -662,13 +652,14 @@ class FormalGroupLaw:
         associative, so a regrouping such as F([2]u, [2]u) differs from
         [4]u there.
 
-        The fold of u is run once and kept, and only up to [order]u.  A
-        larger n is interpolated.  One fold step x -> F(x, u) changes the
-        coefficient c_k of u^k by a sum of products of lower coefficients
-        whose indices add up to at most k - 1, so by induction c_k is a
-        polynomial of degree <= k in the number of steps, on every backend
-        and without associativity.  It is therefore fixed by its values at
-        0, 1, ..., k, and Lagrange's formula gives
+        Each [n]u is kept in one table on the law, chi as [-1]u.  The fold
+        runs only up to [order]u, [k]u = F([k-1]u, u); a larger n is
+        interpolated from [1]u .. [order]u.  One fold step x -> F(x, u)
+        changes the coefficient c_k of u^k by a sum of products of lower
+        coefficients whose indices add up to at most k - 1, so by induction
+        c_k is a polynomial of degree <= k in the number of steps, on every
+        backend and without associativity.  It is therefore fixed by its
+        values at 0, 1, ..., k, and Lagrange's formula gives
 
             c_k(n) = sum_{j=1..k} (-1)^(k-j) C(n, j) C(n-j-1, k-j) c_k(j)
 
@@ -686,17 +677,19 @@ class FormalGroupLaw:
         order = self.order
         if n < 0:
             result = self.inverse() if n == -1 else self.n_series(-n).substitute({"u": self.inverse()})
+        elif n <= 1:  # [0]u = 0 and [1]u = u
+            result = TruncatedSeries(("u",), order, self.backend, {(1,): n})
         elif n <= order:
-            result = self._fold_prefix(n + 1)[n]
+            result = self.sum(self.n_series(n - 1), self.n_series(1))
         else:
-            prefix = self._fold_prefix(order + 1)
+            fold = [self.n_series(j) for j in range(order + 1)]
             # in one variable the degree field is the exponent k of u^k
-            layout = prefix[1]._layout
+            layout = fold[1]._layout
             weights = [[(-1) ** (k - j) * comb(n, j) * comb(n - j - 1, k - j)
                         for j in range(k + 1)] for k in range(order + 1)]
             acc: dict = {}
             for j in range(1, order + 1):
-                for packed, c in prefix[j]._terms.items():
+                for packed, c in fold[j]._terms.items():
                     k = packed & layout.mask
                     if k >= j:
                         acc[packed] = acc.get(packed, 0) + weights[k][j] * c

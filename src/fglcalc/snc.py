@@ -96,7 +96,7 @@ class SncConfiguration(Record):
         return len(self.components)
 
     def face_dim(self, face) -> int:
-        return self.ambient_dim - len(face)
+        return self.ambient_dim - len(face if isinstance(face, frozenset) else _face(face))
 
     def sorted_faces(self):
         return sorted(self.faces, key=lambda J: (len(J), sorted(J)))

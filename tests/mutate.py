@@ -66,6 +66,8 @@ EQUIVALENT = {
     ("series", _NEED, 3, "< -> <="): "on a tie need[i][e] is set to the value it holds",
     ("series", "if need[0].get(e0, -1) < order - rest_low:", 20, "1 -> 2"):
         "order - rest_low >= 0 on a column that is not skipped, above -2 as above -1",
+    ("series", "if need[0].get(e0, -1) < order - rest_low:", 3, "< -> <="):
+        "on a tie need[0][e0] is set to the value it holds",
     # main passes build_parser a slice of sys.argv, of which it reads the first two entries only
     ("cli", "args = build_parser(sys.argv[1:3] if argv is None else argv).parse_args(argv)", 31, "3 -> 4"):
         "build_parser reads argv[:2] of the slice",

@@ -101,6 +101,26 @@ def test_a_non_integer_bound_raises_a_validation_error(build):
         build()
 
 
+_ONE_JSON = [{"coeff": "1", "monomial": {}}]
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: ChernPolynomial(n, 2, FREE),
+    lambda n: ChernPolynomial.zero(n, 2, FREE),
+    lambda n: ChernPolynomial.constant(1, n, 2, FREE),
+    lambda n: ChernPolynomial.one(n, 2, FREE),
+    lambda n: ChernPolynomial.symbol(1, n, 2, FREE),
+    lambda n: ChernPolynomial.from_json({"dim_bound": 2, "terms": []}, FREE, nvars=n),
+    lambda n: ChernPolynomial.from_json(
+        {"dim_bound": 2, "terms": [{"c_exponents": [0] * n, "coeff": _ONE_JSON}]}, FREE),
+], ids=["constructor", "zero", "constant", "one", "symbol", "from_json", "inferred"])
+def test_more_than_255_symbols_are_refused(build):
+    # checked before the count sizes a name tuple or an exponent vector
+    assert build(255).nvars == 255
+    with pytest.raises(ValidationError, match="^256 symbols exceed the limit 255$"):
+        build(256)
+
+
 @pytest.mark.parametrize("nvars", ["x", 1.5])
 def test_constant_checks_the_symbol_count_first(nvars):
     # the count is checked before it sizes the constant's exponent vector

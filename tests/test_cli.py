@@ -379,6 +379,14 @@ def test_multiplicity_over_the_limit_exits_2(argv, payload):
     assert "multiplicity limit 1024" in json.loads(out)["detail"]
 
 
+@pytest.mark.parametrize("subcommand", ["multilinear", "decompose"])
+def test_more_multiplicities_than_the_variable_limit_exit_2(subcommand):
+    rc, out, _ = run_cli(["fgl", subcommand, "--order", "2",
+                          json.dumps({"multiplicities": [1] * 256})])
+    assert rc == 2
+    assert json.loads(out)["detail"] == "256 variables exceed the limit 255"
+
+
 def test_multiplicity_at_the_limit_is_accepted():
     # order 1 keeps [-1024]u to its linear term
     rc, out, _ = run_cli(["fgl", "nseries", "--order", "1", '{"n": -1024}'])

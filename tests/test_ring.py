@@ -497,7 +497,7 @@ def test_directly_built_generator_keys_like_the_interned_one(i, d, k):
         for direct, interned in ((direct_a, a_gen(i, i + d)), (direct_m, m_gen(k))):
             key = GradedPolynomial.generator(direct, backend)._terms
             assert key == GradedPolynomial.generator(interned, backend)._terms
-    assert Generator("b") == b_gen()
+    assert Generator("b") == b_gen() and b_gen() is b_gen()
     assert GradedPolynomial.generator(direct_a, FREE) == GradedPolynomial.generator(a_gen(i, i + d), FREE)
     mixed = GradedPolynomial(FREE, {((direct_a, 1), (m_gen(k), 2)): 1})
     assert mixed == GradedPolynomial(FREE, {((a_gen(i, i + d), 1), (direct_m, 2)): 1})

@@ -31,6 +31,7 @@ from fglcalc import (
 
 from fglcalc.cli import MAX_ORDER
 from fglcalc.ring import MAX_EXPONENT, _multiply, _nonzero
+from fglcalc import series as series_module
 from fglcalc.series import _layout, _power
 from fglcalc.stats import meter
 
@@ -103,6 +104,19 @@ def test_constructor_validation():
         TruncatedSeries(("u",), 3, FREE, {(1, 0): 1})
     with pytest.raises(BackendMismatchError):
         TruncatedSeries(("u",), 3, FREE, {(1,): GradedPolynomial.one(ADDITIVE)})
+
+
+def test_more_than_255_variables_are_refused_before_a_layout_is_built():
+    # a layout of r variables holds about 4r^2 bits, built before any product
+    names = tuple(f"v{i}" for i in range(256))
+    assert TruncatedSeries(names[:255], 2, FREE).variables == names[:255]
+    law = FormalGroupLaw(FREE, 2)
+    for build in (lambda: TruncatedSeries(names, 2, FREE),
+                  lambda: law.linear_combination([1] * 256),
+                  lambda: law.linear_combination([1] * 256, names)):
+        with pytest.raises(ValidationError, match="^256 variables exceed the limit 255$"):
+            build()
+    assert 256 not in series_module._LAYOUTS
 
 
 def test_arithmetic_laws_randomized():
@@ -442,6 +456,7 @@ def test_function_forms():
     law = FormalGroupLaw(FREE, order=4)
     u = TruncatedSeries.variable("u", ("u",), 4, FREE)
     assert law.inverse() is law.inverse()
+    assert law.inverse() is law.n_series(-1)
     assert law.sum(u, law.inverse()).is_zero()
 
 
@@ -767,10 +782,29 @@ def test_a_lower_order_law_equals_a_fresh_law_of_that_order(backend):
             assert low.inverse() == fresh.inverse()
             for n in range(-4, 13):
                 assert low.n_series(n) == fresh.n_series(n), (top, order, n)
-            assert low._prefix == fresh._prefix
-            assert all(s.order == order for s in low._prefix)
+            # one table holds chi and every [n]u, [0]u .. [order]u among them
+            assert set(range(order + 1)) <= set(low._n_series)
+            assert low._n_series == fresh._n_series
+            assert all(s.order == order for s in low._n_series.values())
     law = FormalGroupLaw(backend, 4)
     assert law._at_order(4) is law
+
+
+@pytest.mark.parametrize("built_first", _BUILT_FIRST, ids=["none", "F", "chi", "fold"])
+def test_a_lower_order_law_cuts_each_kept_series_once(built_first, monkeypatch):
+    parent = FormalGroupLaw(FREE, 6)
+    built_first(parent)
+    expected = len(parent._n_series) + (parent._series is not None)
+    cuts = []
+    plain_truncate = TruncatedSeries.truncate
+
+    def counted_truncate(series, order):
+        cuts.append(order)
+        return plain_truncate(series, order)
+
+    monkeypatch.setattr(TruncatedSeries, "truncate", counted_truncate)
+    parent._at_order(3)
+    assert cuts == [3] * expected
 
 
 def test_caches_return_identical_objects():

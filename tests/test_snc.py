@@ -51,6 +51,15 @@ def _components(r):
     return tuple(SncComponent(f"D{i}") for i in range(1, r + 1))
 
 
+def test_more_than_255_components_are_refused_before_a_layout_is_built():
+    config = SncConfiguration(1, _components(256), [[i] for i in range(1, 257)])
+    law = FormalGroupLaw(FREE, 2)
+    for run in (lambda: divisor_class(config, [1] * 256, law),
+                lambda: check_properties(config, [1] * 256, [1] * 256, law)):
+        with pytest.raises(ValidationError, match="^256 variables exceed the limit 255$"):
+            run()
+
+
 def _config(ambient, r, faces):
     return SncConfiguration(ambient, _components(r), faces)
 
