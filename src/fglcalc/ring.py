@@ -617,46 +617,6 @@ class GradedPolynomial(SparseSum):
         """Canonical text form, e.g. "4*m(1)^2 - 3*m(2)"; zero renders "0"."""
         return _signed_sum(_term_text(str(c), _mono_text(m)) for m, c in self.sorted_terms())
 
-    @classmethod
-    def from_text(cls, text: str, backend: CoefficientBackend) -> GradedPolynomial:
-        """Parse the canonical text form (also accepts explicit unit coefficients)."""
-        _check_backend(backend)
-        if not isinstance(text, str):
-            raise ValidationError(f"polynomial text must be a string, got {text!r}")
-        s = text.strip()
-        if s in ("", "0"):
-            return cls.zero(backend)
-        # normalize to a +/- separated sequence of terms
-        if s[0] not in "+-":
-            s = "+" + s
-        pieces = re.findall(r"([+-])\s*([^+-]+)", s)
-        if "".join(sign + body for sign, body in pieces).replace(" ", "") != s.replace(" ", ""):
-            raise ValidationError(f"cannot parse polynomial text {text!r}")
-        terms: dict = {}
-        for sign, body in pieces:
-            coeff = -1 if sign == "-" else 1
-            pairs = []
-            for factor in body.strip().split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise ValidationError(f"empty factor in {text!r}")
-                if _RATIONAL_TEXT.fullmatch(factor):
-                    coeff *= _json_coefficient(factor)
-                    continue
-                if "^" in factor:
-                    gname, _, exp = factor.partition("^")
-                    try:  # ASCII digits, as many as int() reads (sys.get_int_max_str_digits())
-                        e = int(exp) if exp.isascii() and exp.isdigit() else 0
-                    except ValueError:
-                        e = 0
-                    if e < 1:
-                        raise ValidationError(f"bad exponent in {factor!r}")
-                else:
-                    gname, e = factor, 1
-                pairs.append((generator_from_name(gname.strip()), e))
-            _add_term(terms, _encode(tuple(pairs), backend.kind), coeff)
-        return cls._raw(backend, terms)
-
     def to_json(self) -> list:
         """JSON form: list of {"coeff": str, "monomial": {name: exp}} terms."""
         out = []

@@ -612,9 +612,8 @@ def test_linear_combination_rejects_bad_variable_names(variables):
     lambda: TruncatedSeries(("u",), 2, "free", {(1,): 1}),
     lambda: GradedPolynomial("free", {}),
     lambda: GradedPolynomial.from_json([], "free"),
-    lambda: GradedPolynomial.from_text("0", "free"),
 ], ids=["FormalGroupLaw", "lazard_coefficient", "TruncatedSeries", "GradedPolynomial",
-        "GradedPolynomial.from_json", "GradedPolynomial.from_text"])
+        "GradedPolynomial.from_json"])
 def test_backends_must_be_coefficient_backends(build):
     with pytest.raises(ValidationError, match="must be a CoefficientBackend"):
         build()
