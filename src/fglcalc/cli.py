@@ -42,7 +42,7 @@ from .cycles import (
     sum_relations,
 )
 from .errors import ConfigurationError, OrderError, ValidationError, is_integer, json_object
-from .ring import ADDITIVE, FREE, MULTIPLICATIVE, CoefficientBackend, log_backend
+from .ring import ADDITIVE, FREE, MULTIPLICATIVE, log_backend
 from .series import FormalGroupLaw, TruncatedSeries, support_decompose
 from .snc import (
     FaceClassVector,
@@ -54,7 +54,13 @@ from .snc import (
 )
 from .stats import meter
 
-BACKEND_CHOICES = ("free", "log", "additive", "mult")
+# each --backend name's backend for a law of the given order; --help lists them in this order
+BACKENDS = {
+    "free": lambda order: FREE,
+    "log": lambda order: log_backend(max(order - 1, 1)),
+    "additive": lambda order: ADDITIVE,
+    "mult": lambda order: MULTIPLICATIVE,
+}
 MAX_MULTIPLICITY = 1024  # largest |n| accepted for n, multiplicities, D and E
 MAX_ORDER = 16  # largest truncation order accepted from --order or FGL_ORDER
 MAX_COMPONENTS = 6  # most components accepted in an snc configuration
@@ -81,21 +87,9 @@ def _order(args) -> int:
     return order
 
 
-def _make_backend(name: str, order: int) -> CoefficientBackend:
-    if name == "free":
-        return FREE
-    if name == "additive":
-        return ADDITIVE
-    if name == "mult":
-        return MULTIPLICATIVE
-    if name == "log":
-        return log_backend(max(order - 1, 1))
-    raise ValidationError(f"unknown backend {name!r}")
-
-
 def _make_law(args) -> FormalGroupLaw:
     order = _order(args)
-    return FormalGroupLaw(_make_backend(args.backend, order), order)
+    return FormalGroupLaw(BACKENDS[args.backend](order), order)
 
 
 class _UnreadableInput(Exception):
@@ -262,7 +256,7 @@ def _cmd_cycles_relgen(args, data):
         if room > MAX_ORDER:
             raise ValidationError(f"fgl witness leaves {room} dimensions for the law, "
                                   f"above the order limit {MAX_ORDER}")
-        backend = _make_backend(args.backend, _order(args))
+        backend = BACKENDS[args.backend](_order(args))
     return relation_generator(kind, witness, backend).to_json()
 
 
@@ -326,7 +320,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
             p = sub.add_parser(name, help=command_help)
             p.add_argument("--order", type=int, default=None, help=(
                 f"truncation order, at most {MAX_ORDER} (default: FGL_ORDER env var, then 8)"))
-            p.add_argument("--backend", choices=BACKEND_CHOICES, default="free",
+            p.add_argument("--backend", choices=BACKENDS, default="free",
                            help="coefficient backend (default free)")
             p.add_argument("--pretty", action="store_true", help="indent the JSON output")
             p.add_argument("--output", default=None, help="write to this path instead of stdout")
