@@ -5,13 +5,17 @@ a class it exports, with arguments it accepts.  The tests replace some of
 those arguments with values from _VALUES (wrong types, bools, floats and
 NaN, repeated names, foreign backends, a string for a law, generators of
 another kind, counts just past each cap, and the other sites' objects) and
-require a return or a ValidationError subclass.  A binary operator given a
-non-operand ends in Python's TypeError once every fglcalc operand has
-returned NotImplemented: that is the operator protocol, not a defect.
+require a return or a ValidationError subclass.  The last test plants a bad
+value inside an argument instead: one entry of one dict, list, tuple or
+frozenset in it, at any depth, is replaced by a value of _PLANTED, wrapped,
+repeated or dropped.  A binary operator given a non-operand ends in Python's
+TypeError once every fglcalc operand has returned NotImplemented: that is
+the operator protocol, not a defect.
 """
 
 import inspect
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -274,3 +278,53 @@ def test_several_arguments_replaced_at_once(name, data):
     for position in positions:
         args[position] = data.draw(st.sampled_from(_VALUES))
     _call(name, tuple(args))
+
+
+# -- a bad value planted inside a container argument ---------------------------------
+
+_PLANTED = [None, True, 0, -1, 10**20, 1.5, float("nan"), Fraction(1, 2), "", "m(1)", "1",
+            (1, 2, 3), m_gen(1), object(), [1], {1: 2}]
+_KEYS = [value for value in _PLANTED if not isinstance(value, (list, dict))]  # they hash
+
+
+def _replacements(entry, hashable):
+    """What may stand in an entry's place: each planted value, the entry wrapped in a
+    container, or the entry with a value planted inside it."""
+    yield from _KEYS if hashable else _PLANTED
+    yield (entry,) if hashable else [entry]
+    yield from _planted(entry, hashable)
+
+
+def _planted(value, hashable=False):
+    """Each copy of value with one entry of one dict, list, tuple or frozenset in it, at any
+    depth, replaced, repeated or dropped; a dict key or a set entry only by what hashes."""
+    if type(value) is dict:
+        items = list(value.items())
+        for i, (key, entry) in enumerate(items):
+            for new in _replacements(key, True):
+                yield dict(items[:i] + [(new, entry)] + items[i + 1:])
+            for new in _replacements(entry, False):
+                yield dict(items[:i] + [(key, new)] + items[i + 1:])
+            yield dict(items[:i] + items[i + 1:])
+    elif type(value) in (list, tuple, frozenset):
+        entries, kind = list(value), type(value)
+        for i, entry in enumerate(entries):
+            for new in _replacements(entry, hashable or kind is frozenset):
+                yield kind(entries[:i] + [new] + entries[i + 1:])
+            yield kind(entries[:i + 1] + entries[i:])
+            yield kind(entries[:i] + entries[i + 1:])
+
+
+# arguments that a site accepts besides its own, holding what those do not: a label's nu
+_MORE = {"SpaceLabel.from_json with nu": ("SpaceLabel.from_json", ({**Y.to_json(), "nu": 1},))}
+_ROWS = {**{name: (name, SITES[name][1]) for name in _NAMES}, **_MORE}
+_NESTED = {row: (name, args) for row, (name, args) in _ROWS.items()
+           if any(next(_planted(arg), None) is not None for arg in args)}
+
+
+@pytest.mark.parametrize("row", sorted(_NESTED))
+def test_each_entry_inside_an_argument_replaced(row):
+    name, args = _NESTED[row]
+    for position, arg in enumerate(args):
+        for value in _planted(arg):
+            _call(name, args[:position] + (value,) + args[position + 1:])
