@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fglcalc.ring
-from fglcalc.cli import MAX_COMPONENTS, MAX_MULTIPLICITY, MAX_ORDER, MAX_WORK, build_parser, main
+from fglcalc.cli import (BACKENDS, MAX_COMPONENTS, MAX_MULTIPLICITY, MAX_ORDER, MAX_WORK,
+                         build_parser, main)
 from fglcalc.stats import meter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -460,6 +461,13 @@ def test_the_default_order_is_8(monkeypatch):
     rc, out, _ = run_cli(["fgl", "inverse", "--backend", "free"])
     assert rc == 0
     assert json.loads(out)["order"] == 8
+
+
+@pytest.mark.parametrize("order, log_order", [(1, 1), (2, 1), (3, 2), (8, 7), (16, 15)])
+def test_a_log_law_gets_the_smallest_log_backend_that_holds_it(order, log_order):
+    # a law of order k has its coefficients in m(1) .. m(k - 1), and a log backend
+    # has an order of at least 1
+    assert BACKENDS["log"](order) == fglcalc.ring.log_backend(log_order)
 
 
 def test_garbage_env_order_is_a_validation_error(monkeypatch):
