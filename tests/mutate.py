@@ -54,10 +54,15 @@ _BOOL = {ast.And: ast.Or, ast.Or: ast.And}
 # (module, the stripped source line, the fault) -> why the mutant behaves as the module does
 _UNIT_AXIOM = "assert all((k, 0) not in coefficients for k in range(2, top + 1))"
 _NEED = "if need[i].get(e, -1) < room:"
+_M_KEY = 'self.degree, self.sort_key, self.name = i, (2, i, 0), f"m({i})"'
 EQUIVALENT = {
     # the log table's sanity check holds on every input, over a range one narrower or wider too
     ("ring", _UNIT_AXIOM, 53, "2 -> 3"): "the unit axiom checked from u^3 on",
     ("ring", _UNIT_AXIOM, 62, "1 -> 2"): "the unit axiom checked up to u^(top+1), past every coefficient",
+    # m's sort key: its first entry only has to exceed A's 0 and b's 1, and its last
+    # is the same for every m, whose keys differ in i
+    ("ring", _M_KEY, 44, "2 -> 3"): "m still sorts after A and b",
+    ("ring", _M_KEY, 50, "0 -> 1"): "m(i) and m(j) still compare by i",
     # substitute: a zero image's lowest degree only has to lie past the order; a column
     # that is not skipped leaves room >= 1, above either default
     ("series", "low = [s._rows()[0][0][0] & s._layout.mask if s._terms else self.order + 1 for s in images]",
