@@ -76,9 +76,11 @@ from .ring import (
 class _Layout:
     """Where the fields of a packed key sit, for r variables.
 
-    The exponent vector and the support of each series part (a key's bits
-    below the ring monomial) are decoded once and kept: there are at most
-    as many as monomials in r variables of the degrees in use.
+    The exponent vector of each series part (a key's bits below the ring
+    monomial), its support and the key of the product of the variables in
+    that support, which _support_parts divides out, are decoded once and
+    kept: there are at most as many as monomials in r variables of the
+    degrees in use.
     """
 
     __slots__ = ("r", "mask", "shift", "series_mask", "units", "_exponents", "_supports")
@@ -106,12 +108,15 @@ class _Layout:
 
     def support(self, part: int) -> frozenset:
         """The 1-based indices of the variables with a nonzero exponent in part."""
-        support = self._supports.get(part)
-        if support is None:
-            support = self._supports[part] = frozenset(
-                i for i, e in enumerate(self.exponents(part), 1) if e
-            )
-        return support
+        return self.support_key(part)[0]
+
+    def support_key(self, part: int) -> tuple:
+        """(support(part), the key of prod_{i in it} u_i)."""
+        hit = self._supports.get(part)
+        if hit is None:
+            support = frozenset(i for i, e in enumerate(self.exponents(part), 1) if e)
+            hit = self._supports[part] = (support, sum(self.units[i - 1] for i in support))
+        return hit
 
 
 _LAYOUTS: dict = {}   # r -> _Layout
@@ -295,6 +300,9 @@ class TruncatedSeries(SparseSum):
         )
 
     def _check_compatible(self, other: TruncatedSeries):
+        if (self.backend is other.backend and self.variables is other.variables
+                and self.order == other.order):
+            return  # the fold's operands share their backend and variables
         if self.backend != other.backend:
             raise BackendMismatchError("mixed backends in series arithmetic")
         if self.variables != other.variables:
@@ -406,7 +414,8 @@ class TruncatedSeries(SparseSum):
                 column.setdefault((k >> first) & src.mask, {})[k >> src.shift << shift] = c
         # a bare variable first image: moved[rest] holds the column's e0 parts
         # times the variable's power e0, its inner sum without a product
-        unit = next((u for u in layout.units if target._terms == {u: 1}), None)
+        unit = next(iter(target._terms)) if len(target._terms) == 1 else None
+        unit = unit if unit in layout.units and target._terms[unit] == 1 else None
         moved = plans.get((layout, unit))
         if moved is None and unit is not None:
             moved = plans[layout, unit] = {
@@ -732,16 +741,16 @@ class FormalGroupLaw:
 def _support_parts(series: TruncatedSeries, keep=None) -> dict:
     """{J: the terms of support J, less the key of prod_{i in J} u_i}, for J in keep if given."""
     layout = series._layout
-    series_mask, units = layout.series_mask, layout.units
+    series_mask = layout.series_mask
     seen: dict = {}  # series part -> (its support's terms, the key of prod_{i in it} u_i), or None
     parts: dict = {}
     for k, c in series._terms.items():
         hit = seen.get(k & series_mask, 0)
         if hit == 0:
-            support = layout.support(k & series_mask)
+            support, key = layout.support_key(k & series_mask)
             hit = None
             if keep is None or support in keep:
-                hit = (parts.setdefault(support, {}), sum(units[i - 1] for i in support))
+                hit = (parts.setdefault(support, {}), key)
             seen[k & series_mask] = hit
         if hit is not None:
             hit[0][k - hit[1]] = c  # one to one within a support

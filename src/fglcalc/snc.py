@@ -23,7 +23,8 @@ D - |J|, so only face supports and degrees up to ambient_dim matter.  Faces
 are downward closed, so the other terms span an ideal (the Stanley-Reisner
 ideal, plus the higher degrees) that products and substitution preserve:
 F^{(n)} is folded at order ambient_dim with non-face terms dropped after
-every step, and a product of two divisors is one product of those.
+each step whose variables so far span no face (when they do, every support
+is a face already), and a product of two divisors is one product of those.
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ def _on_faces(series: TruncatedSeries, faces) -> TruncatedSeries:
 
 
 def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) -> TruncatedSeries:
-    """F^{(n)} folded at order ambient_dim, non-face terms dropped at every step."""
+    """F^{(n)} folded at order ambient_dim, non-face terms dropped after each step
+    unless the variables folded so far, which hold every support, form a face."""
     key = (ns, config.faces, config.ambient_dim)
     result = law._face_combinations.get(key)
     if result is None:
@@ -302,8 +304,9 @@ def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) 
         variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
         result = low._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
-            step = low.sum(result, low._embedded_n_series(ns[idx], idx, variables))
-            result = _on_faces(step, config.faces)
+            result = low.sum(result, low._embedded_n_series(ns[idx], idx, variables))
+            if frozenset(range(1, idx + 2)) not in config.faces:
+                result = _on_faces(result, config.faces)
         law._face_combinations[key] = result
     return result
 
