@@ -78,6 +78,11 @@ EQUIVALENT = {
         "build_parser reads argv[:2] of the slice",
     # the inverse's table of chi's powers: t = d - j + 2 reads [u^(j-2)] chi^(j-1), an empty row
     ("series", "for t in range(1, d - j + 2):", 26, "2 -> 3"): "one more row of no terms, no products",
+    # its rows of bare polynomials: with mask 0 every term sits in bucket 0, and an order of 1
+    # only adds an empty bucket 1 that the kernel, called there with cut 0, never reads
+    ("series", "rows = [_sorted_rows(t, 0, 0, 0) for t in c]", 30, "0 -> 1"): "an unread empty bucket",
+    ("series", "p = row[d] = _sorted_rows(_nonzero(acc), 0, 0, 0)", 47, "0 -> 1"): "an unread empty bucket",
+    ("series", "rows.append(_sorted_rows(c[k], 0, 0, 0))", 37, "0 -> 1"): "an unread empty bucket",
     # n_series' Lagrange weights: (-1) ** (k + j) is (-1) ** (k - j)
     ("series", "weights = [[(-1) ** (k - j) * comb(n, j) * comb(n - j - 1, k - j)", 21, "- -> +"):
         "k + j and k - j have the same parity",

@@ -161,6 +161,21 @@ def test_every_command_line_order_shares_one_key_layout():
             assert series.truncate(order // 2)._layout is layout
 
 
+def test_the_layout_keeps_each_parts_support_and_divided_out_key():
+    # _support_parts reads both from the layout's table: part - key is the
+    # part with one power of each variable in its support divided out
+    for r in range(1, 7):
+        layout = _layout(r)
+        for exps in itertools.product(range(5), repeat=r):
+            if sum(exps) > 4:
+                continue
+            part = layout.encode(exps)
+            support, key = layout.support_key(part)
+            assert support == layout.support(part) == {i for i, e in enumerate(exps, 1) if e}
+            assert part - key == layout.encode([e - (i in support) for i, e in enumerate(exps, 1)])
+            assert layout.support_key(part) is layout.support_key(part)
+
+
 _PAST_THE_FIELD = (
     lambda order: TruncatedSeries(("u",), order, FREE),
     lambda order: TruncatedSeries.from_json({"variables": ["u"], "order": order, "terms": []}, FREE),

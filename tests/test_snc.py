@@ -721,14 +721,110 @@ def test_restriction_path_product_count_is_pinned():
     (lambda cfg, D, E, law: check_properties(cfg, D, E, law), 169_502),
 ], ids=["divisor_class", "check_properties"])
 def test_path_complex_product_counts_are_pinned(work, products):
-    # the fold drops non-face supports after every step; folding all six
-    # variables and filtering once makes 202,294 and 426,423 products here
+    # the fold drops non-face supports after each step whose variables span
+    # no face; folding all six variables and filtering once makes 202,294
+    # and 426,423 products here
     path = _config(8, 6, [[i] for i in range(1, 7)] + [[i, i + 1] for i in range(1, 6)])
     law = FormalGroupLaw(FREE, 8)
     law.series
     before = meter.products
     work(path, (1, 2, -1, 1, 2, 1), (2, 1, 1, -1, 1, 2), law)
     assert meter.products - before == products
+
+
+def test_the_fold_filters_only_after_a_step_whose_variables_span_no_face(monkeypatch):
+    # the faces are downward closed, so once u_1..u_k span a face every support
+    # is a face and the filter would keep every term.  Skipping it changes no
+    # output: a non-face support times anything stays off the faces, and the
+    # face classes drop it.  Only the filter's calls show whether it ran.
+    calls = []
+    on_faces = snc._on_faces
+    monkeypatch.setattr(snc, "_on_faces", lambda series, faces: calls.append(series) or on_faces(series, faces))
+    # the 6-path: {1, 2} is an edge, and no longer prefix is a face
+    divisor_class(_path_config(8, 6), (1, 2, -1, 1, 2, 1), FormalGroupLaw(FREE, 8))
+    assert len(calls) == 4
+    calls.clear()
+    # the full simplex: every prefix of both folds is a face
+    result = check_properties(_full_config(4, 4), (1, 2, -1, 1), (2, 1, 1, -1), FormalGroupLaw(FREE, 4))
+    assert result == {"symmetry": True, "restriction": None, "operator": True}
+    assert calls == []
+
+
+def _relabelling(perm, config):
+    """Component i renamed perm[i - 1]: the renamed configuration, and the renaming
+    of a multiplicity vector, of a class vector on config and of a series in u1..ur."""
+    r = config.r
+    renamed = _config(config.ambient_dim, r, [[perm[i - 1] for i in J] for J in config.faces])
+
+    def moved(exps):
+        out = [0] * r
+        for i, e in zip(perm, exps):
+            out[i - 1] = e
+        return tuple(out)
+
+    def vector(v):
+        return FaceClassVector(renamed, {
+            frozenset(perm[i - 1] for i in J): ChernPolynomial(
+                r, cp.dim_bound, cp.backend, {moved(exps): poly for exps, poly in cp.items()})
+            for J, cp in v.items()})
+
+    def series(s):
+        return TruncatedSeries(s.variables, s.order, s.backend,
+                               {moved(exps): poly for exps, poly in s.items()})
+
+    return renamed, moved, vector, series
+
+
+@pytest.mark.parametrize("kind", ["log", "additive", "mult", "free"])
+def test_renumbering_the_components_renumbers_every_result(kind):
+    """On a formal group law F^{(n)} is associative and commutative, so a class
+    does not depend on how the components are numbered: the result for the
+    renumbered input is the renumbered result.  FREE's law is symmetric but
+    not associative, and its left fold in index order depends on the
+    numbering; there the two agree once specialized to a law (log)."""
+    rng = random.Random(f"relabel:{kind}")
+    for _ in range(10):
+        r = rng.randrange(2, 6)
+        ambient = rng.randrange(max(r - 1, 2), 7)
+        cfg = _random_downward_closed(rng, ambient, r)
+        perm = tuple(rng.sample(range(1, r + 1), r))
+        renamed, moved, vector, series = _relabelling(perm, cfg)
+        log = log_backend(ambient - 1)
+        backend = {"log": log, "additive": ADDITIVE, "mult": MULTIPLICATIVE, "free": FREE}[kind]
+        law = FormalGroupLaw(backend, ambient)
+        ns, ps = _random_mults(rng, r), _random_mults(rng, r)
+        beta = divisor_class(cfg, ps, law)
+        pairs = [
+            (divisor_class(renamed, moved(ns), law), vector(divisor_class(cfg, ns, law))),
+            (product_class(renamed, moved(ns), moved(ps), law), vector(product_class(cfg, ns, ps, law))),
+            (apply_divisor_operator(vector(beta), moved(ns), law),
+             vector(apply_divisor_operator(beta, ns, law))),
+            (law.linear_combination(moved(ns)), series(law.linear_combination(ns))),
+        ]
+        for found, expected in pairs:
+            if kind == "free":
+                found, expected = oracles.specialize(found, log), oracles.specialize(expected, log)
+            assert found == expected
+        i = rng.randrange(r)  # a reduced component absent from the second divisor
+        reduced = tuple(int(j == i) for j in range(r))
+        other = tuple(0 if j == i else p for j, p in enumerate(ps))
+        for first, second in [(ns, ps)] + [(reduced, other)] * any(other):
+            assert (check_properties(renamed, moved(first), moved(second), law)
+                    == check_properties(cfg, first, second, law))
+
+
+def test_free_classes_depend_on_the_numbering_until_specialized():
+    # the full simplex on 4 components at ambient_dim 5, numbered backwards
+    cfg = _full_config(5, 4)
+    renamed, _, vector, _ = _relabelling((4, 3, 2, 1), cfg)
+    law, log = FormalGroupLaw(FREE, 5), log_backend(4)
+    for found, expected in [
+        (divisor_class(renamed, (1, 1, 1, 1), law), vector(divisor_class(cfg, (1, 1, 1, 1), law))),
+        (product_class(renamed, (1, 1, 0, 0), (1, 1, 1, 1), law),
+         vector(product_class(cfg, (0, 0, 1, 1), (1, 1, 1, 1), law))),
+    ]:
+        assert found != expected
+        assert oracles.specialize(found, log) == oracles.specialize(expected, log)
 
 
 # -- operator and vector mechanics ------------------------------------------
