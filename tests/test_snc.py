@@ -808,7 +808,7 @@ def test_renumbering_the_components_renumbers_every_result(kind):
         i = rng.randrange(r)  # a reduced component absent from the second divisor
         reduced = tuple(int(j == i) for j in range(r))
         other = tuple(0 if j == i else p for j, p in enumerate(ps))
-        for first, second in [(ns, ps)] + [(reduced, other)] * any(other):
+        for first, second in [(ns, ps), (reduced, other)] if any(other) else [(ns, ps)]:
             assert (check_properties(renamed, moved(first), moved(second), law)
                     == check_properties(cfg, first, second, law))
 
