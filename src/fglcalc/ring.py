@@ -411,9 +411,11 @@ def _multiply(acc: dict, left: dict, rows: tuple, cut: int, mask: int, shift: in
 
 
 def _nonzero(acc: dict) -> dict:
-    """acc with its zero sums deleted, in place: no second dict is made."""
-    for k in [k for k, c in acc.items() if not c]:
-        del acc[k]
+    """acc with its zero sums deleted, in place: no second dict is made.  Few
+    sums cancel, so the keys are listed only when some value equals 0."""
+    if 0 in acc.values():
+        for k in [k for k, c in acc.items() if not c]:
+            del acc[k]
     return acc
 
 

@@ -29,21 +29,29 @@ group's sum of first-variable powers is cut at the degree its rest factor
 leaves and multiplied by it straight into the result; for a bare variable
 as first image, as in each step of the fold [n]u, the sum is the group
 moved onto it, kept too, and costs no product.  Powers of the images are
-each cut at the highest degree any group reads from it.  P^k is P^(k-1) * P,
-or for even k P^(k/2) squared by the kernel's square mode, when the term
-counts say the square makes fewer products: |P^(k/2)|^2 < 2 |P^(k-1)| |P|.
+each cut at the highest degree any group reads from it.  Which groups lie
+below the order and where each power is cut depend only on the target
+layout, the first image if it is a bare variable, and the images' lowest
+degrees, so this schedule is worked out once per such triple and kept
+beside the groups; the fold steps of one law mostly share a few.  P^k is
+P^(k-1) * P, or for even k P^(k/2) squared by the kernel's square mode,
+when the term counts say the square makes fewer products:
+|P^(k/2)|^2 < 2 |P^(k-1)| |P|.
 
 FormalGroupLaw bundles a backend and an order and derives from them the
 two-variable law F(u, v), the formal inverse, n-fold sums [n]u, and the
 multi-variable combinations F^{(n_1, ..., n_r)}.  F is cached on the
 instance, and each [n]u in one table, chi as [-1]u (a combination is not:
-no caller repeats one); the iterated sums fold left to right.  [n]u is one
-fold step from [n-1]u, interpolated past [order]u, and [-n]u is [n]u
-composed with chi(u); n_series says why both equal the left fold.
+no caller repeats one); the iterated sums fold left to right, through
+_sum, which skips the argument checks of the public sum on the images the
+law built itself.  [n]u is one fold step from [n-1]u, interpolated past
+[order]u, and [-n]u is [n]u composed with chi(u); n_series says why both
+equal the left fold.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from operator import mul
 
@@ -138,12 +146,20 @@ def _as_tuple(value, error: str) -> tuple:
         raise ValidationError(f"{error} {value!r}") from None
 
 
-def _power(cache: list, need: dict, e: int) -> TruncatedSeries:
-    """cache[e], the power e of cache[1] (cache[0] is one), cut where need reads it; the
-    cut never rises with e, so each power is exact as far as the next one needs it."""
+def _cut_table(need: dict) -> list:
+    """cuts[k]: the degree up to which _power builds power k of an image, given
+    need[e], the degree up to which some group reads power e.  That is the
+    highest need[e] for any e >= k (0 if none), so each power is exact as far
+    as every later power built from it needs it."""
+    return list(accumulate((need.get(e, 0) for e in range(max(need, default=0), -1, -1)), max))[::-1]
+
+
+def _power(cache: list, cuts: list, e: int) -> TruncatedSeries:
+    """cache[e], the power e of cache[1] (cache[0] is one), power k cut at cuts[k]
+    (_cut_table); the cut never rises with k."""
     while len(cache) <= e:
         k = len(cache)
-        cut = max(0, max(d for f, d in need.items() if f >= k))
+        cut = cuts[k]
         half = cache[k // 2]
         if k % 2 or len(half._terms) ** 2 >= 2 * len(cache[-1]._terms) * len(cache[1]._terms):
             cache.append(cache[-1]._cut(cut) * cache[1]._cut(cut))
@@ -390,62 +406,33 @@ class TruncatedSeries(SparseSum):
         factor R = s_1^e_1 s_2^e_2 ...  R has no term below its lowest
         degree d, so the inner sum is accumulated only up to degree
         order - d, and every power of an image only up to the highest degree
-        any group reads from it.  The groups are kept on this series per
-        target layout; with s_0 a bare variable each inner sum is its group
-        moved onto it, kept too, and makes no product.  _checked is
-        _images(assignment) from a caller that has run it (FormalGroupLaw.sum).
+        any group reads from it.  Which groups survive the order and where
+        each power is cut depend only on the target layout, the first image
+        and the images' lowest degrees, so that schedule is built once per
+        such triple and kept on this series (_schedule).  With s_0 a bare
+        variable each inner sum is its group moved onto it, kept too, and
+        makes no product.  _checked is (images, their lowest degrees) from
+        FormalGroupLaw._sum, which skips _images' checks: the images are
+        checked by FormalGroupLaw.sum or built by the law itself.
         """
         images, low = _checked or self._images(assignment)
         target = images[0]
         order, backend, layout = self.order, self.backend, target._layout
         mask, shift = layout.mask, layout.shift
-
-        # columns[rest][e0]: the terms with exponents (e0, rest), as ring
-        # monomials moved to the target layout at degree 0
-        src = self._layout
-        plans = self._plans = self._plans or {}
-        columns = plans.get(layout)
-        if columns is None:
-            columns = plans[layout] = {}
-            first = FIELD_BITS * src.r  # the first variable's field
-            rest_mask = ((1 << first) - 1) ^ src.mask
-            for k, c in self._terms.items():
-                column = columns.setdefault(k & rest_mask, {})
-                column.setdefault((k >> first) & src.mask, {})[k >> src.shift << shift] = c
-        # a bare variable first image: moved[rest] holds the column's e0 parts
-        # times the variable's power e0, its inner sum without a product
+        # a bare variable first image, by its unit key, or None
         unit = next(iter(target._terms)) if len(target._terms) == 1 else None
         unit = unit if unit in layout.units and target._terms[unit] == 1 else None
-        moved = plans.get((layout, unit))
-        if moved is None and unit is not None:
-            moved = plans[layout, unit] = {
-                rest: {m + e0 * unit: c for e0, part in column.items() for m, c in part.items()}
-                for rest, column in columns.items()
-            }
-        # need[i][e]: the degree up to which some column uses images[i]**e
-        need = [{} for _ in images]
-        groups = []
-        for rest_key, column in columns.items():
-            rest = src.exponents(rest_key)[1:]
-            rest_low = sum(map(mul, rest, low[1:]))
-            inner_low = min(column) * low[0]
-            if inner_low + rest_low > order:
-                continue  # every term of the column lies above the order
-            for e0 in column:
-                if need[0].get(e0, -1) < order - rest_low:
-                    need[0][e0] = order - rest_low
-            for i, e in enumerate(rest, 1):
-                if e:
-                    room = order - inner_low - rest_low + e * low[i]
-                    if need[i].get(e, -1) < room:
-                        need[i][e] = room
-            groups.append((rest, column, inner_low, moved and moved[rest_key]))
+        plans = self._plans = self._plans or {}
+        schedule = plans.get((layout, unit, tuple(low)))
+        if schedule is None:
+            schedule = self._schedule(layout, unit, low)
+        groups, cuts = schedule
 
         one = target._raw(target.variables, order, backend, {0: 1}, layout)
         powers = [[one, s] for s in images]
         acc: dict = {}
-        for rest, column, inner_low, left in groups:
-            factors = [(_power(powers[i], need[i], e), e * low[i]) for i, e in enumerate(rest, 1) if e]
+        for spec, column, inner_low, left in groups:
+            factors = [(_power(powers[i], cuts[i], e), d) for i, e, d in spec]
             if not factors:
                 inner, room = acc, order
             else:
@@ -471,7 +458,7 @@ class TruncatedSeries(SparseSum):
             if left is None:
                 for e0, part in column.items():
                     if e0 * low[0] <= room:
-                        _multiply(inner, part, _power(powers[0], need[0], e0)._rows(), room, mask, shift)
+                        _multiply(inner, part, _power(powers[0], cuts[0], e0)._rows(), room, mask, shift)
                 left = _nonzero(inner) if factors else None
             elif not factors:
                 for k, c in left.items():
@@ -479,6 +466,53 @@ class TruncatedSeries(SparseSum):
             if factors:  # the kernel cuts each row of a moved column
                 _multiply(acc, left, rows, order, mask, shift)
         return target._raw(target.variables, order, backend, _nonzero(acc), layout)
+
+    def _schedule(self, layout: _Layout, unit, low) -> tuple:
+        """substitute's plan into layout for a first image with the unit key unit
+        (None unless it is a bare variable) and images of the lowest degrees low,
+        kept in _plans: (groups, cuts).  A group is (its rest factor's powers as
+        (image, exponent, lowest degree), its column, the column's lowest degree,
+        the column moved onto the unit or None); cuts[i] is image i's _cut_table."""
+        order, src, plans = self.order, self._layout, self._plans
+        # columns[rest][e0]: the terms with exponents (e0, rest), as ring
+        # monomials moved to the target layout at degree 0
+        columns = plans.get(layout)
+        if columns is None:
+            columns = plans[layout] = {}
+            first = FIELD_BITS * src.r  # the first variable's field
+            rest_mask = ((1 << first) - 1) ^ src.mask
+            for k, c in self._terms.items():
+                column = columns.setdefault(k & rest_mask, {})
+                column.setdefault((k >> first) & src.mask, {})[k >> src.shift << layout.shift] = c
+        # a bare variable first image: moved[rest] holds the column's e0 parts
+        # times the variable's power e0, its inner sum without a product
+        moved = plans.get((layout, unit))
+        if moved is None and unit is not None:
+            moved = plans[layout, unit] = {
+                rest: {m + e0 * unit: c for e0, part in column.items() for m, c in part.items()}
+                for rest, column in columns.items()
+            }
+        # need[i][e]: the degree up to which some column uses images[i]**e
+        need = [{} for _ in low]
+        groups = []
+        for rest_key, column in columns.items():
+            rest = src.exponents(rest_key)[1:]
+            rest_low = sum(map(mul, rest, low[1:]))
+            inner_low = min(column) * low[0]
+            if inner_low + rest_low > order:
+                continue  # every term of the column lies above the order
+            for e0 in column:
+                if need[0].get(e0, -1) < order - rest_low:
+                    need[0][e0] = order - rest_low
+            for i, e in enumerate(rest, 1):
+                if e:
+                    room = order - inner_low - rest_low + e * low[i]
+                    if need[i].get(e, -1) < room:
+                        need[i][e] = room
+            spec = tuple((i, e, e * low[i]) for i, e in enumerate(rest, 1) if e)
+            groups.append((spec, column, inner_low, moved and moved[rest_key]))
+        schedule = plans[layout, unit, tuple(low)] = (groups, [_cut_table(n) for n in need])
+        return schedule
 
     # -- serialization ----------------------------------------------------
 
@@ -583,16 +617,23 @@ class FormalGroupLaw:
     def sum(self, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
         """F(s, t) for two series with zero constant term over this backend.
 
-        F is symmetric (a_ij = a_ji), so after the checks in the given order
-        the smaller image goes first, where substitute runs every inner sum.
+        s and t pass substitute's checks, in the given order, before _sum
+        runs; the law's own folds (n_series, linear_combination and
+        fglcalc.snc's) call _sum on the images they built."""
+        self.series._images({"u": s, "v": t})
+        return self._sum(s, t)
+
+    def _sum(self, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
+        """F(s, t) without sum's checks.  F is symmetric (a_ij = a_ji), so the
+        smaller image goes first, where substitute runs every inner sum.
         F(x, 0) = x, so a zero image returns the other one."""
-        law = self.series
-        images, low = law._images({"u": s, "v": t})
         if not t._terms or not s._terms:
             return t if not s._terms else s
         if len(t._terms) < len(s._terms):
-            images, low = images[::-1], low[::-1]
-        return law.substitute(dict(zip(law.variables, images)), (images, low))
+            s, t = t, s
+        mask = s._layout.mask
+        low = (s._rows()[0][0][0] & mask, t._rows()[0][0][0] & mask)
+        return self.series.substitute(None, ((s, t), low))
 
     def inverse(self) -> TruncatedSeries:
         """The series chi(u) with F(u, chi(u)) = 0, solved coefficient by coefficient.
@@ -689,7 +730,7 @@ class FormalGroupLaw:
         elif n <= 1:  # [0]u = 0 and [1]u = u
             result = TruncatedSeries(("u",), order, self.backend, {(1,): n})
         elif n <= order:
-            result = self.sum(self.n_series(n - 1), self.n_series(1))
+            result = self._sum(self.n_series(n - 1), self.n_series(1))
         else:
             fold = [self.n_series(j) for j in range(order + 1)]
             # in one variable the degree field is the exponent k of u^k
@@ -734,7 +775,7 @@ class FormalGroupLaw:
                 raise ValidationError("one variable per multiplicity required")
         result = self._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
-            result = self.sum(result, self._embedded_n_series(ns[idx], idx, variables))
+            result = self._sum(result, self._embedded_n_series(ns[idx], idx, variables))
         return result
 
 

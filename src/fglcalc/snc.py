@@ -25,6 +25,8 @@ ideal, plus the higher degrees) that products and substitution preserve:
 F^{(n)} is folded at order ambient_dim with non-face terms dropped after
 each step whose variables so far span no face (when they do, every support
 is a face already), and a product of two divisors is one product of those.
+A zero multiplicity is skipped with its filter: F(x, 0) = x, and x has
+only face supports already.
 """
 
 from __future__ import annotations
@@ -294,7 +296,8 @@ def _on_faces(series: TruncatedSeries, faces) -> TruncatedSeries:
 
 def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) -> TruncatedSeries:
     """F^{(n)} folded at order ambient_dim, non-face terms dropped after each step
-    unless the variables folded so far, which hold every support, form a face."""
+    unless the variables folded so far, which hold every support, form a face;
+    a zero multiplicity adds no step."""
     key = (ns, config.faces, config.ambient_dim)
     result = law._face_combinations.get(key)
     if result is None:
@@ -304,7 +307,9 @@ def _face_combination(config: SncConfiguration, ns: tuple, law: FormalGroupLaw) 
         variables = tuple(f"u{i}" for i in range(1, len(ns) + 1))
         result = low._embedded_n_series(ns[0], 0, variables)
         for idx in range(1, len(ns)):
-            result = low.sum(result, low._embedded_n_series(ns[idx], idx, variables))
+            if not ns[idx]:
+                continue  # F(x, 0) = x, and the steps before left x on the faces
+            result = low._sum(result, low._embedded_n_series(ns[idx], idx, variables))
             if frozenset(range(1, idx + 2)) not in config.faces:
                 result = _on_faces(result, config.faces)
         law._face_combinations[key] = result

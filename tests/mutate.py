@@ -54,6 +54,7 @@ _BOOL = {ast.And: ast.Or, ast.Or: ast.And}
 # (module, the stripped source line, the fault) -> why the mutant behaves as the module does
 _UNIT_AXIOM = "assert all((k, 0) not in coefficients for k in range(2, top + 1))"
 _NEED = "if need[i].get(e, -1) < room:"
+_CUT_TABLE = "return list(accumulate((need.get(e, 0) for e in range(max(need, default=0), -1, -1)), max))[::-1]"
 _M_KEY = 'self.degree, self.sort_key, self.name = i, (2, i, 0), f"m({i})"'
 EQUIVALENT = {
     # the log table's sanity check holds on every input, over a range one narrower or wider too
@@ -63,6 +64,9 @@ EQUIVALENT = {
     # is the same for every m, whose keys differ in i
     ("ring", _M_KEY, 44, "2 -> 3"): "m still sorts after A and b",
     ("ring", _M_KEY, 50, "0 -> 1"): "m(i) and m(j) still compare by i",
+    # b's sort key: b is the only generator whose key starts with 1
+    ("ring", 'self.degree, self.sort_key, self.name = 1, (1, 0, 0), "b"', 50, "0 -> 1"):
+        "b still sorts between A and m",
     # substitute: a zero image's lowest degree only has to lie past the order; a column
     # that is not skipped leaves room >= 1, above either default
     ("series", "low = [s._rows()[0][0][0] & s._layout.mask if s._terms else self.order + 1 for s in images]",
@@ -73,6 +77,12 @@ EQUIVALENT = {
         "order - rest_low >= 0 on a column that is not skipped, above -2 as above -1",
     ("series", "if need[0].get(e0, -1) < order - rest_low:", 3, "< -> <="):
         "on a tie need[0][e0] is set to the value it holds",
+    # the cut table is read for powers k >= 2 only, which have no term of degree <= 1, so a
+    # cut of 1 where 0 stood keeps the same terms and, the images having none of degree 0,
+    # reaches no further pair in the kernel
+    ("series", _CUT_TABLE, 36, "0 -> 1"): "a floor of 1 cuts no power k >= 2 differently",
+    # need is empty only for an image no group reads a power of, so no power of it is built
+    ("series", _CUT_TABLE, 72, "0 -> 1"): "an unread table one entry longer",
     # main passes build_parser a slice of sys.argv, of which it reads the first two entries only
     ("cli", "args = build_parser(sys.argv[1:3] if argv is None else argv).parse_args(argv)", 31, "3 -> 4"):
         "build_parser reads argv[:2] of the slice",

@@ -33,7 +33,7 @@ from fglcalc import (
     m_gen,
 )
 import fglcalc.ring
-from fglcalc.ring import MAX_EXPONENT
+from fglcalc.ring import MAX_EXPONENT, _nonzero
 from fglcalc.series import _layout
 from fglcalc.stats import meter
 
@@ -610,6 +610,37 @@ def test_a_polynomial_compares_unequal_to_what_is_not_a_ring_value():
     assert one == 1 and one == Fraction(1) and GradedPolynomial.zero(FREE) == 0
 
 
+def test_a_polynomial_declines_to_add_what_is_not_a_ring_value():
+    # the operator protocol: the polynomial returns NotImplemented, so Python raises
+    # TypeError, not the ValidationError of a coefficient that is not exact
+    one = GradedPolynomial.one(FREE)
+    for other in (True, 1.5, "1", None):
+        for add in (lambda: one + other, lambda: other + one, lambda: one - other, lambda: other - one):
+            with pytest.raises(TypeError):
+                add()
+    assert one + 1 == 2 and 1 - one == 0 and one + Fraction(1, 2) == Fraction(3, 2)
+
+
 def test_a_log_coefficient_past_the_order_names_its_degree():
     with pytest.raises(OrderError, match=r"^a\(2,3\) has degree 4, beyond log backend order 3$"):
         lazard_coefficient(2, 3, log_backend(3))
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "Fraction"])
+def test_zero_sums_are_deleted_in_place_and_other_dicts_are_left_alone(zero):
+    # the kernel's accumulators hold ints or Fractions; a zero sum of either kind
+    # is deleted, in place, and a dict without one comes back as it went in
+    acc = {3: 2, 5: zero, 7: Fraction(-3, 4), 9: zero}
+    assert _nonzero(acc) is acc
+    assert list(acc.items()) == [(3, 2), (7, Fraction(-3, 4))]
+    scans = []
+
+    class Watched(dict):
+        def items(self):
+            scans.append(self)
+            return super().items()
+
+    clean = Watched({3: 2, 7: Fraction(-3, 4), 11: -5})
+    assert _nonzero(clean) is clean
+    assert scans == []  # no zero sum, so no list of keys is made
+    assert list(clean.items()) == [(3, 2), (7, Fraction(-3, 4)), (11, -5)]

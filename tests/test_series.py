@@ -19,10 +19,12 @@ from fglcalc import (
     FormalGroupLaw,
     GradedPolynomial,
     OrderError,
+    SncConfiguration,
     TruncatedSeries,
     ValidationError,
     a_gen,
     b_gen,
+    check_properties,
     evaluate_at_chern,
     lazard_coefficient,
     log_backend,
@@ -32,7 +34,7 @@ from fglcalc import (
 from fglcalc.cli import MAX_ORDER
 from fglcalc.ring import MAX_EXPONENT, _multiply, _nonzero
 from fglcalc import series as series_module
-from fglcalc.series import _layout, _power
+from fglcalc.series import _cut_table, _layout, _power
 from fglcalc.stats import meter
 
 import oracles
@@ -681,13 +683,13 @@ def test_small_multiples_come_from_the_shared_prefix():
     law = FormalGroupLaw(FREE, order=8)
     law.n_series(8)
     calls = []
-    plain_sum = law.sum
+    plain_sum = law._sum
 
     def counted_sum(s, t):
         calls.append(len(s.variables))
         return plain_sum(s, t)
 
-    law.sum = counted_sum
+    law._sum = counted_sum  # the folds' sum, which skips the public checks
     assert law.n_series(3) == oracles.n_series_by_fold(FormalGroupLaw(FREE, 8), 3)
     law.n_series(12)
     assert calls == []
@@ -754,6 +756,55 @@ def test_two_laws_share_no_series_and_no_substitution_plan():
     assert plans.keys() == second.series._plans.keys()
     assert all(second.series._plans[key] is not plans[key] for key in plans)
     assert first.n_series(3) == second.n_series(3)
+
+
+# a configuration in the shape of perfbench's snc-check: 4 components at
+# dimension 4, the path 1-2-3-4 with the edge {1, 3} and the triangle {1, 2, 3}
+_SNC_CHECK_CONFIG = SncConfiguration.from_json({
+    "ambient_dim": 4, "components": [{"name": f"D{i}"} for i in range(1, 5)],
+    "faces": [[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 3], [1, 2, 3]],
+})
+
+
+def _snc_check_job():
+    # one law, check_properties twice, the second time with one reduced
+    # component and a vector with a 0 there
+    law = FormalGroupLaw(FREE, 4)
+    check_properties(_SNC_CHECK_CONFIG, (1, 2, -1, 1), (2, 1, 1, -1), law)
+    check_properties(_SNC_CHECK_CONFIG, (0, 1, 0, 0), (2, 0, 1, -1), law)
+
+
+@pytest.mark.parametrize("run, schedules, calls", [
+    (lambda: FormalGroupLaw(FREE, 8).linear_combination([2, -1, 3]), 2, 4),
+    (_snc_check_job, 7, 10),
+], ids=["linear_combination", "check_properties"])
+def test_each_schedule_is_built_once_per_layout_unit_and_lowest_degrees(
+    run, schedules, calls, monkeypatch
+):
+    # a schedule depends on the target layout, the bare first image and the
+    # images' lowest degrees only, so each series builds it once for each
+    # such triple and every later substitution with that triple reads it
+    built, substituted = [], []
+    schedule, substitute = TruncatedSeries._schedule, TruncatedSeries.substitute
+
+    def counted_schedule(self, layout, unit, low):
+        built.append((self, (layout, unit, tuple(low))))
+        return schedule(self, layout, unit, low)
+
+    def counted_substitute(self, assignment, _checked=None):
+        substituted.append(self)
+        return substitute(self, assignment, _checked)
+
+    monkeypatch.setattr(TruncatedSeries, "_schedule", counted_schedule)
+    monkeypatch.setattr(TruncatedSeries, "substitute", counted_substitute)
+    run()
+    assert (len(built), len(substituted)) == (schedules, calls)
+    keys = [(id(f), key) for f, key in built]
+    assert len(set(keys)) == len(keys)  # no schedule built twice
+    for f in substituted:
+        # the kept schedules' keys, (layout, unit, lowest degrees), beside the columns
+        kept = {key for key in f._plans if isinstance(key, tuple) and len(key) == 3}
+        assert kept == {key for g, key in built if g is f}
 
 
 @pytest.mark.parametrize("backend", [FREE, log_backend(7), MULTIPLICATIVE, ADDITIVE],
@@ -1138,7 +1189,7 @@ def test_a_square_is_the_product_by_itself_at_one_product_per_pair(case):
     one = TruncatedSeries.one(p.variables, p.order, p.backend)
     fast, slow = [one, p], [one, p]
     for e in range(p.order + 1):
-        assert _power(fast, need, e) == oracles.power_by_chain(slow, need, e)
+        assert _power(fast, _cut_table(need), e) == oracles.power_by_chain(slow, need, e)
     f = TruncatedSeries(("t",), p.order, p.backend, {(e,): e for e in range(1, p.order + 1)})
     assert f.substitute({"t": p}) == oracles.substitute_by_terms(f, {"t": p})
 
@@ -1150,7 +1201,7 @@ def test_a_tie_in_the_square_rule_squares():
     one = TruncatedSeries.one(("u",), 8, FREE)
     p = u * u - u
     before = meter.products
-    sixth = _power([one, p], {6: 8}, 6)
+    sixth = _power([one, p], _cut_table({6: 8}), 6)
     assert meter.products - before == 27
     assert sixth == TruncatedSeries(("u",), 8, FREE, {(6,): 1, (7,): -6, (8,): 15})
 
@@ -1256,6 +1307,44 @@ def test_law_substitution_matches_the_two_level_oracle(case):
     for assignment in assignments:
         fast = f.substitute(assignment)
         slow = oracles.substitute_two_level(f, assignment)
+        assert fast == slow
+        assert fast.to_json() == slow.to_json()
+
+
+@st.composite
+def _fold_images(draw):
+    """(law, s, t): two images of the kind a law's folds build, in 1-3 variables:
+    [n]u written in one variable, a combination F^{(n)} of all of them, a fold
+    step F(x, y) of two of those, or F(F^{(n)}, F^{(-n)}), whose linear terms
+    cancel: zero on an associative law, and on FREE often of lowest degree 4."""
+    law = _law(draw(st.sampled_from(sorted(_BACKENDS))), draw(st.integers(1, 6)))
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    multiples = st.integers(-3, 4)
+
+    def image(steps):
+        kind = draw(st.integers(0, 3 if steps else 1))
+        if kind == 0:
+            return law._embedded_n_series(draw(multiples), draw(st.integers(0, len(variables) - 1)),
+                                          variables)
+        ns = [draw(multiples) for _ in variables]
+        if kind == 1:
+            return law.linear_combination(ns, variables)
+        if kind == 2:
+            return law._sum(image(0), image(0))
+        return law._sum(law.linear_combination(ns, variables),
+                        law.linear_combination([-n for n in ns], variables))
+
+    return law, image(1), image(1)
+
+
+@given(_fold_images())
+def test_the_folds_sum_matches_the_public_sum_and_the_oracles(case):
+    # _sum skips the public checks on images the law built; one law's F keeps
+    # its schedules across examples, and the two-level oracle keeps none
+    law, s, t = case
+    fast = law._sum(s, t)
+    for slow in (law.sum(s, t), oracles.sum_fixed_orientation(law, s, t),
+                 oracles.substitute_two_level(law.series, {"u": s, "v": t})):
         assert fast == slow
         assert fast.to_json() == slow.to_json()
 

@@ -748,6 +748,23 @@ def test_the_fold_filters_only_after_a_step_whose_variables_span_no_face(monkeyp
     result = check_properties(_full_config(4, 4), (1, 2, -1, 1), (2, 1, 1, -1), FormalGroupLaw(FREE, 4))
     assert result == {"symmetry": True, "restriction": None, "operator": True}
     assert calls == []
+    # a zero multiplicity: F(x, 0) = x, so the fold skips the step and the
+    # filter after it, which would keep every term the steps before left
+    path, law = _path_config(8, 6), FormalGroupLaw(FREE, 8)
+    ns = (1, 0, 2, 0, -1, 1)
+    assert divisor_class(path, ns, law) == oracles.divisor_class_full_combination(path, ns, law)
+    assert len(calls) == 3  # 4 with the zero steps folded: the one after u_4 filters
+    calls.clear()
+    # snc-check's second call: one reduced component, and a vector with a 0 there
+    path, law = _path_config(4, 4), FormalGroupLaw(FREE, 4)
+    reduced, other = (0, 1, 0, 0), (2, 0, 1, -1)
+    for ns, filtered in ((reduced, 0), (other, 2)):  # 2 and 2 with the zero steps folded
+        assert divisor_class(path, ns, law) == oracles.divisor_class_full_combination(path, ns, law)
+        assert len(calls) == filtered
+        calls.clear()
+    result = check_properties(path, reduced, other, FormalGroupLaw(FREE, 4))
+    assert result == {"symmetry": True, "restriction": True, "operator": True}
+    assert len(calls) == 3  # 5 with the zero steps folded
 
 
 def _relabelling(perm, config):
